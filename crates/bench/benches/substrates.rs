@@ -1,10 +1,11 @@
 //! Substrate microbenchmarks: XML parsing/serialization, the SQL engine,
-//! and the HTTP transport — the three cost centers under every PPerfGrid
-//! query.
+//! the HTTP transport — the three cost centers under every PPerfGrid
+//! query — and the PPGB row-block codec under every streamed one.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pperf_datastore::{SmgSpec, SmgStore};
 use pperf_httpd::{HttpClient, HttpServer, Request, Response, ServerConfig};
+use pperf_soap::{FrameReader, FrameWriter, StreamEvent, DEFAULT_STREAM_FRAME_BYTES};
 use pperf_xml::Element;
 use std::sync::Arc;
 
@@ -92,5 +93,86 @@ fn http_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, xml_roundtrip, sql_engine, http_roundtrip);
+/// Rows per timed iteration of the `row_block` group: at 1 000 rows the
+/// reported microseconds per iteration read directly as ns/row.
+const ROW_BLOCK_ROWS: usize = 1_000;
+
+fn encode_stream(rows: Vec<String>) -> Vec<Vec<u8>> {
+    let mut writer = FrameWriter::new(DEFAULT_STREAM_FRAME_BYTES);
+    let mut frames = Vec::new();
+    for row in rows {
+        frames.extend(writer.push(row));
+    }
+    frames.extend(writer.finish());
+    frames
+}
+
+fn decode_stream(frames: &[Vec<u8>]) -> u64 {
+    let mut reader = FrameReader::new();
+    let mut seen = 0;
+    for frame in frames {
+        reader.feed(frame);
+        while let Some(event) = reader.next_event().expect("own stream decodes") {
+            match event {
+                StreamEvent::Rows(rows) => {
+                    std::hint::black_box(rows);
+                }
+                StreamEvent::End { rows } => seen = rows,
+            }
+        }
+    }
+    seen
+}
+
+/// The PPGB row path — checksum, row-block coding, framing — through
+/// `FrameWriter`/`FrameReader`, on 50-byte rows of the two shapes the
+/// encoder distinguishes: `t=`-marked monotone rows (mode 1, columnar) and
+/// opaque rows (mode 0, packed).
+fn row_block(c: &mut Criterion) {
+    let columnar: Vec<String> = (0..ROW_BLOCK_ROWS)
+        .map(|i| {
+            let t = 1_000_000 + i;
+            format!(
+                "gflops|t={t}:{}|v=3.5,node{:02},rank{i:04},k=1",
+                t + 1,
+                i % 16
+            )
+        })
+        .collect();
+    let packed: Vec<String> = (0..ROW_BLOCK_ROWS)
+        .map(|i| {
+            format!(
+                "gflops|sample {i:08}|v=3.5,node{:02},rank{i:04},ok=1y",
+                i % 16
+            )
+        })
+        .collect();
+    let mut group = c.benchmark_group("row_block");
+    group.sample_size(20);
+    for (shape, rows) in [("columnar", columnar), ("packed", packed)] {
+        assert!(rows.iter().all(|row| row.len() == 50));
+        let frames = encode_stream(rows.clone());
+        let wire_bytes: usize = frames.iter().map(Vec::len).sum();
+        eprintln!(
+            "row_block/{shape}: {:.2} wire B/row for 50 B rows, {} frames per {ROW_BLOCK_ROWS} rows",
+            wire_bytes as f64 / ROW_BLOCK_ROWS as f64,
+            frames.len() - 1,
+        );
+        group.bench_function(BenchmarkId::new("encode_us_per_1000_rows", shape), |b| {
+            b.iter_batched(|| rows.clone(), encode_stream, BatchSize::SmallInput);
+        });
+        group.bench_function(BenchmarkId::new("decode_us_per_1000_rows", shape), |b| {
+            b.iter(|| assert_eq!(decode_stream(&frames), ROW_BLOCK_ROWS as u64));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    xml_roundtrip,
+    sql_engine,
+    http_roundtrip,
+    row_block
+);
 criterion_main!(benches);

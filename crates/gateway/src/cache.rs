@@ -1639,7 +1639,8 @@ mod tests {
         let dir = TempDirGuard::new("corrupt");
         let mut cfg = config(8, 1 << 20, Duration::from_secs(60));
         cfg.spill_dir = Some(dir.0.clone());
-        // A valid frame, truncated on disk; plus pure garbage.
+        // A valid frame, truncated on disk; pure garbage; and a whole frame
+        // spilled by a PPGB version-1 process, refused by version.
         let frame = encode_binary_segment(&WireSegment {
             series: "a".into(),
             start: 0.0,
@@ -1654,10 +1655,13 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.0.join("seg-0000000000000000-1.ppgseg"), b"not a frame").unwrap();
+        let mut stale = frame.clone();
+        stale[4] = 1;
+        std::fs::write(dir.0.join("seg-0000000000000000-2.ppgseg"), &stale).unwrap();
         let cache = SegmentCache::new(cfg);
         assert!(matches!(cache.lookup("a", (2.0, 5.0)), Lookup::Miss));
         let c = cache.counters();
-        assert_eq!(c.spill_drops, 2);
+        assert_eq!(c.spill_drops, 3);
         assert_eq!(c.spill_loads, 0);
         assert_eq!(
             std::fs::read_dir(&dir.0).unwrap().count(),

@@ -13,7 +13,8 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PPGB"
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2; version 1 defined the kind-7 checksum
+//!               as byte-serial FNV-1a and is refused, see below)
 //! 5       1     kind: 1 = batch call, 2 = batch response, 3 = whole fault,
 //!               4 = notification event
 //! 6       1     flags: bit 0 = call-header section present (kind 1)
@@ -58,9 +59,9 @@
 //!   ride length-prefixed (`u32 len` + frame bytes) on a chunked HTTP
 //!   response body, so [`FrameReader`] can resynchronize regardless of
 //!   where transport chunk boundaries fall.
-//! * kind 7 (stream trailer): `u64` total row count + `u64` FNV-1a
-//!   checksum over every row (each row's bytes followed by one `\n`
-//!   separator byte, in stream order), then an optional trace string
+//! * kind 7 (stream trailer): `u64` total row count + `u64` stream
+//!   checksum over every row in stream order (see *Stream checksum*
+//!   below), then an optional trace string
 //!   (`ppg_context::encode_trace` text; absent on pre-trace trailers).
 //!   Streamed responses flush their HTTP headers before the handler runs,
 //!   so the server's spans ride here instead of `X-PPG-Trace`. The trailer
@@ -96,6 +97,32 @@
 //! bound instead of re-rendered decimal text, and the decode rebuilds the
 //! exact original text (canonicality makes re-rendering lossless).
 //!
+//! Front coding lets a mode-1 block of *B* bytes describe ~*B*²/24 bytes of
+//! rows (one long first row, then 6-byte rows sharing all of it), so a
+//! mode-1 block may decode to at most [`COLUMNAR_EXPANSION`] times its own
+//! encoded length, and never past [`MAX_COLUMNAR_DECODED_BYTES`]; the
+//! decoder returns [`WireError::Malformed`] *before* allocating the row
+//! that would cross the cap, and the encoder falls back to mode 0 (which
+//! cannot expand) for a block that would cross it, so every block this
+//! encoder emits decodes.
+//!
+//! ## Stream checksum
+//!
+//! The kind-7 trailer (and each entry trailer of a batch stream) seals a
+//! 64-bit running sum over the rows of its stream or entry section. The
+//! state starts at [`CHECKSUM_SEED`]; one *word* `w` is folded in as
+//! `h = (h ^ w) * CHECKSUM_MUL (mod 2^64); h ^= h >> 32`. Each row folds,
+//! in order: its byte length as one word, then its bytes as little-endian
+//! 64-bit words, the last one zero-padded. The length word goes first, so
+//! the word sequence determines the row list (`["ab","c"]` and
+//! `["a","bc"]` differ in their first word) and the fold is
+//! order-sensitive. Every step is a bijection of the state and injective
+//! in the word, so two streams that differ in exactly one word — any
+//! single flipped bit — always differ in their sum. It is an error check,
+//! not a MAC. Version 1 frames defined this field as byte-serial FNV-1a;
+//! the layouts are identical, so the version byte is what refuses a stale
+//! peer or an old spill file ([`WireError::UnsupportedVersion`]).
+//!
 //! Every other decode failure is a typed, non-panicking [`WireError`] whose
 //! [`WireError::is_corrupt`] is true — the caller's cue to forget the peer's
 //! binary capability and transparently re-send as XML.
@@ -109,7 +136,7 @@ use std::fmt;
 /// Magic bytes opening every frame.
 pub const PPGB_MAGIC: [u8; 4] = *b"PPGB";
 /// Current frame format version.
-pub const PPGB_VERSION: u8 = 1;
+pub const PPGB_VERSION: u8 = 2;
 /// Content type advertised and answered during codec negotiation.
 pub const BINARY_CONTENT_TYPE: &str = "application/x-ppg-binary";
 /// Content type of an incremental PPGB result stream (chunked body of
@@ -121,6 +148,13 @@ pub const DEFAULT_STREAM_FRAME_BYTES: usize = 16 * 1024;
 /// Hard sanity cap on a single length-prefixed stream frame: a length
 /// prefix beyond this is corruption, not a real frame.
 const MAX_STREAM_FRAME_BYTES: usize = 64 * 1024 * 1024;
+/// A columnar (mode-1) row block may decode to at most this many times its
+/// own encoded length. Real blocks sit near 4x (50-byte rows in ~14 bytes);
+/// the bound only has to stop the quadratic front-coding blow-up.
+const COLUMNAR_EXPANSION: usize = 64;
+/// Absolute ceiling on the decoded bytes of one columnar row block,
+/// whatever its encoded length.
+const MAX_COLUMNAR_DECODED_BYTES: usize = 4 * MAX_STREAM_FRAME_BYTES;
 
 const KIND_CALL: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
@@ -259,50 +293,105 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Initial state of the stream checksum: the sum of a stream of no rows.
+const CHECKSUM_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Odd multiplier of the checksum's word step.
+const CHECKSUM_MUL: u64 = 0xff51_afd7_ed55_8ccd;
 
-fn fnv64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV64_PRIME);
+/// Fold one 64-bit word into the stream checksum. A bijection of `hash`
+/// for a fixed word and injective in `word` for a fixed hash (odd multiply
+/// and xor-shift are both invertible), so changing one word of a stream
+/// always changes its sum.
+#[inline]
+fn checksum_word(hash: u64, word: u64) -> u64 {
+    let h = (hash ^ word).wrapping_mul(CHECKSUM_MUL);
+    h ^ (h >> 32)
+}
+
+/// Fold one row into the running stream checksum: its length, then its
+/// bytes eight at a time (module docs, *Stream checksum*). The length word
+/// keeps `["ab","c"]` and `["a","bc"]` apart.
+fn checksum_row(hash: u64, row: &[u8]) -> u64 {
+    let mut hash = checksum_word(hash, row.len() as u64);
+    let mut words = row.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        hash = checksum_word(hash, word);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // Zero-padded little-endian word, assembled bytewise: a
+        // variable-length `copy_from_slice` here is a `memcpy` call that
+        // costs more than the whole fold of a short row.
+        let last = tail
+            .iter()
+            .rev()
+            .fold(0u64, |word, &b| (word << 8) | u64::from(b));
+        hash = checksum_word(hash, last);
     }
     hash
 }
 
-/// Fold one row into the running stream checksum: the row bytes, then one
-/// `\n` separator byte so `["ab","c"]` and `["a","bc"]` hash apart.
-fn checksum_row(hash: u64, row: &str) -> u64 {
-    fnv64(fnv64(hash, row.as_bytes()), b"\n")
-}
-
-/// Locate the `t=A:B` field of a row when — and only when — both bounds
-/// are canonically-rendered integers (parse + re-render must byte-match,
-/// so the columnar decode can rebuild the exact original text). Returns
-/// `(prefix_end, start, end, suffix_start)`: `prefix_end` is the index
-/// just past `t=`, `suffix_start` the index of the field's end (`|` or
-/// end-of-row). Point-form `t=A` and fractional bounds disqualify.
-fn split_monotone_ts(row: &str) -> Option<(usize, i64, i64, usize)> {
-    let mut field_start = 0usize;
-    loop {
-        let field_end = row[field_start..]
-            .find('|')
-            .map(|i| field_start + i)
-            .unwrap_or(row.len());
-        let field = &row[field_start..field_end];
-        if let Some(spec) = field.strip_prefix("t=") {
-            let (a_text, b_text) = spec.split_once(':')?;
-            let a: i64 = a_text.parse().ok()?;
-            let b: i64 = b_text.parse().ok()?;
-            if a.to_string() != a_text || b.to_string() != b_text {
-                return None;
-            }
-            return Some((field_start + 2, a, b, field_end));
-        }
-        if field_end == row.len() {
+/// Parse `text` as an `i64` when — and only when — it is exactly what
+/// `i64::to_string` renders: optional `-`, no `+`, no leading zero, no
+/// `-0`, in range. Allocation-free.
+fn canonical_i64(text: &[u8]) -> Option<i64> {
+    let (negative, digits) = match text.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, text),
+    };
+    // 19 digits cannot overflow a u64; i64's own range is checked below.
+    if digits.is_empty() || digits.len() > 19 || (digits[0] == b'0' && text.len() > 1) {
+        return None;
+    }
+    let mut magnitude: u64 = 0;
+    for &d in digits {
+        if !d.is_ascii_digit() {
             return None;
         }
-        field_start = field_end + 1;
+        magnitude = magnitude * 10 + u64::from(d - b'0');
+    }
+    if negative {
+        (magnitude <= i64::MIN.unsigned_abs()).then(|| (magnitude as i64).wrapping_neg())
+    } else {
+        i64::try_from(magnitude).ok()
+    }
+}
+
+/// Where a row's `t=A:B` field sits: `prefix_end` is the index just past
+/// `t=`, `suffix_start` the index of the field's end (`|` or end-of-row).
+#[derive(Clone, Copy)]
+struct TsSplit {
+    prefix_end: usize,
+    start: i64,
+    end: i64,
+    suffix_start: usize,
+}
+
+/// Locate the first `t=` field of a row; `Some` when — and only when —
+/// it reads `t=A:B` with both bounds canonically-rendered integers
+/// ([`canonical_i64`]), so the columnar decode can rebuild the exact
+/// original text. Point-form `t=A` and fractional bounds disqualify.
+/// Works on bytes: the delimiters are ASCII, which never occurs inside a
+/// multi-byte UTF-8 sequence.
+fn split_monotone_ts(row: &[u8]) -> Option<TsSplit> {
+    let mut field_start = 0usize;
+    loop {
+        let rest = &row[field_start..];
+        let field_len = rest.iter().position(|&b| b == b'|').unwrap_or(rest.len());
+        if let Some(spec) = rest[..field_len].strip_prefix(b"t=") {
+            let colon = spec.iter().position(|&b| b == b':')?;
+            return Some(TsSplit {
+                prefix_end: field_start + 2,
+                start: canonical_i64(&spec[..colon])?,
+                end: canonical_i64(&spec[colon + 1..])?,
+                suffix_start: field_start + field_len,
+            });
+        }
+        if field_len == rest.len() {
+            return None;
+        }
+        field_start += field_len + 1;
     }
 }
 
@@ -313,45 +402,65 @@ fn put_front_coded(out: &mut Vec<u8>, prev: &[u8], cur: &[u8]) {
     out.extend_from_slice(&cur[shared..]);
 }
 
-/// Encode a row block — the shared row payload of cached-segment (kind 5)
-/// and stream-segment (kind 6) frames. Mode 1 (columnar delta coding) is
-/// chosen only when every row qualifies via [`split_monotone_ts`];
-/// anything else falls to mode 0 raw strings.
-fn put_row_block(out: &mut Vec<u8>, rows: &[String]) {
-    let mut splits = Vec::with_capacity(rows.len());
+/// The most bytes a columnar block of `block_len` encoded bytes may decode
+/// to (module docs, *Row blocks*). Encoder and decoder agree on
+/// `block_len`: a row block is always the last section of its frame.
+fn columnar_decoded_cap(block_len: usize) -> usize {
+    block_len
+        .saturating_mul(COLUMNAR_EXPANSION)
+        .min(MAX_COLUMNAR_DECODED_BYTES)
+}
+
+fn put_raw_row_block(out: &mut Vec<u8>, rows: &[String]) {
+    out.push(0);
+    put_u32(out, rows.len() as u32);
     for row in rows {
-        match split_monotone_ts(row) {
+        put_str(out, row);
+    }
+}
+
+/// Encode a row block — the shared row payload of cached-segment (kind 5)
+/// and stream-segment (kind 6) frames — as the last section of the frame
+/// in `out`. Mode 1 (columnar delta coding) is chosen only when every row
+/// qualifies via [`split_monotone_ts`] and the block stays under
+/// [`columnar_decoded_cap`]; anything else falls to mode 0 raw strings.
+/// `splits` is scratch, cleared here, so a caller encoding many blocks
+/// allocates it once.
+fn put_row_block(out: &mut Vec<u8>, rows: &[String], splits: &mut Vec<TsSplit>) {
+    splits.clear();
+    for row in rows {
+        match split_monotone_ts(row.as_bytes()) {
             Some(split) => splits.push(split),
-            None => {
-                splits.clear();
-                break;
-            }
+            None => break,
         }
     }
     if rows.is_empty() || splits.len() != rows.len() {
-        out.push(0);
-        put_u32(out, rows.len() as u32);
-        for row in rows {
-            put_str(out, row);
-        }
+        put_raw_row_block(out, rows);
         return;
     }
+    let block_start = out.len();
     out.push(1);
     put_u32(out, rows.len() as u32);
     let mut prev_prefix: &[u8] = b"";
     let mut prev_suffix: &[u8] = b"";
     let mut prev_start: i64 = 0;
-    for (row, &(prefix_end, start, end, suffix_start)) in rows.iter().zip(&splits) {
+    let mut decoded_bytes = 0usize;
+    for (row, split) in rows.iter().zip(splits.iter()) {
         let bytes = row.as_bytes();
-        let prefix = &bytes[..prefix_end];
-        let suffix = &bytes[suffix_start..];
+        let prefix = &bytes[..split.prefix_end];
+        let suffix = &bytes[split.suffix_start..];
         put_front_coded(out, prev_prefix, prefix);
-        put_varint(out, zigzag(start.wrapping_sub(prev_start)));
-        put_varint(out, zigzag(end.wrapping_sub(start)));
+        put_varint(out, zigzag(split.start.wrapping_sub(prev_start)));
+        put_varint(out, zigzag(split.end.wrapping_sub(split.start)));
         put_front_coded(out, prev_suffix, suffix);
         prev_prefix = prefix;
         prev_suffix = suffix;
-        prev_start = start;
+        prev_start = split.start;
+        decoded_bytes += bytes.len();
+    }
+    if decoded_bytes > columnar_decoded_cap(out.len() - block_start) {
+        out.truncate(block_start);
+        put_raw_row_block(out, rows);
     }
 }
 
@@ -521,7 +630,7 @@ pub fn encode_binary_segment(segment: &WireSegment) -> Vec<u8> {
     out.extend_from_slice(&segment.end.to_le_bytes());
     out.push(u8::from(segment.filterable));
     out.extend_from_slice(&segment.inserted_unix_ms.to_le_bytes());
-    put_row_block(&mut out, &segment.rows);
+    put_row_block(&mut out, &segment.rows, &mut Vec::new());
     out
 }
 
@@ -631,20 +740,18 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Decode one front-coded byte string against its predecessor.
-    fn front_coded(&mut self, prev: &[u8]) -> Result<Vec<u8>, WireError> {
-        let shared = self.varint()? as usize;
-        if shared > prev.len() {
+    /// One front-coded item: how many leading bytes it shares with its
+    /// predecessor (bounded by `prev_len`, the predecessor's length) and
+    /// its own remainder bytes.
+    fn front_coded(&mut self, prev_len: usize) -> Result<(usize, &'a [u8]), WireError> {
+        let shared = self.varint()?;
+        if shared > prev_len as u64 {
             return Err(WireError::Malformed(
                 "front-coded shared length exceeds previous item".into(),
             ));
         }
-        let rest_len = self.varint()? as usize;
-        let rest = self.take(rest_len)?;
-        let mut out = Vec::with_capacity(shared + rest_len);
-        out.extend_from_slice(&prev[..shared]);
-        out.extend_from_slice(rest);
-        Ok(out)
+        let rest_len = usize::try_from(self.varint()?).map_err(|_| WireError::Truncated)?;
+        Ok((shared as usize, self.take(rest_len)?))
     }
 
     fn value(&mut self) -> Result<Value, WireError> {
@@ -702,8 +809,30 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode a row block (see [`put_row_block`]).
+/// Render `v` as decimal text into `buf`, returning the used tail — what
+/// `i64::to_string` produces, without the allocation.
+fn fmt_i64(buf: &mut [u8; 20], v: i64) -> &[u8] {
+    let mut at = buf.len();
+    let mut magnitude = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
+}
+
+/// Decode a row block (see [`put_row_block`]), the last section of the
+/// frame `r` reads.
 fn read_row_block(r: &mut Reader) -> Result<Vec<String>, WireError> {
+    let block_len = r.buf.len() - r.pos;
     match r.u8()? {
         0 => {
             let n = r.count(4)?;
@@ -717,30 +846,47 @@ fn read_row_block(r: &mut Reader) -> Result<Vec<String>, WireError> {
             // Minimum columnar row: two 1-byte front codes (2 bytes each)
             // plus two 1-byte varint deltas.
             let n = r.count(6)?;
-            let mut rows = Vec::with_capacity(n);
-            let mut prev_prefix: Vec<u8> = Vec::new();
-            let mut prev_suffix: Vec<u8> = Vec::new();
+            let cap = columnar_decoded_cap(block_len);
+            let mut decoded_bytes = 0usize;
+            let mut rows: Vec<String> = Vec::with_capacity(n);
+            // The previous row's prefix is `prev[..prev_prefix_len]`, its
+            // suffix `prev[prev_suffix_start..]`: the shared bytes are
+            // copied out of the previous decoded row itself.
+            let mut prev_prefix_len = 0usize;
+            let mut prev_suffix_start = 0usize;
             let mut prev_start: i64 = 0;
             for _ in 0..n {
-                let prefix = r.front_coded(&prev_prefix)?;
+                let prev = rows.last().map_or(&b""[..], |row| row.as_bytes());
+                let (prefix_shared, prefix_rest) = r.front_coded(prev_prefix_len)?;
                 let start = prev_start.wrapping_add(unzigzag(r.varint()?));
                 let end = start.wrapping_add(unzigzag(r.varint()?));
-                let suffix = r.front_coded(&prev_suffix)?;
-                let start_text = start.to_string();
-                let end_text = end.to_string();
-                let mut bytes = Vec::with_capacity(
-                    prefix.len() + start_text.len() + 1 + end_text.len() + suffix.len(),
-                );
-                bytes.extend_from_slice(&prefix);
-                bytes.extend_from_slice(start_text.as_bytes());
+                let (suffix_shared, suffix_rest) = r.front_coded(prev.len() - prev_suffix_start)?;
+                let (mut start_buf, mut end_buf) = ([0u8; 20], [0u8; 20]);
+                let start_text = fmt_i64(&mut start_buf, start);
+                let end_text = fmt_i64(&mut end_buf, end);
+                let prefix_len = prefix_shared + prefix_rest.len();
+                let suffix_start = prefix_len + start_text.len() + 1 + end_text.len();
+                let row_len = suffix_start + suffix_shared + suffix_rest.len();
+                decoded_bytes += row_len;
+                if decoded_bytes > cap {
+                    return Err(WireError::Malformed(format!(
+                        "columnar block of {block_len} bytes decodes past its {cap}-byte cap"
+                    )));
+                }
+                let mut bytes = Vec::with_capacity(row_len);
+                bytes.extend_from_slice(&prev[..prefix_shared]);
+                bytes.extend_from_slice(prefix_rest);
+                bytes.extend_from_slice(start_text);
                 bytes.push(b':');
-                bytes.extend_from_slice(end_text.as_bytes());
-                bytes.extend_from_slice(&suffix);
+                bytes.extend_from_slice(end_text);
+                bytes
+                    .extend_from_slice(&prev[prev_suffix_start..prev_suffix_start + suffix_shared]);
+                bytes.extend_from_slice(suffix_rest);
                 let row = String::from_utf8(bytes)
                     .map_err(|_| WireError::Malformed("columnar row is not UTF-8".into()))?;
                 rows.push(row);
-                prev_prefix = prefix;
-                prev_suffix = suffix;
+                prev_prefix_len = prefix_len;
+                prev_suffix_start = suffix_start;
                 prev_start = start;
             }
             Ok(rows)
@@ -886,6 +1032,8 @@ pub struct FrameWriter {
     /// Returned frame buffers whose capacity the next flush reuses (the
     /// producer-side half of the connection's buffer recycling loop).
     spare: Vec<Vec<u8>>,
+    /// [`put_row_block`]'s per-block scratch, kept across flushes.
+    splits: Vec<TsSplit>,
 }
 
 /// How many spent frame buffers a [`FrameWriter`] keeps for reuse.
@@ -901,9 +1049,10 @@ impl FrameWriter {
             rows: Vec::new(),
             pending_bytes: 0,
             total_rows: 0,
-            checksum: FNV64_OFFSET,
+            checksum: CHECKSUM_SEED,
             entry: None,
             spare: Vec::new(),
+            splits: Vec::new(),
         }
     }
 
@@ -929,7 +1078,7 @@ impl FrameWriter {
     /// Add one row. Returns a sealed, length-prefixed frame when the
     /// pending batch reaches the frame-size bound, `None` otherwise.
     pub fn push(&mut self, row: String) -> Option<Vec<u8>> {
-        self.checksum = checksum_row(self.checksum, &row);
+        self.checksum = checksum_row(self.checksum, row.as_bytes());
         self.total_rows += 1;
         self.pending_bytes += 4 + row.len();
         self.rows.push(row);
@@ -956,7 +1105,7 @@ impl FrameWriter {
             }
             None => put_header(&mut out, KIND_STREAM, 0),
         }
-        put_row_block(&mut out, &self.rows);
+        put_row_block(&mut out, &self.rows, &mut self.splits);
         self.rows.clear();
         self.pending_bytes = 0;
         Some(seal_length_prefix(out))
@@ -1101,7 +1250,7 @@ impl FrameReader {
             buf: Vec::new(),
             pos: 0,
             rows_seen: 0,
-            checksum: FNV64_OFFSET,
+            checksum: CHECKSUM_SEED,
             finished: false,
             trace: String::new(),
         }
@@ -1149,7 +1298,7 @@ impl FrameReader {
         match decoded {
             StreamFrame::Rows(rows) => {
                 for row in &rows {
-                    self.checksum = checksum_row(self.checksum, row);
+                    self.checksum = checksum_row(self.checksum, row.as_bytes());
                 }
                 self.rows_seen += rows.len() as u64;
                 Ok(Some(StreamEvent::Rows(rows)))
@@ -1370,7 +1519,7 @@ impl EntrySection {
     fn new() -> EntrySection {
         EntrySection {
             rows_seen: 0,
-            checksum: FNV64_OFFSET,
+            checksum: CHECKSUM_SEED,
             sealed: false,
             trace: String::new(),
         }
@@ -1486,7 +1635,7 @@ impl BatchStreamReader {
                     )));
                 }
                 for row in &rows {
-                    section.checksum = checksum_row(section.checksum, row);
+                    section.checksum = checksum_row(section.checksum, row.as_bytes());
                 }
                 section.rows_seen += rows.len() as u64;
                 Ok(Some(BatchStreamEvent::EntryRows { entry, rows }))
@@ -1577,6 +1726,9 @@ impl BatchStreamReader {
         self.buf.len() - self.pos
     }
 }
+
+#[cfg(test)]
+mod row_block_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2501,7 +2653,7 @@ mod tests {
         // packed (mode 0) encoding on a monotone-timestamp workload.
         let rows = monotone_rows(512);
         let mut columnar = Vec::new();
-        put_row_block(&mut columnar, &rows);
+        put_row_block(&mut columnar, &rows, &mut Vec::new());
         assert_eq!(columnar[0], 1, "monotone rows must pick mode 1");
         let mut raw = Vec::new();
         raw.push(0u8);
@@ -2522,7 +2674,7 @@ mod tests {
     fn corrupt_columnar_blocks_are_typed() {
         let rows = monotone_rows(8);
         let mut block = Vec::new();
-        put_row_block(&mut block, &rows);
+        put_row_block(&mut block, &rows, &mut Vec::new());
         assert_eq!(block[0], 1);
         // Truncation anywhere is typed.
         for cut in [1, 5, 8, block.len() / 2, block.len() - 1] {

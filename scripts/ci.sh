@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, and the tier-1 verify (see ROADMAP.md).
 #
-#   scripts/ci.sh            # fmt --check, clippy -D warnings, build, tests
+#   scripts/ci.sh            # fmt --check, clippy -D warnings, build, tests,
+#                            # benchmark/check.sh (the benchmark is its own
+#                            # workspace: `cargo test` never compiles it)
 #   PPG_BENCH=1 scripts/ci.sh  # additionally run the gateway fan-out bench
 #                              # (quick scale) and emit BENCH_gateway.json
 set -euo pipefail
@@ -64,6 +66,9 @@ cargo test -q -p pperf-soap batch_stream
 cargo test -q -p pperf-gateway --test batch_stream
 echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin keeps batches buffered XML)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml --test batch --test federation
+
+echo "==> repo benchmark harness (own workspace: build, self-tests, 1 s smoke of all five workloads)"
+benchmark/check.sh
 
 if [[ "${PPG_BENCH:-0}" == "1" ]]; then
     echo "==> gateway fan-out bench (quick scale)"
