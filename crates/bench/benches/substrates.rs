@@ -77,6 +77,79 @@ fn sql_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three statements the SMG98 wrapper sends, on the store the
+/// `hetero_fanout` benchmark workload uses (8 executions × 8 processes × 125
+/// events = 8 000 `events` rows, 24 functions). Every one of them scans the
+/// whole `events` table, so time per iteration ÷ 8 000 is ns per scanned
+/// event row — printed beside each median.
+fn sql_smg_shapes(_: &mut Criterion) {
+    let store = SmgStore::build(SmgSpec {
+        num_execs: 8,
+        procs: 8,
+        events_per_proc: 125,
+        num_functions: 24,
+        ..SmgSpec::default()
+    });
+    let db = store.database();
+    let conn = db.connect();
+    let scanned = db.row_count("events").expect("events table") as f64;
+    eprintln!("\n== minidb_smg ==");
+    let per_row = |name: &str, run: &mut dyn FnMut() -> usize| {
+        let returned = run();
+        let mut samples: Vec<f64> = (0..20)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                for _ in 0..20 {
+                    std::hint::black_box(run());
+                }
+                started.elapsed().as_nanos() as f64 / 20.0 / scanned
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        eprintln!(
+            "minidb_smg/{name:<34} median {:>7.1} ns per scanned event row  ({scanned} scanned, {returned} returned)",
+            samples[samples.len() / 2]
+        );
+    };
+    // `func_time` / `func_calls` on a /Code/<module>/<function> focus.
+    per_row("function_focus_aggregate_join", &mut || {
+        conn.query(
+            "SELECT COUNT(*) AS calls, SUM(e.endtime - e.starttime) AS total \
+             FROM events e, functions f \
+             WHERE e.execid = 0 AND e.funcid = f.funcid \
+             AND f.module = 'MPI' AND f.name = 'MPI_Allgather'",
+        )
+        .unwrap()
+        .len()
+    });
+    // The batched form for /Process/N foci.
+    per_row("process_inlist_group_by", &mut || {
+        conn.query(
+            "SELECT e.procid AS pid, COUNT(*) AS calls, SUM(e.endtime - e.starttime) AS total \
+             FROM events e WHERE e.execid = 0 AND e.procid IN (0, 1, 2, 3) GROUP BY e.procid",
+        )
+        .unwrap()
+        .len()
+    });
+    // `event_intervals` for one process, streamed off the lazy cursor.
+    per_row("event_intervals_cursor", &mut || {
+        let mut cursor = conn
+            .query_cursor(
+                "SELECT e.procid AS procid, e.starttime AS s, e.endtime AS t, e.bytes AS b \
+                 FROM events e WHERE e.execid = 0 AND e.procid = 3",
+            )
+            .unwrap();
+        let mut rows = 0;
+        loop {
+            let batch = cursor.next_batch(256).unwrap();
+            if batch.is_empty() {
+                return rows;
+            }
+            rows += std::hint::black_box(batch).len();
+        }
+    });
+}
+
 fn http_roundtrip(c: &mut Criterion) {
     let handler = Arc::new(|req: &Request| Response::ok("text/xml", req.body.clone()));
     let server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
@@ -172,6 +245,7 @@ criterion_group!(
     benches,
     xml_roundtrip,
     sql_engine,
+    sql_smg_shapes,
     http_roundtrip,
     row_block
 );

@@ -64,7 +64,13 @@ impl Scale {
             exec_counts: vec![2, 4, 8, 16, 32, 64, 124],
             repeats: 10,
             sets: 10,
-            smg_spec: SmgSpec::default(),
+            smg_spec: SmgSpec {
+                num_execs: 8,
+                procs: 16,
+                events_per_proc: 10_000,
+                num_functions: 240,
+                seed: 0x534d47,
+            },
             hpl_spec: HplSpec::default(),
             rma_spec: RmaSpec::default(),
             host_workers: 2,
@@ -82,10 +88,10 @@ impl Scale {
             repeats: 3,
             sets: 3,
             smg_spec: SmgSpec {
-                num_execs: 2,
+                num_execs: 8,
                 procs: 8,
-                events_per_proc: 1500,
-                num_functions: 16,
+                events_per_proc: 7500,
+                num_functions: 80,
                 seed: 0x534d47,
             },
             hpl_spec: HplSpec {

@@ -48,7 +48,15 @@ fn grid() -> Grid {
     )
     .unwrap();
 
-    let rma_dir = std::env::temp_dir().join(format!("client-e2e-rma-{}", std::process::id()));
+    // Tests of this binary run in parallel threads of one process: each grid
+    // needs a directory of its own, or one test's clean-up deletes the files
+    // another is reading.
+    static GRIDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let rma_dir = std::env::temp_dir().join(format!(
+        "client-e2e-rma-{}-{}",
+        std::process::id(),
+        GRIDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&rma_dir);
     let rma_store = RmaTextStore::generate(&rma_dir, &RmaSpec::tiny()).unwrap();
     let rma = Arc::new(RmaTextWrapper::new(rma_store));

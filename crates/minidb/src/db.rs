@@ -1,9 +1,9 @@
 //! The database object and its JDBC-like connection API.
 
 use crate::error::{DbError, Result};
-use crate::executor::{self, QueryOutput};
+use crate::executor::{Plan, Predicate, TableRows};
 use crate::schema::{Column, TableSchema};
-use crate::sql::{parse_statement, Statement};
+use crate::sql::{parse_statement, SelectStmt, Statement};
 use crate::types::DbValue;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -225,18 +225,12 @@ impl Connection {
                 match predicate {
                     None => table.rows.clear(),
                     Some(pred) => {
-                        let tref = crate::sql::TableRef {
-                            table: name.clone(),
-                            alias: name,
-                        };
-                        let layout = executor::Layout::build(&[(tref, &table.schema)]);
+                        let pred = Predicate::bind(&pred, &name, &table.schema)?;
                         // Evaluate the predicate per row; errors abort without
                         // partial deletion.
                         let mut keep = Vec::with_capacity(table.rows.len());
                         for row in &table.rows {
-                            let refs: Vec<&DbValue> = row.iter().collect();
-                            let v = executor::eval_value(&pred, &layout, &refs)?;
-                            keep.push(!matches!(v, DbValue::Int(1)));
+                            keep.push(!pred.matches(row)?);
                         }
                         let mut it = keep.into_iter();
                         table.rows.retain(|_| it.next().unwrap_or(true));
@@ -257,15 +251,12 @@ impl Connection {
             return Err(DbError::Execution("query() requires a SELECT".into()));
         };
         let tables = self.db.inner.tables.read();
-        let mut bound: Vec<(&TableSchema, &[Vec<DbValue>])> = Vec::with_capacity(stmt.from.len());
-        for tref in &stmt.from {
-            let table = tables
-                .get(&tref.table)
-                .ok_or_else(|| DbError::UnknownTable(tref.table.clone()))?;
-            bound.push((&table.schema, &table.rows));
-        }
-        let QueryOutput { columns, rows } = executor::execute_select(&stmt, &bound)?;
-        Ok(ResultSet { columns, rows })
+        let (plan, rows) = bind_select(&stmt, &tables)?;
+        let rows = plan.execute(&rows)?;
+        Ok(ResultSet {
+            columns: plan.into_columns(),
+            rows,
+        })
     }
 
     /// Execute a SELECT as a pull-based cursor: rows are produced in
@@ -285,48 +276,42 @@ impl Connection {
                 "query_cursor() requires a SELECT".into(),
             ));
         };
-        let lazy_ok = stmt.from.len() == 1
-            && stmt.group_by.is_empty()
-            && stmt.order_by.is_empty()
-            && !stmt.distinct
-            && !stmt
-                .items
-                .iter()
-                .any(|i| matches!(i, crate::sql::SelectItem::Aggregate { .. }));
         let tables = self.db.inner.tables.read();
-        if lazy_ok {
-            let table = tables
-                .get(&stmt.from[0].table)
-                .ok_or_else(|| DbError::UnknownTable(stmt.from[0].table.clone()))?;
-            let layout = executor::Layout::build(&[(stmt.from[0].clone(), &table.schema)]);
-            let columns = executor::output_columns(&stmt, &layout);
-            let remaining = stmt.limit;
-            drop(tables);
-            return Ok(RowCursor {
-                columns,
-                inner: CursorInner::Lazy {
-                    db: self.db.clone(),
-                    stmt,
-                    pos: 0,
-                    remaining,
-                },
-            });
-        }
-        let mut bound: Vec<(&TableSchema, &[Vec<DbValue>])> = Vec::with_capacity(stmt.from.len());
-        for tref in &stmt.from {
-            let table = tables
-                .get(&tref.table)
-                .ok_or_else(|| DbError::UnknownTable(tref.table.clone()))?;
-            bound.push((&table.schema, &table.rows));
-        }
-        let QueryOutput { columns, rows } = executor::execute_select(&stmt, &bound)?;
-        Ok(RowCursor {
-            columns,
-            inner: CursorInner::Materialized {
-                rows: rows.into_iter(),
-            },
-        })
+        let (plan, rows) = bind_select(&stmt, &tables)?;
+        let columns = plan.columns().to_vec();
+        let inner = if plan.is_streamable() {
+            CursorInner::Lazy(Box::new(LazyScan {
+                db: self.db.clone(),
+                schema: tables[&stmt.from[0].table].schema.clone(),
+                remaining: plan.limit(),
+                stmt,
+                plan,
+                pos: 0,
+            }))
+        } else {
+            CursorInner::Materialized {
+                rows: plan.execute(&rows)?.into_iter(),
+            }
+        };
+        Ok(RowCursor { columns, inner })
     }
+}
+
+/// Look up the FROM tables of `stmt` and bind it to their schemas.
+fn bind_select<'t>(
+    stmt: &SelectStmt,
+    tables: &'t HashMap<String, Table>,
+) -> Result<(Plan, Vec<&'t TableRows>)> {
+    let mut schemas = Vec::with_capacity(stmt.from.len());
+    let mut rows = Vec::with_capacity(stmt.from.len());
+    for tref in &stmt.from {
+        let table = tables
+            .get(&tref.table)
+            .ok_or_else(|| DbError::UnknownTable(tref.table.clone()))?;
+        schemas.push(&table.schema);
+        rows.push(table.rows.as_slice());
+    }
+    Ok((Plan::bind(stmt, &schemas)?, rows))
 }
 
 /// A pull-based SELECT result: the consumer drives production batch by
@@ -341,14 +326,20 @@ enum CursorInner {
     Materialized {
         rows: std::vec::IntoIter<Vec<DbValue>>,
     },
-    /// Lazy single-table scan; `pos` is the next base-table row index.
-    Lazy {
-        db: Database,
-        stmt: crate::sql::SelectStmt,
-        pos: usize,
-        /// LIMIT rows still allowed out (None = unlimited).
-        remaining: Option<usize>,
-    },
+    Lazy(Box<LazyScan>),
+}
+
+/// Lazy single-table scan.
+struct LazyScan {
+    db: Database,
+    stmt: SelectStmt,
+    /// `stmt` bound to `schema`, the table's schema when last looked at.
+    plan: Plan,
+    schema: TableSchema,
+    /// The next base-table row index.
+    pos: usize,
+    /// LIMIT rows still allowed out (None = unlimited).
+    remaining: Option<usize>,
 }
 
 impl RowCursor {
@@ -373,58 +364,35 @@ impl RowCursor {
                 }
                 Ok(rows.by_ref().take(max).collect())
             }
-            CursorInner::Lazy {
-                db,
-                stmt,
-                pos,
-                remaining,
-            } => {
-                use crate::sql::SelectItem;
+            CursorInner::Lazy(scan) => {
+                let LazyScan {
+                    db,
+                    stmt,
+                    plan,
+                    schema,
+                    pos,
+                    remaining,
+                } = &mut **scan;
                 if ppg_context::current_expired() {
                     return Err(DbError::Interrupted);
                 }
                 let tables = db.inner.tables.read();
-                // The table may have been dropped between batches.
+                // The table may have been dropped between batches — or
+                // dropped and created again with other columns, in which
+                // case the statement is bound afresh (and may no longer bind).
                 let table = tables
                     .get(&stmt.from[0].table)
                     .ok_or_else(|| DbError::UnknownTable(stmt.from[0].table.clone()))?;
-                let layout = executor::Layout::build(&[(stmt.from[0].clone(), &table.schema)]);
-                let mut out = Vec::new();
-                let mut ticks = 0u32;
-                while out.len() < max && *pos < table.rows.len() {
-                    if *remaining == Some(0) {
-                        break;
-                    }
-                    let row = &table.rows[*pos];
-                    *pos += 1;
-                    ticks += 1;
-                    if ticks.is_multiple_of(256) && ppg_context::current_expired() {
-                        return Err(DbError::Interrupted);
-                    }
-                    let refs: Vec<&DbValue> = row.iter().collect();
-                    if let Some(pred) = &stmt.predicate {
-                        if !matches!(executor::eval_value(pred, &layout, &refs)?, DbValue::Int(1)) {
-                            continue;
-                        }
-                    }
-                    let mut projected = Vec::with_capacity(self.columns.len());
-                    for item in &stmt.items {
-                        match item {
-                            SelectItem::Wildcard => projected.extend(row.iter().cloned()),
-                            SelectItem::Expr { expr, .. } => {
-                                projected.push(executor::eval_value(expr, &layout, &refs)?)
-                            }
-                            SelectItem::Aggregate { .. } => {
-                                unreachable!("lazy cursors exclude aggregates")
-                            }
-                        }
-                    }
-                    out.push(projected);
-                    if let Some(r) = remaining {
-                        *r -= 1;
-                    }
+                if table.schema != *schema {
+                    *plan = Plan::bind(stmt, &[&table.schema])?;
+                    *schema = table.schema.clone();
                 }
-                Ok(out)
+                let want = remaining.map_or(max, |r| r.min(max));
+                let batch = plan.scan_batch(&table.rows, pos, want)?;
+                if let Some(r) = remaining {
+                    *r -= batch.len();
+                }
+                Ok(batch)
             }
         }
     }
@@ -458,13 +426,18 @@ impl ResultSet {
         self.rows.is_empty()
     }
 
-    /// Cell by row index and column label.
-    pub fn get(&self, row: usize, column: &str) -> Result<&DbValue> {
-        let col = self
-            .columns
+    /// Position of an output column by (case-insensitive) label, for
+    /// indexing [`ResultSet::rows`] in a loop without a label search per cell.
+    pub fn column_index(&self, column: &str) -> Result<usize> {
+        self.columns
             .iter()
             .position(|c| c.eq_ignore_ascii_case(column))
-            .ok_or_else(|| DbError::UnknownColumn(column.to_owned()))?;
+            .ok_or_else(|| DbError::UnknownColumn(column.to_owned()))
+    }
+
+    /// Cell by row index and column label.
+    pub fn get(&self, row: usize, column: &str) -> Result<&DbValue> {
+        let col = self.column_index(column)?;
         self.rows
             .get(row)
             .map(|r| &r[col])

@@ -16,7 +16,11 @@
 //! The engine is deliberately a scan-based executor with no indexes: the
 //! thesis's Mapping Layer costs are dominated by full-table work on trace
 //! data (SMG98's 250 MB store took ~66 s per query), and a scan executor
-//! reproduces that cost profile honestly.
+//! reproduces that cost profile honestly. Within a statement it does not
+//! waste the scan: the SELECT is bound once (names to column slots, unknown
+//! names rejected before a row is read), each table is filtered on its own,
+//! `a.x = b.y` joins probe a hash table, and aggregates fold rows as they
+//! leave the join.
 //!
 //! Concurrency: the database is `Send + Sync`; readers proceed in parallel
 //! under a `parking_lot::RwLock` per database, writers serialize — the same

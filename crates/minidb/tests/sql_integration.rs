@@ -711,3 +711,332 @@ fn cursor_survives_concurrent_appends_and_drop() {
     c.execute("DROP TABLE runs").unwrap();
     assert!(matches!(cur.next_batch(1), Err(DbError::UnknownTable(_))));
 }
+
+// ---------------------------------------------------------------------------
+// Bound plans: bind-time errors, value-keyed groups, exact sums, total ORDER
+// BY, cancellation in every phase of the pipeline.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unknown_column_reported_even_when_no_row_reaches_it() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE empty_t (x INT)").unwrap();
+    for sql in [
+        "SELECT missing FROM empty_t",
+        "SELECT x FROM empty_t WHERE missing = 1",
+        "SELECT x FROM empty_t WHERE empty_t.missing = 1",
+        "SELECT x FROM empty_t WHERE nosuch.x = 1",
+        "SELECT COUNT(*) FROM empty_t GROUP BY missing",
+        "SELECT SUM(missing) FROM empty_t",
+        "SELECT x FROM empty_t ORDER BY missing",
+    ] {
+        assert!(
+            matches!(c.query(sql), Err(DbError::UnknownColumn(_))),
+            "{sql}: {:?}",
+            c.query(sql)
+        );
+        assert!(
+            matches!(c.query_cursor(sql), Err(DbError::UnknownColumn(_))),
+            "{sql} (cursor)"
+        );
+    }
+    assert!(matches!(
+        c.execute("DELETE FROM empty_t WHERE missing = 1"),
+        Err(DbError::UnknownColumn(_))
+    ));
+    // A filter that lets nothing through does not hide the name either.
+    let db = fixture();
+    assert!(matches!(
+        db.connect()
+            .query("SELECT id FROM runs WHERE id > 9999 AND missing = 1"),
+        Err(DbError::UnknownColumn(_))
+    ));
+    // `SELECT *` beside aggregates is refused whatever the table holds.
+    assert!(matches!(
+        c.query("SELECT *, COUNT(*) FROM empty_t GROUP BY x"),
+        Err(DbError::Execution(_))
+    ));
+}
+
+#[test]
+fn ambiguous_unqualified_column_in_a_join_is_a_bind_error() {
+    let db = fixture();
+    let c = db.connect();
+    c.execute("CREATE TABLE hosts (host TEXT, cpus INT)")
+        .unwrap();
+    // `host` is in both tables; no row of `hosts` exists to evaluate it on.
+    let err = c
+        .query("SELECT cpus FROM runs, hosts WHERE host = 'alpha'")
+        .unwrap_err();
+    assert!(
+        matches!(&err, DbError::UnknownColumn(m) if m.contains("ambiguous")),
+        "{err}"
+    );
+    // ORDER BY keeps its fallback to output labels: `id` is ambiguous as a
+    // source column but names the one output column.
+    let rs = c
+        .query("SELECT a.id AS id FROM runs a, runs b WHERE a.id = b.id ORDER BY id DESC")
+        .unwrap();
+    assert_eq!(rs.get_i64(0, "id").unwrap(), 103);
+}
+
+#[test]
+fn integer_sum_is_exact_and_widens_only_on_overflow() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE xfer (bytes INT)").unwrap();
+    let big = 1i64 << 60;
+    // 2^60 + 1 and 2^60 + 2 are not representable in an f64 (53-bit
+    // mantissa): summing through one used to drop the low bits.
+    c.execute(&format!(
+        "INSERT INTO xfer VALUES ({}), ({}), ({})",
+        big + 1,
+        big + 2,
+        -big
+    ))
+    .unwrap();
+    let rs = c.query("SELECT SUM(bytes) AS s FROM xfer").unwrap();
+    assert_eq!(rs.get(0, "s").unwrap(), &DbValue::Int(big + 3));
+    // Past i64 the sum widens to a Double instead of saturating silently.
+    c.execute(&format!(
+        "INSERT INTO xfer VALUES ({}), ({})",
+        i64::MAX,
+        i64::MAX
+    ))
+    .unwrap();
+    let rs = c.query("SELECT SUM(bytes) AS s FROM xfer").unwrap();
+    let s = rs.get(0, "s").unwrap();
+    assert!(matches!(s, DbValue::Double(d) if *d > 1.8e19), "{s:?}");
+}
+
+#[test]
+fn group_and_distinct_keys_are_values_not_rendered_text() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE g (a TEXT, b TEXT, n INT)").unwrap();
+    c.execute(
+        "INSERT INTO g VALUES \
+         ('z', 'z', 1), (NULL, 'x', 2), ('NULL', 'x', 3), (NULL, 'x', 4), \
+         ('p\u{1f}q', 'r', 5), ('p', 'q\u{1f}r', 6), ('z', 'z', 7)",
+    )
+    .unwrap();
+    // NULL and the text 'NULL' are different groups; so are two tuples whose
+    // rendered cells happen to concatenate alike. Groups come out in order of
+    // first appearance.
+    let rs = c
+        .query("SELECT a, b, COUNT(*) AS n, SUM(n) AS s FROM g GROUP BY a, b")
+        .unwrap();
+    let got: Vec<(String, String, i64, i64)> = rs
+        .rows()
+        .iter()
+        .map(|r| {
+            (
+                r[0].render(),
+                r[1].render(),
+                r[2].as_int().unwrap(),
+                r[3].as_int().unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("z".into(), "z".into(), 2, 8),
+            ("NULL".into(), "x".into(), 2, 6),
+            ("NULL".into(), "x".into(), 1, 3),
+            ("p\u{1f}q".into(), "r".into(), 1, 5),
+            ("p".into(), "q\u{1f}r".into(), 1, 6),
+        ]
+    );
+    assert!(rs.get(1, "a").unwrap().is_null());
+    assert_eq!(rs.get_str(2, "a").unwrap(), "NULL");
+    // DISTINCT keys the same way.
+    assert_eq!(c.query("SELECT DISTINCT a, b FROM g").unwrap().len(), 5);
+    assert_eq!(c.query("SELECT DISTINCT a FROM g").unwrap().len(), 5);
+}
+
+#[test]
+fn min_max_ties_and_order_by_nan() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE d (i INT, x DOUBLE, y DOUBLE)")
+        .unwrap();
+    // 0.0 and -0.0 compare equal: MIN keeps the first, MAX the last.
+    c.execute("INSERT INTO d VALUES (1, 0.0, 0.0), (2, -0.0, 0.0), (3, -1.0, 1.0)")
+        .unwrap();
+    let rs = c
+        .query("SELECT MIN(x) AS lo, MAX(x) AS hi FROM d WHERE i < 3")
+        .unwrap();
+    assert_eq!(rs.get(0, "lo").unwrap().render(), "0.0");
+    assert_eq!(rs.get(0, "hi").unwrap().render(), "-0.0");
+    // x / y is NaN for rows 1-2. A comparison that calls NaN equal to
+    // everything is not an order, and `sort_by` may panic on one; NaN sorts
+    // after every number instead.
+    for i in 4..40 {
+        c.execute(&format!(
+            "INSERT INTO d VALUES ({i}, {}.5, {}.0)",
+            i % 7,
+            i % 3
+        ))
+        .unwrap();
+    }
+    let rs = c
+        .query("SELECT i, x / y AS q FROM d ORDER BY q, i")
+        .unwrap();
+    let q: Vec<f64> = rs.rows().iter().map(|r| r[1].as_f64().unwrap()).collect();
+    let numbers = q.iter().take_while(|v| !v.is_nan()).count();
+    assert!(q[..numbers].windows(2).all(|w| w[0] <= w[1]), "{q:?}");
+    assert!(q[numbers..].iter().all(|v| v.is_nan()), "{q:?}");
+    assert!(q.len() - numbers >= 2);
+}
+
+#[test]
+fn like_pathological_pattern_returns() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE s (v TEXT)").unwrap();
+    db.bulk_insert("s", vec![vec![DbValue::from("a".repeat(10_000))]])
+        .unwrap();
+    let started = std::time::Instant::now();
+    let rs = c
+        .query("SELECT COUNT(*) AS n FROM s WHERE v LIKE '%a%a%a%a%a%a%a%a%b'")
+        .unwrap();
+    assert_eq!(rs.get_i64(0, "n").unwrap(), 0);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(2),
+        "LIKE backtracked for {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn join_keys_follow_sql_equality() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE l (k INT, tag TEXT)").unwrap();
+    c.execute("CREATE TABLE r (k DOUBLE, t TEXT)").unwrap();
+    c.execute("INSERT INTO l VALUES (1, 'one'), (2, 'two'), (NULL, 'none'), (0, '1')")
+        .unwrap();
+    c.execute(
+        "INSERT INTO r VALUES (1.0, '1'), (2.5, 'x'), (NULL, 'none'), (-0.0, 'zero'), (1.0, 'uno')",
+    )
+    .unwrap();
+    // Int 1 = Double 1.0, 0 = -0.0, NULL matches nothing; matches come back
+    // in the order a nested loop finds them.
+    let rs = c
+        .query("SELECT l.tag, r.t FROM l, r WHERE l.k = r.k")
+        .unwrap();
+    let pairs: Vec<(String, String)> = rs
+        .rows()
+        .iter()
+        .map(|row| (row[0].render(), row[1].render()))
+        .collect();
+    assert_eq!(
+        pairs,
+        [
+            ("one".into(), "1".into()),
+            ("one".into(), "uno".into()),
+            ("1".into(), "zero".into()),
+        ]
+    );
+    // Text never equals a number, even when it spells one.
+    assert_eq!(
+        c.query("SELECT COUNT(*) AS n FROM l, r WHERE l.k = r.t")
+            .unwrap()
+            .get_i64(0, "n")
+            .unwrap(),
+        0
+    );
+    assert_eq!(
+        c.query("SELECT COUNT(*) AS n FROM l, r WHERE l.tag = r.t")
+            .unwrap()
+            .get_i64(0, "n")
+            .unwrap(),
+        2,
+        "'none' and '1'"
+    );
+}
+
+#[test]
+fn expired_context_interrupts_scan_build_and_probe() {
+    let db = Database::new();
+    let c = db.connect();
+    c.execute("CREATE TABLE big (x INT)").unwrap();
+    c.execute("CREATE TABLE nothing (x INT)").unwrap();
+    c.execute("CREATE TABLE twenty (x INT)").unwrap();
+    db.bulk_insert("big", (0..300).map(|i| vec![DbValue::Int(i)]).collect())
+        .unwrap();
+    db.bulk_insert("twenty", (0..20).map(|i| vec![DbValue::Int(i)]).collect())
+        .unwrap();
+    let ctx = ppg_context::CallContext::new();
+    ctx.cancel();
+    let _scope = ppg_context::scope(&ctx);
+    // The context is polled every 256 rows, in whichever phase they pass.
+    for (phase, sql) in [
+        ("scan", "SELECT COUNT(*) FROM big"),
+        // The first table is empty, so only the hash build over `big` runs.
+        (
+            "build",
+            "SELECT COUNT(*) FROM nothing n, big b WHERE n.x = b.x",
+        ),
+        // 20 rows scanned + 20 listed, then 20 × 20 pairings probed.
+        (
+            "probe",
+            "SELECT COUNT(*) FROM twenty a, twenty b WHERE a.x < b.x + 100",
+        ),
+    ] {
+        assert_eq!(c.query(sql).unwrap_err(), DbError::Interrupted, "{phase}");
+    }
+    // Fewer than 256 rows in all: answered before the first poll.
+    assert!(c.query("SELECT COUNT(*) FROM twenty").is_ok());
+}
+
+#[test]
+fn cursor_follows_a_table_created_again_between_batches() {
+    let db = fixture();
+    let c = db.connect();
+    let mut cur = c.query_cursor("SELECT id, host FROM runs").unwrap();
+    assert_eq!(cur.next_batch(1).unwrap().len(), 1);
+    // Same name, other column order: the statement is bound afresh and the
+    // scan goes on at its position in the new table.
+    c.execute("DROP TABLE runs").unwrap();
+    c.execute("CREATE TABLE runs (host TEXT, id INT)").unwrap();
+    c.execute("INSERT INTO runs VALUES ('a', 1), ('b', 2), ('c', 3)")
+        .unwrap();
+    let batch = cur.next_batch(10).unwrap();
+    assert_eq!(
+        batch,
+        [
+            vec![DbValue::Int(2), DbValue::from("b")],
+            vec![DbValue::Int(3), DbValue::from("c")]
+        ]
+    );
+    // Created again without a column the statement names: reported.
+    let mut cur = c.query_cursor("SELECT id, host FROM runs").unwrap();
+    assert_eq!(cur.next_batch(1).unwrap().len(), 1);
+    c.execute("DROP TABLE runs").unwrap();
+    c.execute("CREATE TABLE runs (id INT)").unwrap();
+    c.execute("INSERT INTO runs VALUES (1), (2)").unwrap();
+    assert!(matches!(cur.next_batch(1), Err(DbError::UnknownColumn(_))));
+}
+
+#[test]
+fn column_index_resolves_labels_once() {
+    let db = fixture();
+    let rs = db
+        .connect()
+        .query("SELECT id, host AS h FROM runs ORDER BY id")
+        .unwrap();
+    let (id, h) = (
+        rs.column_index("ID").unwrap(),
+        rs.column_index("h").unwrap(),
+    );
+    assert_eq!((id, h), (0, 1));
+    assert_eq!(rs.rows()[3][id], DbValue::Int(103));
+    assert_eq!(rs.rows()[0][h].as_text(), Some("alpha"));
+    assert!(matches!(
+        rs.column_index("host"),
+        Err(DbError::UnknownColumn(_))
+    ));
+}

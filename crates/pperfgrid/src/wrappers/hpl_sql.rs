@@ -2,6 +2,7 @@
 //! thesis Fig. 4: `executeQuery("SELECT id FROM information"); ...process
 //! results, return`).
 
+use super::cell;
 use crate::wrapper::{ApplicationWrapper, ExecutionWrapper, PrQuery, WrapperError};
 use crate::TYPE_UNDEFINED;
 use pperf_minidb::{sql_quote, Database};
@@ -234,16 +235,17 @@ impl ExecutionWrapper for HplSqlExecution {
             "SELECT {} AS v, starttime, endtime FROM hpl_runs WHERE runid = {}",
             query.metric, self.runid
         ))?;
-        if rs.is_empty() {
+        // Cells in the order of the SELECT list above: v, starttime, endtime.
+        let Some(row) = rs.rows().first() else {
             return Ok(vec![]);
-        }
-        let start = rs.get_f64(0, "starttime")?;
-        let end = rs.get_f64(0, "endtime")?;
+        };
+        let start = cell::float(&row[1], "starttime")?;
+        let end = cell::float(&row[2], "endtime")?;
         if end < t0 || start > t1 {
             return Ok(vec![]);
         }
         // The thesis's HPL payload: a single ~8-byte value (Table 4).
-        Ok(vec![rs.get(0, "v")?.render()])
+        Ok(vec![row[0].render()])
     }
 
     fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {

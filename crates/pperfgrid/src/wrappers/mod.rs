@@ -14,6 +14,29 @@ mod rma_sql;
 mod rma_text;
 mod smg_sql;
 
+/// Typed reads of a result-set cell that a row loop addresses by position
+/// (label resolved once with `ResultSet::column_index`), failing the way the
+/// by-label accessors do.
+mod cell {
+    use crate::wrapper::WrapperError;
+    use pperf_minidb::DbValue;
+
+    pub fn int(v: &DbValue, column: &str) -> Result<i64, WrapperError> {
+        v.as_int()
+            .ok_or_else(|| WrapperError(format!("type error: {column} is not an integer")))
+    }
+
+    pub fn float(v: &DbValue, column: &str) -> Result<f64, WrapperError> {
+        v.as_f64()
+            .ok_or_else(|| WrapperError(format!("type error: {column} is not numeric")))
+    }
+
+    pub fn text<'v>(v: &'v DbValue, column: &str) -> Result<&'v str, WrapperError> {
+        v.as_text()
+            .ok_or_else(|| WrapperError(format!("type error: {column} is not text")))
+    }
+}
+
 pub use hpl_sql::HplSqlWrapper;
 pub use hpl_xml::HplXmlWrapper;
 pub use mem::{MemApplicationWrapper, MemExecution};

@@ -4,6 +4,7 @@
 //! performed with both the ASCII text files and an RDBMS version of the RMA
 //! data source could confirm this theory").
 
+use super::cell;
 use crate::wrapper::{ApplicationWrapper, ExecutionWrapper, PrQuery, WrapperError};
 use crate::TYPE_UNDEFINED;
 use pperf_minidb::{sql_quote, Database};
@@ -222,14 +223,19 @@ impl ExecutionWrapper for RmaSqlExecution {
         }
         sql.push_str(" ORDER BY op, msgsize");
         let rs = self.db.connect().query(&sql)?;
+        let (op, msgsize, v) = (
+            rs.column_index("op")?,
+            rs.column_index("msgsize")?,
+            rs.column_index("v")?,
+        );
         let mut out = Vec::with_capacity(rs.len());
-        for i in 0..rs.len() {
+        for row in rs.rows() {
             out.push(format!(
                 "op={} msgsize={} {}={:.3}",
-                rs.get_str(i, "op")?,
-                rs.get_i64(i, "msgsize")?,
+                cell::text(&row[op], "op")?,
+                cell::int(&row[msgsize], "msgsize")?,
                 query.metric,
-                rs.get_f64(i, "v")?
+                cell::float(&row[v], "v")?
             ));
         }
         Ok(out)

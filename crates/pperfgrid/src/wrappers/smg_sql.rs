@@ -6,9 +6,10 @@
 //! convert types before returning the final values", thesis §5.2). These are
 //! the long-running queries of Tables 4 and 5.
 
+use super::cell;
 use crate::wrapper::{ApplicationWrapper, ExecutionWrapper, PrQuery, WrapperError};
 use crate::TYPE_UNDEFINED;
-use pperf_minidb::{sql_quote, Database};
+use pperf_minidb::{sql_quote, Database, DbValue};
 use std::sync::Arc;
 
 /// `(calls, total)` aggregates keyed by focus key, plus the number of SQL
@@ -216,13 +217,19 @@ impl SmgSqlExecution {
     ) -> Result<Vec<(i64, f64, f64, i64)>, WrapperError> {
         let sql = self.events_sql(focus, t0, t1);
         let rs = self.db.connect().query(&sql)?;
+        let (procid, s, t, b) = (
+            rs.column_index("procid")?,
+            rs.column_index("s")?,
+            rs.column_index("t")?,
+            rs.column_index("b")?,
+        );
         let mut out = Vec::with_capacity(rs.len());
-        for i in 0..rs.len() {
+        for row in rs.rows() {
             out.push((
-                rs.get_i64(i, "procid")?,
-                rs.get_f64(i, "s")?,
-                rs.get_f64(i, "t")?,
-                rs.get_i64(i, "b")?,
+                cell::int(&row[procid], "procid")?,
+                cell::float(&row[s], "s")?,
+                cell::float(&row[t], "t")?,
+                cell::int(&row[b], "b")?,
             ));
         }
         Ok(out)
@@ -283,12 +290,15 @@ impl SmgSqlExecution {
         let time = Self::time_predicate(t0, t1);
         let mut answers = std::collections::HashMap::new();
         let mut scans = 0u64;
-        let total_at = |rs: &pperf_minidb::ResultSet, i: usize, calls: i64| {
-            if calls == 0 {
-                Ok(0.0)
+        // `(calls, total)` of one answer row; SUM over zero rows is NULL.
+        let aggregates = |row: &[DbValue], calls: usize, total: usize| {
+            let calls = cell::int(&row[calls], "calls")?;
+            let total = if calls == 0 {
+                0.0
             } else {
-                rs.get_f64(i, "total")
-            }
+                cell::float(&row[total], "total")?
+            };
+            Ok::<_, WrapperError>((calls, total))
         };
         if !pids.is_empty() {
             let list: Vec<String> = pids.iter().map(|p| p.to_string()).collect();
@@ -301,11 +311,15 @@ impl SmgSqlExecution {
                 list.join(", ")
             ))?;
             scans += 1;
-            for i in 0..rs.len() {
-                let calls = rs.get_i64(i, "calls")?;
+            let (pid, calls, total) = (
+                rs.column_index("pid")?,
+                rs.column_index("calls")?,
+                rs.column_index("total")?,
+            );
+            for row in rs.rows() {
                 answers.insert(
-                    format!("p{}", rs.get_i64(i, "pid")?),
-                    (calls, total_at(&rs, i, calls)?),
+                    format!("p{}", cell::int(&row[pid], "pid")?),
+                    aggregates(row, calls, total)?,
                 );
             }
         }
@@ -329,11 +343,20 @@ impl SmgSqlExecution {
                 list.join(", ")
             ))?;
             scans += 1;
-            for i in 0..rs.len() {
-                let calls = rs.get_i64(i, "calls")?;
+            let (module, name, calls, total) = (
+                rs.column_index("module")?,
+                rs.column_index("name")?,
+                rs.column_index("calls")?,
+                rs.column_index("total")?,
+            );
+            for row in rs.rows() {
                 answers.insert(
-                    format!("f{}\0{}", rs.get_str(i, "module")?, rs.get_str(i, "name")?),
-                    (calls, total_at(&rs, i, calls)?),
+                    format!(
+                        "f{}\0{}",
+                        cell::text(&row[module], "module")?,
+                        cell::text(&row[name], "name")?
+                    ),
+                    aggregates(row, calls, total)?,
                 );
             }
         }
@@ -349,11 +372,15 @@ impl SmgSqlExecution {
                 list.join(", ")
             ))?;
             scans += 1;
-            for i in 0..rs.len() {
-                let calls = rs.get_i64(i, "calls")?;
+            let (module, calls, total) = (
+                rs.column_index("module")?,
+                rs.column_index("calls")?,
+                rs.column_index("total")?,
+            );
+            for row in rs.rows() {
                 answers.insert(
-                    format!("m{}", rs.get_str(i, "module")?),
-                    (calls, total_at(&rs, i, calls)?),
+                    format!("m{}", cell::text(&row[module], "module")?),
+                    aggregates(row, calls, total)?,
                 );
             }
         }
@@ -373,7 +400,11 @@ impl SmgSqlExecution {
             sql.push_str(&format!(" AND m.starttime <= {t1}"));
         }
         let rs = self.db.connect().query(&sql)?;
-        (0..rs.len()).map(|i| Ok(rs.get_i64(i, "b")?)).collect()
+        let b = rs.column_index("b")?;
+        rs.rows()
+            .iter()
+            .map(|row| cell::int(&row[b], "b"))
+            .collect()
     }
 }
 

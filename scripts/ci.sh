@@ -19,6 +19,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> tier-1: minidb bound plans (differential vs the interpreter oracle, allocation budget, release arithmetic)"
+cargo test -q -p pperf-minidb --lib differential_tests
+cargo test -q -p pperf-minidb --test alloc_budget
+cargo test -q --release -p pperf-minidb
+
 echo "==> call-context suite (deadlines, cancellation, tracing)"
 cargo test -q -p ppg-context
 cargo test -q -p pperf-gateway --test deadline
