@@ -1,9 +1,11 @@
 //! Substrate microbenchmarks: XML parsing/serialization, the SQL engine,
 //! the HTTP transport — the three cost centers under every PPerfGrid
-//! query — and the PPGB row-block codec under every streamed one.
+//! query — the PPGB row-block codec under every streamed one, and the
+//! gateway's segment cache under every repeated one.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pperf_datastore::{SmgSpec, SmgStore};
+use pperf_gateway::{SegmentCache, SegmentCacheConfig};
 use pperf_httpd::{HttpClient, HttpServer, Request, Response, ServerConfig};
 use pperf_soap::{FrameReader, FrameWriter, StreamEvent, DEFAULT_STREAM_FRAME_BYTES};
 use pperf_xml::Element;
@@ -241,12 +243,64 @@ fn row_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// The gateway's segment cache on benchmark-shaped series (512 marked
+/// unit-interval rows): a hit is two binary searches and a copy of the
+/// rows handed over, so its cost is reported per returned row, at the
+/// window widths the `windows_*` workloads use; a merge-insert (eight
+/// touching 128-row fetches growing one segment) per inserted row.
+fn segment_cache(c: &mut Criterion) {
+    const SPANS: usize = 512;
+    let rows = |from: usize, to: usize| -> Arc<Vec<String>> {
+        Arc::new(
+            (from..to)
+                .map(|t| format!("gflops|t={t}:{}|v=3.5,node07,rank{t:04},k=1", t + 1))
+                .collect(),
+        )
+    };
+    let cache = SegmentCache::new(SegmentCacheConfig::default());
+    cache.insert("series", (0.0, SPANS as f64), rows(0, SPANS));
+    let mut group = c.benchmark_group("segment_cache");
+    group.sample_size(20);
+    for width in [8usize, 32, 128] {
+        // Bounds between the unit marks: exactly `width` rows intersect.
+        let windows: Vec<(f64, f64)> = (0..1024 / width)
+            .map(|i| (i * 37) % (SPANS - width))
+            .map(|start| (start as f64 + 0.5, (start + width) as f64 - 0.5))
+            .collect();
+        group.bench_function(BenchmarkId::new("lookup_us_per_1024_rows", width), |b| {
+            b.iter(|| {
+                for window in &windows {
+                    std::hint::black_box(cache.lookup("series", *window));
+                }
+            });
+        });
+    }
+    let fetches: Vec<_> = (0..8)
+        .map(|i| (i * 128, rows(i * 128, (i + 1) * 128)))
+        .collect();
+    group.bench_function("merge_insert_us_per_1024_rows", |b| {
+        b.iter_batched(
+            || SegmentCache::new(SegmentCacheConfig::default()),
+            |cache| {
+                for (start, rows) in &fetches {
+                    let window = (*start as f64, (*start + 128) as f64);
+                    cache.insert("series", window, Arc::clone(rows));
+                }
+                assert_eq!(cache.len(), 1);
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     xml_roundtrip,
     sql_engine,
     sql_smg_shapes,
     http_roundtrip,
-    row_block
+    row_block,
+    segment_cache
 );
 criterion_main!(benches);

@@ -313,6 +313,12 @@ impl CallContext {
         self.inner.trace.lock().expect("trace poisoned").clone()
     }
 
+    /// Take the trace so far, leaving it empty — for the one holder of a
+    /// finished request, who would otherwise copy every span.
+    pub fn take_spans(&self) -> Vec<Span> {
+        std::mem::take(&mut *self.inner.trace.lock().expect("trace poisoned"))
+    }
+
     pub fn span_count(&self) -> usize {
         self.inner.trace.lock().expect("trace poisoned").len()
     }

@@ -29,6 +29,7 @@
 use parking_lot::Mutex;
 use pperf_soap::{decode_binary_segment, encode_binary_segment, WireSegment};
 use pperfgrid::{pr_cache_key, row_time_span};
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,11 +41,24 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// land in the same series, and the `<instance url>::` prefix keeps the
 /// site-scoped invalidation prefix-match working unchanged.
 pub fn series_key(instance: &str, metric: &str, foci: &[String], rtype: &str) -> String {
-    format!(
-        "{}::{}",
-        instance,
-        pr_cache_key(metric, foci, "", "", rtype)
-    )
+    let mut key = String::new();
+    write_series_key(&mut key, instance, &series_tuple(metric, foci, rtype));
+    key
+}
+
+/// The window-blanked query tuple: the half of a series key every target of
+/// one query shares.
+pub(crate) fn series_tuple(metric: &str, foci: &[String], rtype: &str) -> String {
+    pr_cache_key(metric, foci, "", "", rtype)
+}
+
+/// Write `instance`'s series key for `tuple` into `key`, reusing its buffer.
+pub(crate) fn write_series_key(key: &mut String, instance: &str, tuple: &str) {
+    key.clear();
+    key.reserve(instance.len() + 2 + tuple.len());
+    key.push_str(instance);
+    key.push_str("::");
+    key.push_str(tuple);
 }
 
 /// Geometry and persistence knobs for [`SegmentCache`].
@@ -137,6 +151,119 @@ pub struct CacheCounters {
     pub queue_len: usize,
 }
 
+/// One row's time extent inside a sorted run, plus `reach`: the running
+/// maximum of span ends over the run up to and including this row. Starts
+/// are non-decreasing by the run order and `reach` by construction, so the
+/// rows intersecting a window are bracketed by two binary searches.
+#[derive(Debug, Clone, Copy)]
+struct RowSpan {
+    start: f64,
+    end: f64,
+    reach: f64,
+}
+
+/// The total order of a sorted run: span start, then span end, then row
+/// text. Identical rows are therefore neighbours, which is what lets a
+/// merge drop a row fetched twice by comparing neighbours alone.
+fn run_order<A: AsRef<str>, B: AsRef<str>>(a: &(RowSpan, A), b: &(RowSpan, B)) -> CmpOrdering {
+    (a.0.start.total_cmp(&b.0.start))
+        .then(a.0.end.total_cmp(&b.0.end))
+        .then_with(|| a.1.as_ref().cmp(b.1.as_ref()))
+}
+
+/// Recompute `reach` for `spans[from..]` (everything before is final).
+fn seal_reach(spans: &mut [RowSpan], from: usize) {
+    let mut reach = match from {
+        0 => f64::NEG_INFINITY,
+        _ => spans[from - 1].reach,
+    };
+    for span in &mut spans[from..] {
+        reach = reach.max(span.end);
+        span.reach = reach;
+    }
+}
+
+type Rows = Arc<Vec<String>>;
+
+/// Put interval-shaped rows into run order; rows handed back as `Err` when
+/// any of them lacks the `t=` marker (the segment is then not filterable).
+/// Wrapper output is already in time order, so the common case is one
+/// linear check that keeps the caller's `Arc`; only out-of-order rows pay
+/// a sort and a copy.
+fn sorted_run(rows: Rows) -> Result<(Rows, Vec<RowSpan>), Rows> {
+    let Some(mut spans) = rows
+        .iter()
+        .map(|r| {
+            row_time_span(r).map(|(start, end)| RowSpan {
+                start,
+                end,
+                reach: end,
+            })
+        })
+        .collect::<Option<Vec<RowSpan>>>()
+    else {
+        return Err(rows);
+    };
+    let key = |i: usize| (spans[i], rows[i].as_str());
+    let rows = if (1..rows.len()).all(|i| run_order(&key(i - 1), &key(i)) != CmpOrdering::Greater) {
+        rows
+    } else {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| run_order(&key(a), &key(b)));
+        let sorted = Arc::new(order.iter().map(|&i| rows[i].clone()).collect());
+        spans = order.iter().map(|&i| spans[i]).collect();
+        sorted
+    };
+    seal_reach(&mut spans, 0);
+    Ok((rows, spans))
+}
+
+/// Two-way merge of sorted run `b` into sorted run `a`. A row present in
+/// both is kept once, so a boundary row fetched by two overlapping windows
+/// does not double while rows a wrapper really emitted twice stay twice.
+/// Everything in `a` ordered before `b`'s first row stays where it is: an
+/// in-order append (the streaming case) touches only the new rows. The
+/// caller re-seals `reach` from the returned position.
+fn merge_runs<T: AsRef<str>>(a: &mut Vec<(RowSpan, T)>, b: Vec<(RowSpan, T)>) -> usize {
+    let Some(first) = b.first() else {
+        return a.len();
+    };
+    let kept = a.partition_point(|row| run_order(row, first) == CmpOrdering::Less);
+    let tail = a.split_off(kept);
+    a.reserve(tail.len() + b.len());
+    let (mut old, mut new) = (tail.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(l), Some(r)) = (old.peek(), new.peek()) {
+        match run_order(l, r) {
+            CmpOrdering::Less => a.extend(old.next()),
+            CmpOrdering::Greater => a.extend(new.next()),
+            CmpOrdering::Equal => {
+                a.extend(old.next());
+                new.next();
+            }
+        }
+    }
+    a.extend(old);
+    a.extend(new);
+    kept
+}
+
+/// A run as owned `(span, row)` pairs for merging. Rows are moved out of
+/// the `Arc` unless a reader still holds it.
+fn zip_run(rows: Arc<Vec<String>>, spans: Vec<RowSpan>) -> Vec<(RowSpan, String)> {
+    let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
+    spans.into_iter().zip(rows).collect()
+}
+
+/// The index range of a run holding every row that can intersect `window`:
+/// rows past `hi` start after it, rows before `lo` (and everything before
+/// them) end before it. Rows inside may still end before the window when a
+/// long earlier row holds `reach` up, so callers also check `end`.
+fn run_range(spans: &[RowSpan], window: (f64, f64)) -> std::ops::Range<usize> {
+    let hi = spans.partition_point(|s| s.start <= window.1);
+    let lo = spans[..hi].partition_point(|s| s.reach < window.0);
+    lo..hi
+}
+
 #[derive(Clone)]
 struct Segment {
     /// Unique, monotonically increasing id — never reused, so a queue
@@ -146,8 +273,8 @@ struct Segment {
     end: f64,
     rows: Arc<Vec<String>>,
     /// Per-row time spans when every row is interval-shaped (`Some` ⇔
-    /// the segment is filterable); parsed once at insert.
-    spans: Option<Vec<(f64, f64)>>,
+    /// the segment is filterable); `rows` is then a sorted run.
+    spans: Option<Vec<RowSpan>>,
     /// Estimated resident cost in bytes.
     bytes: usize,
     /// Monotonic freshness deadline.
@@ -168,6 +295,18 @@ impl Segment {
     fn intersects(&self, w: (f64, f64)) -> bool {
         self.start <= w.1 && self.end >= w.0
     }
+
+    /// The spans of a filterable segment that can serve `window`.
+    fn serving(&self, window: (f64, f64)) -> Option<&[RowSpan]> {
+        self.spans.as_deref().filter(|_| self.intersects(window))
+    }
+}
+
+/// One series' live segments, kept in window-start order, and the shared
+/// key its recency-queue entries carry.
+struct Series {
+    key: Arc<str>,
+    segs: Vec<Segment>,
 }
 
 struct SpillEntry {
@@ -178,8 +317,9 @@ struct SpillEntry {
     wall_ms: u64,
 }
 
+#[derive(Default)]
 struct Inner {
-    series: HashMap<Arc<str>, Vec<Segment>>,
+    series: HashMap<Arc<str>, Series>,
     /// Recency order, least-recent at the front. Entries are
     /// `(series, segment id, generation)`; an entry is live only while it
     /// matches the segment's current generation, so stale entries are
@@ -197,13 +337,28 @@ struct Inner {
     /// Spill files written since the last directory compaction; eviction
     /// churn writing many small files is what compaction folds back up.
     spill_writes_since_compact: u64,
+    /// The most recent invalidations, oldest first: `(epoch, scope)` where
+    /// the scope is a series key or a key prefix. An insert that looked up
+    /// before an invalidation covering its series is refused.
+    invalidations: VecDeque<(u64, String)>,
+    /// Epoch of the newest invalidation trimmed from the log: an insert
+    /// that looked up before it cannot be cleared any more, so it is
+    /// refused too.
+    invalidation_floor: u64,
 }
 
 /// A byte-budgeted, TTL-bounded semantic segment cache of rendered
 /// PerformanceResult rows, with disk spill for warm restarts.
+#[derive(Default)]
 pub struct SegmentCache {
     config: SegmentCacheConfig,
     inner: Mutex<Inner>,
+    /// Invalidation epoch: bumped (under the lock) by every [`remove`]
+    /// and [`invalidate_prefix`], read lock-free by fills.
+    ///
+    /// [`remove`]: SegmentCache::remove
+    /// [`invalidate_prefix`]: SegmentCache::invalidate_prefix
+    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     exact_hits: AtomicU64,
@@ -222,6 +377,12 @@ pub struct SegmentCache {
 /// how full the byte budget is — eviction churn writes many small adjacent
 /// files and merging them keeps the restart scan and lookup probes cheap.
 const SPILL_COMPACT_EVERY: u64 = 64;
+
+/// Invalidations remembered for clearing late inserts. A fetch lives for at
+/// most one query deadline, so the log only has to outlast the
+/// invalidations of that long; overflow refuses the oldest fills instead of
+/// trusting them.
+const INVALIDATION_LOG: usize = 256;
 
 fn now_unix_ms() -> u64 {
     SystemTime::now()
@@ -252,6 +413,78 @@ enum Probe {
     Miss,
 }
 
+/// Drop the expired segments of one series; returns `(count, bytes)`.
+fn purge_expired(segs: &mut Vec<Segment>, now: Instant) -> (usize, usize) {
+    let (mut dropped, mut dropped_bytes) = (0usize, 0usize);
+    segs.retain(|s| {
+        if s.fresh_until > now {
+            true
+        } else {
+            dropped += 1;
+            dropped_bytes += s.bytes;
+            false
+        }
+    });
+    // The expired segments' queue entries go stale by construction (their
+    // (id, gen) no longer resolves) — eviction skips them and compaction
+    // reclaims them, so an expired-then-reinserted series can never be
+    // evicted through a leftover queue position.
+    (dropped, dropped_bytes)
+}
+
+/// The rows of a sorted run that intersect `window`, by reference.
+fn rows_in_window<'a>(
+    rows: &'a [String],
+    spans: &[RowSpan],
+    window: (f64, f64),
+) -> Vec<(RowSpan, &'a String)> {
+    let range = run_range(spans, window);
+    let rows = &rows[range.clone()];
+    (spans[range].iter().zip(rows))
+        .filter(|(span, _)| span.end >= window.0)
+        .map(|(span, row)| (*span, row))
+        .collect()
+}
+
+/// Copy out the rows of `covered` from every segment serving it, touching
+/// (recency + frequency, one queue entry each — no queue scan) the segments
+/// that served. One segment is the common case: two binary searches and an
+/// exact-capacity copy. Rows are compared only where several segments
+/// overlap (window slices, segments promoted from spill).
+fn gather(
+    series: &mut Series,
+    order: &mut VecDeque<(Arc<str>, u64, u64)>,
+    covered: (f64, f64),
+) -> Vec<String> {
+    for seg in &mut series.segs {
+        if seg.serving(covered).is_some() {
+            seg.gen += 1;
+            seg.hits_seen = seg.hits_seen.saturating_add(1);
+            order.push_back((Arc::clone(&series.key), seg.id, seg.gen));
+        }
+    }
+    let mut serving = series
+        .segs
+        .iter()
+        .filter_map(|seg| seg.serving(covered).map(|spans| (seg, spans)));
+    let (first, first_spans) = serving
+        .next()
+        .expect("a covered window has a serving segment");
+    let rest: Vec<_> = serving.collect();
+    if rest.is_empty() {
+        let range = run_range(first_spans, covered);
+        let wanted = |i: &usize| first_spans[*i].end >= covered.0;
+        let mut rows = Vec::with_capacity(range.clone().filter(wanted).count());
+        rows.extend(range.filter(wanted).map(|i| first.rows[i].clone()));
+        return rows;
+    }
+    let mut merged = rows_in_window(&first.rows, first_spans, covered);
+    for (seg, spans) in rest {
+        merge_runs(&mut merged, rows_in_window(&seg.rows, spans, covered));
+    }
+    merged.into_iter().map(|(_, row)| row.clone()).collect()
+}
+
 impl SegmentCache {
     /// Open a cache. When a spill directory is configured it is created
     /// and scanned: well-formed, still-fresh segment files become loadable
@@ -260,29 +493,7 @@ impl SegmentCache {
     pub fn new(config: SegmentCacheConfig) -> SegmentCache {
         let cache = SegmentCache {
             config,
-            inner: Mutex::new(Inner {
-                series: HashMap::new(),
-                order: VecDeque::new(),
-                segment_count: 0,
-                bytes: 0,
-                next_id: 0,
-                spill: HashMap::new(),
-                spill_bytes: 0,
-                next_file: 0,
-                spill_writes_since_compact: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            exact_hits: AtomicU64::new(0),
-            range_hits: AtomicU64::new(0),
-            partial_hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            admission_rejections: AtomicU64::new(0),
-            admission_slices: AtomicU64::new(0),
-            spill_writes: AtomicU64::new(0),
-            spill_loads: AtomicU64::new(0),
-            spill_drops: AtomicU64::new(0),
-            spill_compactions: AtomicU64::new(0),
+            ..SegmentCache::default()
         };
         cache.scan_spill_dir();
         cache
@@ -351,12 +562,11 @@ impl SegmentCache {
         }
         let now = Instant::now();
         let mut inner = self.inner.lock();
-        self.purge_expired(&mut inner, series, now);
-        let mut probe = self.probe(&mut inner, series, window);
+        let mut probe = self.probe(&mut inner, series, window, now);
         if !matches!(probe, Probe::Exact(_) | Probe::Range(_))
             && self.load_spill(&mut inner, series, window, now) > 0
         {
-            probe = self.probe(&mut inner, series, window);
+            probe = self.probe(&mut inner, series, window, now);
         }
         self.maybe_compact(&mut inner);
         drop(inner);
@@ -386,122 +596,77 @@ impl SegmentCache {
         }
     }
 
-    fn purge_expired(&self, inner: &mut Inner, series: &str, now: Instant) {
-        let Some(segs) = inner.series.get_mut(series) else {
-            return;
+    /// Probe the in-memory segments of `series` (expired ones are purged
+    /// first): an exact window repeat, else how far the filterable
+    /// segments intersecting the window chain coverage across it.
+    fn probe(&self, inner: &mut Inner, series: &str, window: (f64, f64), now: Instant) -> Probe {
+        let Some(entry) = inner.series.get_mut(series) else {
+            return Probe::Miss;
         };
-        let mut dropped_bytes = 0usize;
-        let mut dropped = 0usize;
-        segs.retain(|s| {
-            if s.fresh_until > now {
-                true
-            } else {
-                dropped_bytes += s.bytes;
-                dropped += 1;
-                false
-            }
-        });
-        if segs.is_empty() {
-            inner.series.remove(series);
-        }
+        let (dropped, dropped_bytes) = purge_expired(&mut entry.segs, now);
         inner.segment_count -= dropped;
         inner.bytes -= dropped_bytes;
-        // The expired segments' queue entries go stale by construction
-        // (their (id, gen) no longer resolves) — eviction skips them and
-        // compaction reclaims them, so an expired-then-reinserted series
-        // can never be evicted through a leftover queue position.
-    }
-
-    /// Probe in-memory segments. Touches (recency + frequency) every
-    /// segment that contributes to the answer.
-    fn probe(&self, inner: &mut Inner, series: &str, window: (f64, f64)) -> Probe {
-        let Some((key, segs)) = inner.series.get_key_value(series) else {
+        if entry.segs.is_empty() {
+            inner.series.remove(series);
             return Probe::Miss;
-        };
-        let key = Arc::clone(key);
+        }
         let (w0, w1) = window;
-        // Exact window repeat: any segment, filterable or not.
-        if let Some(pos) = segs.iter().position(|s| s.start == w0 && s.end == w1) {
-            let rows = Arc::clone(&segs[pos].rows);
-            let id = segs[pos].id;
-            self.touch(inner, &key, &[id]);
-            return Probe::Exact(rows);
+        // Exact window repeat: any segment, filterable or not (a filterable
+        // segment holds every row intersecting its own window).
+        if let Some(seg) = (entry.segs.iter_mut()).find(|s| s.start == w0 && s.end == w1) {
+            seg.gen += 1;
+            seg.hits_seen = seg.hits_seen.saturating_add(1);
+            let queued = (Arc::clone(&entry.key), seg.id, seg.gen);
+            inner.order.push_back(queued);
+            return Probe::Exact(Arc::clone(&seg.rows));
         }
-        // Range answers draw on filterable segments intersecting the
-        // window, in start order.
-        let mut candidates: Vec<usize> = segs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.spans.is_some() && s.intersects(window))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
-            return Probe::Miss;
-        }
-        candidates.sort_by(|&a, &b| segs[a].start.total_cmp(&segs[b].start));
+        let serving = || entry.segs.iter().filter(|s| s.serving(window).is_some());
         // Greedy chain from the left edge: how far do touching segments
-        // carry coverage?
+        // (already in start order) carry coverage?
         let mut frontier = w0;
         let mut reached = false;
-        for &i in &candidates {
-            if segs[i].start > frontier {
+        for seg in serving() {
+            if seg.start > frontier {
                 break;
             }
-            frontier = frontier.max(segs[i].end);
+            frontier = frontier.max(seg.end);
             reached = true;
             if frontier >= w1 {
                 break;
             }
         }
-        if reached && frontier >= w1 {
-            let (rows, used) = stitch(segs, &candidates, window);
-            self.touch(inner, &key, &used);
-            return Probe::Range(rows);
-        }
-        if reached && frontier > w0 {
+        let (covered, missing) = if reached && frontier >= w1 {
+            (window, None)
+        } else if reached && frontier > w0 {
             // A covered prefix [w0, frontier]; fetch the rest.
-            let covered = (w0, frontier);
-            let (rows, used) = stitch(segs, &candidates, covered);
-            self.touch(inner, &key, &used);
-            return Probe::Partial(rows, (frontier, w1));
-        }
-        // Try a covered suffix chained back from the right edge.
-        let mut back = w1;
-        let mut reached_back = false;
-        for &i in candidates.iter().rev() {
-            if segs[i].end < back {
-                break;
+            ((w0, frontier), Some((frontier, w1)))
+        } else {
+            // Try a covered suffix chained back from the right edge.
+            let mut back = w1;
+            let mut reached_back = false;
+            for seg in serving().rev() {
+                if seg.end < back {
+                    break;
+                }
+                back = back.min(seg.start);
+                reached_back = true;
             }
-            back = back.min(segs[i].start);
-            reached_back = true;
+            if !(reached_back && back < w1) {
+                return Probe::Miss;
+            }
+            ((back, w1), Some((w0, back)))
+        };
+        let rows = gather(entry, &mut inner.order, covered);
+        match missing {
+            None => Probe::Range(rows),
+            Some(missing) => Probe::Partial(rows, missing),
         }
-        if reached_back && back < w1 {
-            let covered = (back, w1);
-            let (rows, used) = stitch(segs, &candidates, covered);
-            self.touch(inner, &key, &used);
-            return Probe::Partial(rows, (w0, back));
-        }
-        Probe::Miss
     }
 
-    /// Refresh recency and frequency for the given segment ids: bump each
-    /// generation (invalidating the old queue entry in place) and append
-    /// the new one. O(1) per touched segment — no queue scan.
-    fn touch(&self, inner: &mut Inner, key: &Arc<str>, ids: &[u64]) {
-        let Some(segs) = inner.series.get_mut(&**key) else {
-            return;
-        };
-        let mut pushes: Vec<(u64, u64)> = Vec::with_capacity(ids.len());
-        for seg in segs.iter_mut() {
-            if ids.contains(&seg.id) {
-                seg.gen += 1;
-                seg.hits_seen = seg.hits_seen.saturating_add(1);
-                pushes.push((seg.id, seg.gen));
-            }
-        }
-        for (id, gen) in pushes {
-            inner.order.push_back((Arc::clone(key), id, gen));
-        }
+    /// The invalidation epoch a fill should carry from its lookup to its
+    /// [`SegmentCache::insert_at`]: read it *before* the lookup.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Insert rows fetched for `window` into `series`. Overlapping or
@@ -513,215 +678,248 @@ impl SegmentCache {
     /// be split soundly, are rejected outright. Budget overruns evict
     /// coldest-first with spill.
     pub fn insert(&self, series: &str, window: (f64, f64), rows: Arc<Vec<String>>) {
+        self.insert_at(series, window, rows, u64::MAX);
+    }
+
+    /// [`SegmentCache::insert`] for rows whose fetch began at `epoch` (see
+    /// [`SegmentCache::epoch`]): if the series was invalidated since, the
+    /// rows predate the invalidation and are dropped instead of stored.
+    /// Returns whether the rows were accepted.
+    pub fn insert_at(
+        &self,
+        series: &str,
+        window: (f64, f64),
+        rows: Arc<Vec<String>>,
+        epoch: u64,
+    ) -> bool {
         let (w0, w1) = window;
         if w0.is_nan() || w1.is_nan() || w0 > w1 {
-            return;
+            return false;
         }
-        let spans: Option<Vec<(f64, f64)>> = rows.iter().map(|r| row_time_span(r)).collect();
-        let cost = segment_cost(series, &rows);
-        if cost > self.config.max_bytes / 4 && spans.is_none() {
-            self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-            return;
+        let run = sorted_run(rows);
+        if let Err(rows) = &run {
+            if segment_cost(series, rows) > self.config.max_bytes / 4 {
+                self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
         }
         let now = Instant::now();
         let mut inner = self.inner.lock();
-        self.purge_expired(&mut inner, series, now);
-        let key: Arc<str> = match inner.series.get_key_value(series) {
-            Some((k, _)) => Arc::clone(k),
+        let superseded = epoch < inner.invalidation_floor
+            || (inner.invalidations.iter().rev())
+                .take_while(|(at, _)| *at > epoch)
+                .any(|(_, scope)| series.starts_with(scope.as_str()));
+        if superseded {
+            return false;
+        }
+        let key: Arc<str> = match inner.series.get_mut(series) {
+            Some(entry) => {
+                let (dropped, dropped_bytes) = purge_expired(&mut entry.segs, now);
+                let key = Arc::clone(&entry.key);
+                inner.segment_count -= dropped;
+                inner.bytes -= dropped_bytes;
+                key
+            }
             None => Arc::from(series),
         };
-        let (seg_window, seg_rows, seg_spans) = if let Some(spans) = spans {
-            self.merge_filterable(&mut inner, &key, window, &rows, spans)
-        } else {
-            // Replace a byte-identical window (a refresh), leave others.
-            if let Some(segs) = inner.series.get_mut(&*key) {
-                if let Some(pos) = segs
-                    .iter()
-                    .position(|s| s.spans.is_none() && s.start == w0 && s.end == w1)
-                {
-                    let old = segs.swap_remove(pos);
-                    inner.segment_count -= 1;
-                    inner.bytes -= old.bytes;
-                }
+        let (seg_window, seg_rows, seg_spans) = match run {
+            Ok((rows, spans)) => {
+                let (window, rows, spans) =
+                    self.merge_filterable(&mut inner, &key, window, rows, spans);
+                (window, rows, Some(spans))
             }
-            (window, rows, None)
+            Err(rows) => {
+                // Replace a byte-identical window (a refresh), leave others.
+                if let Some(entry) = inner.series.get_mut(&*key) {
+                    if let Some(pos) = (entry.segs.iter())
+                        .position(|s| s.spans.is_none() && s.start == w0 && s.end == w1)
+                    {
+                        let old = entry.segs.remove(pos);
+                        inner.segment_count -= 1;
+                        inner.bytes -= old.bytes;
+                    }
+                }
+                (window, rows, None)
+            }
         };
-        let bytes = segment_cost(&key, &seg_rows);
-        if bytes > self.config.max_bytes / 4 {
+        if segment_cost(&key, &seg_rows) > self.config.max_bytes / 4 {
             // The admission cap applies to the *merged* segment too: a big
             // scan (or a merge that grew past the cap) lands as slices.
-            if let Some(seg_spans) = seg_spans {
-                self.insert_sliced(&mut inner, &key, seg_window, &seg_rows, &seg_spans, now);
-                self.evict_over_budget(&mut inner, now);
-                self.maybe_compact(&mut inner);
-            } else {
-                self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+            match &seg_spans {
+                Some(spans) => {
+                    self.insert_sliced(&mut inner, &key, seg_window, &seg_rows, spans, now)
+                }
+                None => {
+                    self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                }
             }
-            return;
+        } else {
+            let fresh_until = now + self.config.ttl;
+            self.push_segment(
+                &mut inner,
+                &key,
+                seg_window,
+                seg_rows,
+                seg_spans,
+                fresh_until,
+                now_unix_ms(),
+            );
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let seg = Segment {
-            id,
-            start: seg_window.0,
-            end: seg_window.1,
-            rows: seg_rows,
-            spans: seg_spans,
-            bytes,
-            fresh_until: now + self.config.ttl,
-            wall_ms: now_unix_ms(),
-            gen: 0,
-            hits_seen: 0,
-        };
-        inner.bytes += bytes;
-        inner.segment_count += 1;
-        inner.series.entry(Arc::clone(&key)).or_default().push(seg);
-        inner.order.push_back((key, id, 0));
         self.evict_over_budget(&mut inner, now);
         self.maybe_compact(&mut inner);
+        true
     }
 
-    /// Admit one over-budget filterable segment as several window-sized
-    /// slices, each under the admission cap. Rows are sorted by span start
-    /// and packed greedily; interior slice boundaries come from each
-    /// following chunk's first row start (clamped monotone within the
-    /// window), and every slice's window is widened to cover its own rows'
-    /// clamped spans, so the slices tile the scan window — a later lookup
-    /// stitches them back into one range answer. Slices bypass the merge
-    /// (merging would just rebuild the over-budget segment).
+    /// Make one segment live: id, accounting, its place in the series'
+    /// start order, and its first recency-queue entry.
+    #[allow(clippy::too_many_arguments)]
+    fn push_segment(
+        &self,
+        inner: &mut Inner,
+        key: &Arc<str>,
+        window: (f64, f64),
+        rows: Arc<Vec<String>>,
+        spans: Option<Vec<RowSpan>>,
+        fresh_until: Instant,
+        wall_ms: u64,
+    ) {
+        let bytes = segment_cost(key, &rows);
+        let id = inner.next_id;
+        inner.next_id += 1;
+        inner.bytes += bytes;
+        inner.segment_count += 1;
+        let entry = inner
+            .series
+            .entry(Arc::clone(key))
+            .or_insert_with(|| Series {
+                key: Arc::clone(key),
+                segs: Vec::new(),
+            });
+        let at = entry.segs.partition_point(|s| s.start <= window.0);
+        entry.segs.insert(
+            at,
+            Segment {
+                id,
+                start: window.0,
+                end: window.1,
+                rows,
+                spans,
+                bytes,
+                fresh_until,
+                wall_ms,
+                gen: 0,
+                hits_seen: 0,
+            },
+        );
+        inner.order.push_back((Arc::clone(key), id, 0));
+    }
+
+    /// Admit one over-budget filterable segment as several window slices.
+    /// The window is cut wherever a greedy pack of the run (in start order)
+    /// fills the admission cap, and every slice holds *all* rows
+    /// intersecting its cell — a row straddling a cut is held by each cell
+    /// it reaches into, so a slice stays a complete answer for its own
+    /// window whichever of its neighbours is evicted, and a later lookup
+    /// stitches the cells back into one range answer, the shared rows
+    /// compared away. Slices bypass the merge (merging would just rebuild
+    /// the over-budget segment).
     fn insert_sliced(
         &self,
         inner: &mut Inner,
         key: &Arc<str>,
         window: (f64, f64),
         rows: &[String],
-        spans: &[(f64, f64)],
+        spans: &[RowSpan],
         now: Instant,
     ) {
         let cap = (self.config.max_bytes / 4).max(1);
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| spans[a].0.total_cmp(&spans[b].0));
-        // Greedy pack under the cap. A chunk always takes at least one row,
-        // so a single row larger than the cap is still admitted whole.
+        // A cell always takes at least one row (and every row sharing its
+        // start), so a single row larger than the cap is still admitted.
         let base = key.len() + 96;
-        let mut chunks: Vec<Vec<usize>> = Vec::new();
-        let mut cur: Vec<usize> = Vec::new();
-        let mut cur_bytes = base;
-        for idx in order {
-            let row_cost = rows[idx].len() + 48;
-            if !cur.is_empty() && cur_bytes + row_cost > cap {
-                chunks.push(std::mem::take(&mut cur));
-                cur_bytes = base;
+        let mut bounds = vec![window.0];
+        let mut cell_bytes = base;
+        for (row, span) in rows.iter().zip(spans) {
+            let row_cost = row.len() + 48;
+            let cut = span.start.min(window.1);
+            if cell_bytes > base && cell_bytes + row_cost > cap && cut > bounds[bounds.len() - 1] {
+                bounds.push(cut);
+                cell_bytes = base;
             }
-            cur.push(idx);
-            cur_bytes += row_cost;
-        }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-        let mut bounds: Vec<f64> = Vec::with_capacity(chunks.len() + 1);
-        bounds.push(window.0);
-        for chunk in chunks.iter().skip(1) {
-            let prev = *bounds.last().expect("seeded with window.0");
-            bounds.push(spans[chunk[0]].0.max(prev).min(window.1));
+            cell_bytes += row_cost;
         }
         bounds.push(window.1);
-        for (chunk, pair) in chunks.iter().zip(bounds.windows(2)) {
-            let chunk_rows: Vec<String> = chunk.iter().map(|&i| rows[i].clone()).collect();
-            let chunk_spans: Vec<(f64, f64)> = chunk.iter().map(|&i| spans[i]).collect();
-            // Widen the partition cell to the chunk's own row extent so a
-            // row straddling a boundary stays reachable from both sides.
-            let mut start = pair[0];
-            let mut end = pair[1];
-            for &(s0, s1) in &chunk_spans {
-                start = start.min(s0.max(window.0));
-                end = end.max(s1.min(window.1));
-            }
-            let bytes = segment_cost(key, &chunk_rows);
-            let id = inner.next_id;
-            inner.next_id += 1;
-            inner.bytes += bytes;
-            inner.segment_count += 1;
-            inner
-                .series
-                .entry(Arc::clone(key))
-                .or_default()
-                .push(Segment {
-                    id,
-                    start,
-                    end,
-                    rows: Arc::new(chunk_rows),
-                    spans: Some(chunk_spans),
-                    bytes,
-                    fresh_until: now + self.config.ttl,
-                    wall_ms: now_unix_ms(),
-                    gen: 0,
-                    hits_seen: 0,
-                });
-            inner.order.push_back((Arc::clone(key), id, 0));
+        for cell in bounds.windows(2) {
+            let cell = (cell[0], cell[1]);
+            let (mut cell_spans, cell_rows): (Vec<RowSpan>, Vec<String>) =
+                (rows_in_window(rows, spans, cell).into_iter())
+                    .map(|(span, row)| (span, row.clone()))
+                    .unzip();
+            seal_reach(&mut cell_spans, 0);
+            let fresh_until = now + self.config.ttl;
+            let rows = Arc::new(cell_rows);
+            self.push_segment(
+                inner,
+                key,
+                cell,
+                rows,
+                Some(cell_spans),
+                fresh_until,
+                now_unix_ms(),
+            );
             self.admission_slices.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Union the incoming filterable segment with every cached filterable
-    /// segment it overlaps or touches, dropping the absorbed ones. Rows
-    /// are deduped by text (a row at a shared boundary appears in both
-    /// fetches). Returns the merged window, rows, and spans.
-    #[allow(clippy::type_complexity)]
+    /// Union the incoming filterable run with every cached filterable
+    /// segment it overlaps or touches, dropping the absorbed ones: a
+    /// two-way merge per absorbed segment, so only rows both sides hold (a
+    /// row at a shared boundary appears in both fetches) are compared by
+    /// text. Absorbed rows are moved, not copied, unless a reader still
+    /// holds them. Returns the merged window, rows, and spans.
     fn merge_filterable(
         &self,
         inner: &mut Inner,
         key: &Arc<str>,
         window: (f64, f64),
-        rows: &Arc<Vec<String>>,
-        spans: Vec<(f64, f64)>,
-    ) -> ((f64, f64), Arc<Vec<String>>, Option<Vec<(f64, f64)>>) {
+        rows: Arc<Vec<String>>,
+        spans: Vec<RowSpan>,
+    ) -> ((f64, f64), Arc<Vec<String>>, Vec<RowSpan>) {
         let (mut w0, mut w1) = window;
         let mut absorbed: Vec<Segment> = Vec::new();
-        if let Some(segs) = inner.series.get_mut(&**key) {
+        if let Some(entry) = inner.series.get_mut(&**key) {
             let mut i = 0;
-            while i < segs.len() {
-                let s = &segs[i];
+            while i < entry.segs.len() {
+                let s = &entry.segs[i];
                 if s.spans.is_some() && s.start <= w1 && s.end >= w0 {
                     w0 = w0.min(s.start);
                     w1 = w1.max(s.end);
-                    absorbed.push(segs.swap_remove(i));
+                    absorbed.push(entry.segs.remove(i));
                 } else {
                     i += 1;
                 }
             }
-            if segs.is_empty() {
-                inner.series.remove(&**key);
-            }
-        }
-        for s in &absorbed {
-            inner.segment_count -= 1;
-            inner.bytes -= s.bytes;
         }
         if absorbed.is_empty() {
-            return (window, Arc::clone(rows), Some(spans));
+            return (window, rows, spans);
         }
-        // Old rows first (oldest window order), new fetch last; dedup.
-        let mut merged_rows: Vec<String> = Vec::new();
-        let mut merged_spans: Vec<(f64, f64)> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        absorbed.sort_by(|a, b| a.start.total_cmp(&b.start));
         for seg in &absorbed {
-            let spans = seg.spans.as_ref().expect("filterable by construction");
-            for (row, span) in seg.rows.iter().zip(spans) {
-                if seen.insert(row.clone()) {
-                    merged_rows.push(row.clone());
-                    merged_spans.push(*span);
-                }
-            }
+            inner.segment_count -= 1;
+            inner.bytes -= seg.bytes;
         }
-        for (row, span) in rows.iter().zip(&spans) {
-            if seen.insert(row.clone()) {
-                merged_rows.push(row.clone());
-                merged_spans.push(*span);
-            }
+        // Old runs first (already in start order), the new fetch last.
+        let mut runs = absorbed
+            .into_iter()
+            .map(|seg| zip_run(seg.rows, seg.spans.expect("filterable by construction")))
+            .chain(std::iter::once(zip_run(rows, spans)));
+        let mut merged = runs.next().expect("at least the new run");
+        let mut dirty_from = merged.len();
+        for run in runs {
+            dirty_from = dirty_from.min(merge_runs(&mut merged, run));
         }
-        ((w0, w1), Arc::new(merged_rows), Some(merged_spans))
+        let (mut spans, rows): (Vec<RowSpan>, Vec<String>) = merged.into_iter().unzip();
+        seal_reach(&mut spans, dirty_from);
+        ((w0, w1), Arc::new(rows), spans)
     }
 
     /// Evict while over either budget. Queue entries whose `(id, gen)` no
@@ -735,9 +933,10 @@ impl SegmentCache {
             let Some((key, id, gen)) = inner.order.pop_front() else {
                 break;
             };
-            let Some(segs) = inner.series.get_mut(&*key) else {
+            let Some(entry) = inner.series.get_mut(&*key) else {
                 continue;
             };
+            let segs = &mut entry.segs;
             let Some(pos) = segs.iter().position(|s| s.id == id && s.gen == gen) else {
                 continue;
             };
@@ -749,7 +948,7 @@ impl SegmentCache {
                 inner.order.push_back(entry);
                 continue;
             }
-            let seg = segs.swap_remove(pos);
+            let seg = segs.remove(pos);
             if segs.is_empty() {
                 inner.series.remove(&*key);
             }
@@ -775,10 +974,9 @@ impl SegmentCache {
         order.retain(|(key, id, gen)| {
             series
                 .get(&**key)
-                .is_some_and(|segs| segs.iter().any(|s| s.id == *id && s.gen == *gen))
+                .is_some_and(|entry| entry.segs.iter().any(|s| s.id == *id && s.gen == *gen))
         });
     }
-
     /// Write one segment to the spill directory as a PPGB kind-5 frame,
     /// then enforce the spill byte budget by dropping oldest-first.
     fn spill_segment(&self, inner: &mut Inner, key: &str, seg: &Segment) {
@@ -927,38 +1125,30 @@ impl SegmentCache {
             rebuilt.extend(run);
             return;
         };
-        let mut decoded = Vec::with_capacity(run.len());
-        for e in &run {
-            let seg = std::fs::read(&e.path)
-                .ok()
-                .and_then(|bytes| decode_binary_segment(&bytes).ok())
-                .filter(|s| s.series == key && s.filterable);
-            match seg {
-                Some(s) => decoded.push(s),
-                None => {
-                    rebuilt.extend(run);
-                    return;
-                }
-            }
-        }
-        let mut rows: Vec<String> = Vec::new();
-        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        // Each file holds a sorted run (one written by an older layout is
+        // sorted here); the runs fold into one by two-way merge.
+        let mut merged: Vec<(RowSpan, String)> = Vec::new();
         let mut start = f64::INFINITY;
         let mut end = f64::NEG_INFINITY;
         // The merged file carries the run's *oldest* insert time, so the
         // TTL stays conservative: merging never extends any row's life.
         let mut wall_ms = u64::MAX;
-        for (seg, e) in decoded.iter().zip(&run) {
-            start = start.min(seg.start);
-            end = end.max(seg.end);
+        for e in &run {
+            let decoded = std::fs::read(&e.path)
+                .ok()
+                .and_then(|bytes| decode_binary_segment(&bytes).ok())
+                .filter(|s| s.series == key && s.filterable)
+                .and_then(|s| Some((s.start, s.end, sorted_run(Arc::new(s.rows)).ok()?)));
+            let Some((seg_start, seg_end, (rows, spans))) = decoded else {
+                rebuilt.extend(run);
+                return;
+            };
+            start = start.min(seg_start);
+            end = end.max(seg_end);
             wall_ms = wall_ms.min(e.wall_ms);
-            for row in &seg.rows {
-                if seen.insert(row.as_str()) {
-                    rows.push(row.clone());
-                }
-            }
+            merge_runs(&mut merged, zip_run(rows, spans));
         }
-        drop(seen);
+        let rows = merged.into_iter().map(|(_, row)| row).collect();
         let frame = encode_binary_segment(&WireSegment {
             series: key.to_owned(),
             start,
@@ -1036,35 +1226,25 @@ impl SegmentCache {
                 self.spill_drops.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let spans: Option<Vec<(f64, f64)>> =
-                seg.rows.iter().map(|r| row_time_span(r)).collect();
-            let key: Arc<str> = match inner.series.get_key_value(series) {
-                Some((k, _)) => Arc::clone(k),
+            let key: Arc<str> = match inner.series.get(series) {
+                Some(entry) => Arc::clone(&entry.key),
                 None => Arc::from(series),
             };
-            let bytes = segment_cost(series, &seg.rows);
-            let id = inner.next_id;
-            inner.next_id += 1;
-            let remaining = Duration::from_millis(ttl_ms - age_ms);
-            inner.bytes += bytes;
-            inner.segment_count += 1;
-            inner
-                .series
-                .entry(Arc::clone(&key))
-                .or_default()
-                .push(Segment {
-                    id,
-                    start: seg.start,
-                    end: seg.end,
-                    rows: Arc::new(seg.rows),
-                    spans,
-                    bytes,
-                    fresh_until: now + remaining,
-                    wall_ms: seg.inserted_unix_ms,
-                    gen: 0,
-                    hits_seen: 0,
-                });
-            inner.order.push_back((key, id, 0));
+            let (rows, spans) = match sorted_run(Arc::new(seg.rows)) {
+                Ok((rows, spans)) => (rows, Some(spans)),
+                Err(rows) => (rows, None),
+            };
+            let fresh_until = now + Duration::from_millis(ttl_ms - age_ms);
+            let window = (seg.start, seg.end);
+            self.push_segment(
+                inner,
+                &key,
+                window,
+                rows,
+                spans,
+                fresh_until,
+                seg.inserted_unix_ms,
+            );
             self.spill_loads.fetch_add(1, Ordering::Relaxed);
             loaded += 1;
         }
@@ -1091,7 +1271,7 @@ impl SegmentCache {
         let keys: Vec<Arc<str>> = inner.series.keys().cloned().collect();
         for key in keys {
             let snapshot: Vec<Segment> = match inner.series.get(&*key) {
-                Some(segs) => segs
+                Some(entry) => (entry.segs)
                     .iter()
                     .filter(|s| s.fresh_until > now)
                     .cloned()
@@ -1160,16 +1340,54 @@ impl SegmentCache {
         self.inner.lock().order.len()
     }
 
-    /// Drop a whole series — every in-memory segment *and* every spill
-    /// file (counters are kept). Used for site-scoped invalidation: a
-    /// lease expiry or change event must not leave stale rows reachable
-    /// through disk. Queue entries die with their segments (their
+    /// Invalidate a whole series — every in-memory segment *and* every
+    /// spill file (counters are kept) — and refuse any insert whose fetch
+    /// began before now (see [`SegmentCache::insert_at`]). Used for
+    /// site-scoped invalidation: a lease expiry or change event must not
+    /// leave stale rows reachable through disk, nor let a fetch already in
+    /// flight put them back. Queue entries die with their segments (their
     /// `(id, gen)` stops resolving), so removal cannot skew eviction.
     pub fn remove(&self, series: &str) {
         let mut inner = self.inner.lock();
-        if let Some(segs) = inner.series.remove(series) {
-            inner.segment_count -= segs.len();
-            inner.bytes -= segs.iter().map(|s| s.bytes).sum::<usize>();
+        self.drop_series(&mut inner, series);
+        self.log_invalidation(&mut inner, series);
+        self.maybe_compact(&mut inner);
+    }
+
+    /// [`SegmentCache::remove`] for every series whose key starts with
+    /// `prefix` (one instance's `<url>::`, one container's `http://host/`),
+    /// including series nothing is cached for yet: their in-flight fetches
+    /// are refused all the same. Returns how many series were dropped.
+    pub fn invalidate_prefix(&self, prefix: &str) -> usize {
+        let mut inner = self.inner.lock();
+        let mut doomed: Vec<String> = (inner.series.keys().map(|k| &**k))
+            .chain(inner.spill.keys().map(String::as_str))
+            .filter(|k| k.starts_with(prefix))
+            .map(str::to_owned)
+            .collect();
+        doomed.sort_unstable();
+        doomed.dedup();
+        for series in &doomed {
+            self.drop_series(&mut inner, series);
+        }
+        self.log_invalidation(&mut inner, prefix);
+        self.maybe_compact(&mut inner);
+        doomed.len()
+    }
+
+    /// Take back what this cache holds for `series` without declaring the
+    /// series invalid: a fill retracting its own incremental claims, whose
+    /// later whole-window insert must still be accepted.
+    pub(crate) fn retract(&self, series: &str) {
+        let mut inner = self.inner.lock();
+        self.drop_series(&mut inner, series);
+        self.maybe_compact(&mut inner);
+    }
+
+    fn drop_series(&self, inner: &mut Inner, series: &str) {
+        if let Some(entry) = inner.series.remove(series) {
+            inner.segment_count -= entry.segs.len();
+            inner.bytes -= entry.segs.iter().map(|s| s.bytes).sum::<usize>();
         }
         if let Some(entries) = inner.spill.remove(series) {
             for e in entries {
@@ -1177,12 +1395,25 @@ impl SegmentCache {
                 let _ = std::fs::remove_file(&e.path);
             }
         }
-        self.maybe_compact(&mut inner);
     }
 
-    /// Drop every segment and every spill file (counters are kept).
+    /// Open a new invalidation epoch covering every series key that starts
+    /// with `scope`.
+    fn log_invalidation(&self, inner: &mut Inner, scope: &str) {
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        if inner.invalidations.len() == INVALIDATION_LOG {
+            if let Some((trimmed, _)) = inner.invalidations.pop_front() {
+                inner.invalidation_floor = trimmed;
+            }
+        }
+        inner.invalidations.push_back((epoch, scope.to_owned()));
+    }
+
+    /// Drop every segment and every spill file (counters are kept); like
+    /// [`SegmentCache::remove`], for every series at once.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
+        self.log_invalidation(&mut inner, "");
         inner.series.clear();
         inner.order.clear();
         inner.segment_count = 0;
@@ -1194,30 +1425,6 @@ impl SegmentCache {
         }
         inner.spill_bytes = 0;
     }
-}
-
-/// Collect the rows of `candidates` (indices into `segs`, start-ordered)
-/// that intersect `window`, deduping by row text across segments. Returns
-/// the rows and the ids of the segments that contributed at least one row
-/// (or whose window intersects — they still served the answer).
-fn stitch(segs: &[Segment], candidates: &[usize], window: (f64, f64)) -> (Vec<String>, Vec<u64>) {
-    let mut rows: Vec<String> = Vec::new();
-    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    let mut used: Vec<u64> = Vec::new();
-    for &i in candidates {
-        let seg = &segs[i];
-        if !seg.intersects(window) {
-            continue;
-        }
-        used.push(seg.id);
-        let spans = seg.spans.as_ref().expect("candidates are filterable");
-        for (row, span) in seg.rows.iter().zip(spans) {
-            if span.1 >= window.0 && span.0 <= window.1 && seen.insert(row.as_str()) {
-                rows.push(row.clone());
-            }
-        }
-    }
-    (rows, used)
 }
 
 #[cfg(test)]
@@ -1709,5 +1916,366 @@ mod tests {
         let b = series_key("http://h:1/x", "m", &["/Execution".into()], "T");
         assert_eq!(a, b);
         assert!(a.starts_with("http://h:1/x::"));
+    }
+
+    #[test]
+    fn rows_without_spans_are_stored_as_given() {
+        let cache = SegmentCache::new(config(8, 1 << 20, Duration::from_secs(60)));
+        // One unmarked row makes the whole segment opaque: kept in the
+        // order given, never merged, answering its exact window only.
+        let mixed = Arc::new(vec![
+            "m|t=7:8|late".to_owned(),
+            "m|no span".to_owned(),
+            "m|t=1:2|early".to_owned(),
+        ]);
+        cache.insert("a", (0.0, 10.0), Arc::clone(&mixed));
+        cache.insert("a", (5.0, 15.0), plain_rows("other window"));
+        assert_eq!(cache.len(), 2, "opaque segments never merge");
+        match cache.lookup("a", (0.0, 10.0)) {
+            Lookup::Hit { rows, exact } => {
+                assert!(exact);
+                assert!(Arc::ptr_eq(&rows, &mixed), "stored as given, not re-sorted");
+            }
+            other => panic!("expected exact hit, got {other:?}"),
+        }
+        assert!(matches!(cache.lookup("a", (1.0, 2.0)), Lookup::Miss));
+        assert!(matches!(cache.lookup("a", (0.0, 15.0)), Lookup::Miss));
+        assert_eq!(cache.counters().range_hits, 0);
+    }
+
+    #[test]
+    fn out_of_order_rows_become_a_sorted_run() {
+        let cache = SegmentCache::new(config(8, 1 << 20, Duration::from_secs(60)));
+        // A long early row keeps `reach` up across short later ones, two
+        // rows share a start, and one row is emitted twice on purpose.
+        let rows = Arc::new(vec![
+            "m|t=6:7|f".to_owned(),
+            "m|t=0:9|long".to_owned(),
+            "m|t=2:3|b".to_owned(),
+            "m|t=2:3|a".to_owned(),
+            "m|t=4:5|twice".to_owned(),
+            "m|t=4:5|twice".to_owned(),
+        ]);
+        cache.insert("a", (0.0, 10.0), rows);
+        let answer = |w: (f64, f64)| match cache.lookup("a", w) {
+            Lookup::Hit { rows, .. } => rows.as_ref().clone(),
+            other => panic!("expected hit, got {other:?}"),
+        };
+        assert_eq!(
+            answer((0.0, 10.0)),
+            [
+                "m|t=0:9|long",
+                "m|t=2:3|a",
+                "m|t=2:3|b",
+                "m|t=4:5|twice",
+                "m|t=4:5|twice",
+                "m|t=6:7|f"
+            ]
+        );
+        // [8, 10] is past every short row, but the long one still reaches it.
+        assert_eq!(answer((8.0, 10.0)), ["m|t=0:9|long"]);
+        assert_eq!(
+            answer((3.5, 4.0)),
+            ["m|t=0:9|long", "m|t=4:5|twice", "m|t=4:5|twice"]
+        );
+        // Re-fetching an overlapping window neither doubles the shared rows
+        // nor collapses the row the wrapper really emitted twice.
+        cache.insert(
+            "a",
+            (4.0, 12.0),
+            Arc::new(vec![
+                "m|t=0:9|long".to_owned(),
+                "m|t=4:5|twice".to_owned(),
+                "m|t=4:5|twice".to_owned(),
+                "m|t=6:7|f".to_owned(),
+                "m|t=11:12|new".to_owned(),
+            ]),
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(answer((0.0, 12.0)).len(), 7);
+    }
+
+    #[test]
+    fn insert_that_lost_a_race_with_invalidation_is_dropped() {
+        let cache = SegmentCache::new(config(8, 1 << 20, Duration::from_secs(60)));
+        let w = (0.0, 10.0);
+        // A read misses, and while its fetch is out the series is invalidated.
+        let epoch = cache.epoch();
+        assert!(matches!(cache.lookup("a", w), Lookup::Miss));
+        cache.remove("a");
+        assert!(!cache.insert_at("a", w, spanned_rows("old", 0, 10), epoch));
+        assert!(
+            matches!(cache.lookup("a", w), Lookup::Miss),
+            "pre-update rows must not come back"
+        );
+        // A fetch that began after the invalidation is stored as usual.
+        let epoch = cache.epoch();
+        assert!(cache.insert_at("a", w, spanned_rows("new", 0, 10), epoch));
+        assert!(matches!(cache.lookup("a", w), Lookup::Hit { .. }));
+        // An instance-wide invalidation also covers series nothing was
+        // cached for yet; other instances are untouched.
+        let epoch = cache.epoch();
+        assert_eq!(cache.invalidate_prefix("http://h/x::"), 0);
+        assert!(!cache.insert_at("http://h/x::m", w, spanned_rows("old", 0, 10), epoch));
+        assert!(cache.insert_at("http://h/y::m", w, spanned_rows("ok", 0, 10), epoch));
+        // A fill retracting its own claims does not invalidate the series.
+        let epoch = cache.epoch();
+        cache.retract("http://h/y::m");
+        assert!(cache.insert_at("http://h/y::m", w, spanned_rows("ok", 0, 10), epoch));
+        // Once the log has forgotten an invalidation, fills older than it
+        // are refused rather than trusted.
+        let epoch = cache.epoch();
+        for i in 0..=INVALIDATION_LOG {
+            cache.remove(&format!("elsewhere-{i}"));
+        }
+        assert!(!cache.insert_at("b", w, spanned_rows("old", 0, 10), epoch));
+        assert!(cache.insert_at("b", w, spanned_rows("new", 0, 10), cache.epoch()));
+    }
+
+    // ------------------------------------------------- sorted runs vs the scan
+
+    /// The linear-scan stitch the sorted runs replaced, kept as the oracle:
+    /// every row of every serving segment is visited and row texts are
+    /// deduplicated through a hash set.
+    fn stitch(segs: &[Segment], window: (f64, f64)) -> Vec<String> {
+        let mut rows: Vec<String> = Vec::new();
+        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        for seg in segs {
+            let Some(spans) = seg.serving(window) else {
+                continue;
+            };
+            for (row, span) in seg.rows.iter().zip(spans) {
+                if span.end >= window.0 && span.start <= window.1 && seen.insert(row.as_str()) {
+                    rows.push(row.clone());
+                }
+            }
+        }
+        rows
+    }
+
+    /// A lookup's class, missing sub-range and rows (as a sorted multiset).
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Hit(Vec<String>),
+        Partial(Vec<String>, (f64, f64)),
+        Miss,
+    }
+
+    fn answer(lookup: Lookup) -> Answer {
+        let sorted = |mut rows: Vec<String>| {
+            rows.sort();
+            rows
+        };
+        match lookup {
+            Lookup::Hit { rows, .. } => Answer::Hit(sorted(rows.as_ref().clone())),
+            Lookup::Partial { rows, missing } => Answer::Partial(sorted(rows), missing),
+            Lookup::Miss => Answer::Miss,
+        }
+    }
+
+    /// What `lookup` must answer for the segments as they stand, worked out
+    /// the slow way: candidates collected and sorted per call, coverage
+    /// chained over them, rows by [`stitch`].
+    fn oracle(cache: &SegmentCache, series: &str, window: (f64, f64)) -> Answer {
+        let inner = cache.inner.lock();
+        let Some(entry) = inner.series.get(series) else {
+            return Answer::Miss;
+        };
+        let (w0, w1) = window;
+        let mut candidates: Vec<&Segment> = (entry.segs.iter())
+            .filter(|s| s.spans.is_some() && s.start <= w1 && s.end >= w0)
+            .collect();
+        candidates.sort_by(|a, b| a.start.total_cmp(&b.start));
+        if let Some(seg) = entry.segs.iter().find(|s| s.start == w0 && s.end == w1) {
+            return answer(Lookup::Hit {
+                rows: Arc::clone(&seg.rows),
+                exact: true,
+            });
+        }
+        let mut frontier = w0;
+        let mut reached = false;
+        for seg in &candidates {
+            if seg.start > frontier {
+                break;
+            }
+            frontier = frontier.max(seg.end);
+            reached = true;
+        }
+        if reached && frontier >= w1 {
+            return answer(Lookup::Hit {
+                rows: Arc::new(stitch(&entry.segs, window)),
+                exact: false,
+            });
+        }
+        if reached && frontier > w0 {
+            return answer(Lookup::Partial {
+                rows: stitch(&entry.segs, (w0, frontier)),
+                missing: (frontier, w1),
+            });
+        }
+        let mut back = w1;
+        let mut reached_back = false;
+        for seg in candidates.iter().rev() {
+            if seg.end < back {
+                break;
+            }
+            back = back.min(seg.start);
+            reached_back = true;
+        }
+        if reached_back && back < w1 {
+            return answer(Lookup::Partial {
+                rows: stitch(&entry.segs, (back, w1)),
+                missing: (w0, back),
+            });
+        }
+        Answer::Miss
+    }
+
+    /// xorshift64*: the test's own seeded generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The data a wrapper would hold for one series: 160 marked rows over
+    /// `[0, 64]`. Starts repeat (two rows per half unit), every seventh row
+    /// is long enough to overhang many later ones, a few are points.
+    fn universe(series: usize) -> Vec<((f64, f64), String)> {
+        (0..160u32)
+            .map(|id| {
+                let start = f64::from(id / 2) * 0.4;
+                let len = match id % 7 {
+                    0 => 9.5,
+                    3 => 0.0,
+                    n => f64::from(n) * 0.3,
+                };
+                let end = start + len;
+                ((start, end), format!("m|t={start}:{end}|s{series}.r{id}"))
+            })
+            .collect()
+    }
+
+    fn rows_of(universe: &[((f64, f64), String)], window: (f64, f64)) -> Vec<String> {
+        let mut rows: Vec<String> = (universe.iter())
+            .filter(|((s, e), _)| *e >= window.0 && *s <= window.1)
+            .map(|(_, row)| row.clone())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Seeded random insert / overlapping insert / over-budget (sliced)
+    /// insert / lookup / remove / spill + reload sequences over three series.
+    /// After every lookup: the sorted-run answer equals the linear scan's
+    /// on the same segments (class, missing sub-range, row multiset), and
+    /// the rows are exactly the wrapper's rows of the covered window — so
+    /// sorting, merging, slicing, eviction and spill lost or doubled none.
+    #[test]
+    fn sorted_runs_answer_like_the_linear_scan() {
+        for seed in [1u64, 2, 3, 4] {
+            let dir = TempDirGuard::new(&format!("oracle-{seed}"));
+            // Tight budgets: whole-range scans exceed the admission cap and
+            // land as slices, and three series compete for five segments,
+            // so eviction, spill and reload happen throughout.
+            let mut cfg = config(5, 24 << 10, Duration::from_secs(600));
+            cfg.spill_dir = Some(dir.0.clone());
+            let mut cache = SegmentCache::new(cfg.clone());
+            let universes: Vec<_> = (0..3).map(universe).collect();
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let (mut hits, mut partials, mut multi) = (0u32, 0u32, 0u32);
+            // (slices, evictions, spill loads), summed over re-opened caches.
+            let mut churn = [0u64; 3];
+            let mut tally = |cache: &SegmentCache| {
+                let c = cache.counters();
+                for (sum, n) in
+                    churn
+                        .iter_mut()
+                        .zip([c.admission_slices, c.evictions, c.spill_loads])
+                {
+                    *sum += n;
+                }
+            };
+            for _ in 0..2_500 {
+                let s = rng.below(3) as usize;
+                let series = format!("series-{s}");
+                // Windows on a half-unit grid, so bounds coincide with row
+                // starts and ends (the duplicate-boundary case) often.
+                let a = rng.below(128) as f64 / 2.0;
+                let width = match rng.below(8) {
+                    0 => 64.0,
+                    1 => 0.0,
+                    n => n as f64 * 1.5,
+                };
+                let window = (a, (a + width).min(64.0));
+                match rng.below(20) {
+                    0..=7 => {
+                        let mut rows = rows_of(&universes[s], window);
+                        if rng.below(2) == 0 {
+                            // Out-of-order delivery.
+                            for i in (1..rows.len()).rev() {
+                                rows.swap(i, rng.below(i as u64 + 1) as usize);
+                            }
+                        }
+                        cache.insert(&series, window, Arc::new(rows));
+                    }
+                    8 => cache.remove(&series),
+                    9 => {
+                        cache.spill_now();
+                        tally(&cache);
+                        cache = SegmentCache::new(cfg.clone());
+                    }
+                    _ => {
+                        let got = answer(cache.lookup(&series, window));
+                        assert_eq!(
+                            got,
+                            oracle(&cache, &series, window),
+                            "seed {seed} {series} {window:?}"
+                        );
+                        let covered = match &got {
+                            Answer::Hit(_) => window,
+                            Answer::Partial(_, missing) if missing.0 == window.0 => {
+                                (missing.1, window.1)
+                            }
+                            Answer::Partial(_, missing) => (window.0, missing.0),
+                            Answer::Miss => continue,
+                        };
+                        let (Answer::Hit(rows) | Answer::Partial(rows, _)) = &got else {
+                            unreachable!()
+                        };
+                        assert_eq!(
+                            rows,
+                            &rows_of(&universes[s], covered),
+                            "seed {seed} {series} {window:?}"
+                        );
+                        hits += u32::from(matches!(got, Answer::Hit(_)));
+                        partials += u32::from(matches!(got, Answer::Partial(..)));
+                        let inner = cache.inner.lock();
+                        let serving = (inner.series.get(series.as_str())).map_or(0, |e| {
+                            e.segs
+                                .iter()
+                                .filter(|s| s.serving(covered).is_some())
+                                .count()
+                        });
+                        multi += u32::from(serving > 1);
+                    }
+                }
+            }
+            tally(&cache);
+            assert!(
+                hits > 100 && partials > 100 && multi > 20 && churn.iter().all(|n| *n > 20),
+                "seed {seed}: {hits} hits, {partials} partials, {multi} stitched, \
+                 slices/evictions/spill loads {churn:?}"
+            );
+        }
     }
 }

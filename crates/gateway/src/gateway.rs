@@ -3,7 +3,8 @@
 //! One [`FederatedGateway::query`] call runs the full scatter-gather:
 //!
 //! 1. **Plan** — snapshot the Registry, bind Application instances, expand
-//!    to per-Execution `getPR` targets ([`crate::plan::Planner`]).
+//!    to per-Execution `getPR` targets ([`crate::plan::Planner`]); all three
+//!    are remembered, so a warm plan makes no wire call.
 //! 2. **Scatter** — submit one job per target to the bounded worker pool,
 //!    under per-site concurrency permits, with retry + exponential backoff.
 //! 3. **Coalesce** — identical in-flight `getPR` tuples share one upstream
@@ -20,14 +21,14 @@
 
 use crate::cache::{self, Lookup, SegmentCache, SegmentCacheConfig};
 use crate::coalesce::{Flight, FlightOutcome, FlightResult, FlightRows, SingleFlight, Token};
-use crate::plan::{ExecTarget, Planner, SitePlan};
+use crate::plan::{ExecTarget, Planner, QueryPlan, SitePlan};
 use crate::pool::{SiteLimiter, WorkerPool};
 use crate::query::{FederatedQuery, FederatedResult, SiteError, SiteErrorKind, SiteRows};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pperf_httpd::{HttpClient, Request};
 use pperf_ogsi::{BatchStreamEntryOutcome, BatchWire, Gsh, OgsiError, ServiceStub, StreamWire};
-use pperf_soap::{BatchEntry, BatchOutcome};
+use pperf_soap::{BatchEntry, BatchOutcome, Fault};
 use pperfgrid::{row_time_span, ExecutionStub, PrQuery, EXECUTION_NS};
 use ppg_context::CallContext;
 use ppg_notify::{
@@ -40,14 +41,38 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Where a fetched result should land in the segment cache: the series
-/// and the window the fetch covers (the *narrowed* window for a partial-
-/// coverage fetch). `None` when the cache is disabled or the query's time
-/// bounds don't parse.
+/// Where a fetched result should land in the segment cache: the series,
+/// the window the fetch covers (the *narrowed* window for a partial-
+/// coverage fetch), and the cache's invalidation epoch as of the lookup
+/// that missed — rows fetched across an invalidation of their series are
+/// served to their caller but never stored. `None` when the cache is
+/// disabled or the query's time bounds don't parse.
 #[derive(Debug, Clone)]
 struct CacheFill {
     series: String,
     window: (f64, f64),
+    epoch: u64,
+}
+
+/// Store fetched rows where `fill` says, and index the series under its
+/// site so a lease invalidation can find it.
+fn cache_store(
+    inner: &Inner,
+    site: &str,
+    fill: &CacheFill,
+    window: (f64, f64),
+    rows: Arc<Vec<String>>,
+) {
+    if inner
+        .cache
+        .insert_at(&fill.series, window, rows, fill.epoch)
+    {
+        let mut site_keys = inner.site_keys.lock();
+        if !(site_keys.get(site)).is_some_and(|keys| keys.contains(&fill.series)) {
+            let keys = site_keys.entry(site.to_owned()).or_default();
+            keys.insert(fill.series.clone());
+        }
+    }
 }
 
 /// One uncached slot still awaiting a wire call after the cache probe:
@@ -292,6 +317,7 @@ impl SiteLatency {
     }
 }
 
+#[derive(Default)]
 struct Stats {
     queries: AtomicU64,
     upstream: AtomicU64,
@@ -454,6 +480,15 @@ pub struct GatewaySnapshot {
     pub plan_snapshot_hits: u64,
     /// Registry-snapshot refreshes (actual wire snapshots) in the planner.
     pub plan_snapshot_refreshes: u64,
+    /// Site plans served from a remembered selector expansion (no
+    /// Application call).
+    pub plan_expansion_hits: u64,
+    /// Site plans that asked the site's Application what the selector
+    /// expands to.
+    pub plan_expansion_refreshes: u64,
+    /// Remembered expansions dropped ahead of their TTL (site invalidation
+    /// event, site error, lease).
+    pub plan_expansion_invalidations: u64,
     /// Per-site latency/error accounting, sorted by site label.
     pub per_site: Vec<(String, SiteLatency)>,
 }
@@ -577,64 +612,58 @@ impl SinkHandler for RegistryEvents {
 }
 
 /// Per-site push events: a `cache.invalidate` for an instance path drops
-/// exactly the cached results bound to that instance.
+/// exactly the cached results bound to that instance, refuses the fetches
+/// of it still in flight, and forgets the expansions naming it.
 struct SiteEvents {
     inner: Weak<Inner>,
     /// The site container's `host:port`, used to reconstruct instance URLs.
     authority: String,
 }
 
-impl SinkHandler for SiteEvents {
-    fn on_event(&self, event: &Event) {
+impl SiteEvents {
+    /// Invalidate every series of the instance at `path` on this container
+    /// — or, with `None` (events were missed, so any of its results may be
+    /// stale), of the whole container. A delivered event that dropped rows
+    /// counts as a push invalidation.
+    fn invalidate(&self, path: Option<&str>) {
         let Some(inner) = self.inner.upgrade() else {
             return;
         };
-        if event.topic != TOPIC_CACHE_INVALIDATE {
-            return;
+        // Cache series keys are `<instance url>::<window-blanked tuple>`.
+        let url = path.map(|path| format!("http://{}{path}", self.authority));
+        let prefix = match &url {
+            Some(url) => format!("{url}::"),
+            None => format!("http://{}/", self.authority),
+        };
+        inner
+            .planner
+            .forget_expansions_at(&self.authority, url.as_deref());
+        for keys in inner.site_keys.lock().values_mut() {
+            keys.retain(|key| !key.starts_with(&prefix));
         }
-        // Cache series keys are `<instance url>::<window-blanked tuple>`;
-        // the event carries the instance path on this authority.
-        let prefix = format!("http://{}{}::", self.authority, event.payload);
-        let mut dropped = false;
-        let mut site_keys = inner.site_keys.lock();
-        for keys in site_keys.values_mut() {
-            keys.retain(|key| {
-                if key.starts_with(&prefix) {
-                    inner.cache.remove(key);
-                    dropped = true;
-                    false
-                } else {
-                    true
-                }
-            });
+        if inner.cache.invalidate_prefix(&prefix) > 0 && path.is_some() {
+            (inner.stats.notify_invalidations).fetch_add(1, Ordering::Relaxed);
         }
-        drop(site_keys);
-        if dropped {
-            inner
-                .stats
-                .notify_invalidations
-                .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl SinkHandler for SiteEvents {
+    fn on_event(&self, event: &Event) {
+        if event.topic == TOPIC_CACHE_INVALIDATE {
+            self.invalidate(Some(&event.payload));
         }
     }
 
     fn on_gap(&self, _topic: &str, _expected: u64, _got: u64) {
-        // Events were dropped: any of this site's cached results may be
-        // stale. Drop the whole authority's keys (every site label may map
-        // here, so clear by prefix).
-        let Some(inner) = self.inner.upgrade() else {
-            return;
-        };
-        let prefix = format!("http://{}/", self.authority);
-        let mut site_keys = inner.site_keys.lock();
-        for keys in site_keys.values_mut() {
-            keys.retain(|key| {
-                if key.starts_with(&prefix) {
-                    inner.cache.remove(key);
-                    false
-                } else {
-                    true
-                }
-            });
+        self.invalidate(None);
+    }
+
+    fn on_disconnect(&self) {
+        // Deltas may be missed from here on; cached rows keep their TTL (a
+        // dead site's last answers are still its answers), but handles are
+        // asked for again.
+        if let Some(inner) = self.inner.upgrade() {
+            inner.planner.forget_expansions_at(&self.authority, None);
         }
     }
 }
@@ -691,11 +720,50 @@ fn classify(error: &OgsiError) -> (SiteErrorKind, bool) {
         // past-deadline, and a cancelled leg are all deadline conditions —
         // and never retryable (the budget only shrinks).
         OgsiError::DeadlineExceeded(_) => (SiteErrorKind::Timeout, false),
-        OgsiError::Fault(f) if f.is_deadline_exceeded() || f.is_cancelled() => {
-            (SiteErrorKind::Timeout, false)
-        }
+        OgsiError::Fault(fault) => (fault_kind(fault), false),
         _ => (SiteErrorKind::Fault, false),
     }
+}
+
+fn fault_kind(fault: &Fault) -> SiteErrorKind {
+    if fault.is_deadline_exceeded() || fault.is_cancelled() {
+        SiteErrorKind::Timeout
+    } else {
+        SiteErrorKind::Fault
+    }
+}
+
+/// The wire entries of a batch: one `getPR` sub-call per leader.
+fn batch_entries(leaders: &[BatchLeader]) -> Vec<BatchEntry> {
+    (leaders.iter())
+        .map(|(_, exec, pr, _, _)| {
+            let params = ExecutionStub::pr_params(pr);
+            BatchEntry::new(exec.url().path, "getPR", EXECUTION_NS, &params)
+        })
+        .collect()
+}
+
+/// After a failed attempt: sleep out the next backoff and return `None` to
+/// try again, or the failure the leg ends with — not retryable, retries
+/// spent, or a backoff that would outlive the budget (it only shrinks).
+fn retry_or_fail(
+    inner: &Inner,
+    leg_ctx: &CallContext,
+    attempt: &mut u32,
+    e: &OgsiError,
+) -> Option<(SiteErrorKind, String)> {
+    let (kind, retryable) = classify(e);
+    if !retryable || *attempt >= inner.config.retries {
+        return Some((kind, e.to_string()));
+    }
+    *attempt += 1;
+    let backoff = inner.config.backoff * (1 << (*attempt).min(6));
+    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
+        let detail = format!("{e} (budget exhausted during retry backoff)");
+        return Some((SiteErrorKind::Timeout, detail));
+    }
+    std::thread::sleep(backoff);
+    None
 }
 
 impl FederatedGateway {
@@ -723,33 +791,7 @@ impl FederatedGateway {
             }),
             site_keys: Mutex::new(HashMap::new()),
             flights: SingleFlight::new(),
-            stats: Stats {
-                queries: AtomicU64::new(0),
-                upstream: AtomicU64::new(0),
-                hedges_fired: AtomicU64::new(0),
-                hedge_wins: AtomicU64::new(0),
-                hedges_cancelled: AtomicU64::new(0),
-                deadline_exceeded: AtomicU64::new(0),
-                lease_invalidations: AtomicU64::new(0),
-                notify_invalidations: AtomicU64::new(0),
-                batched_calls: AtomicU64::new(0),
-                batch_entries: AtomicU64::new(0),
-                batch_fallback: AtomicU64::new(0),
-                binary_calls: AtomicU64::new(0),
-                binary_entries: AtomicU64::new(0),
-                binary_fallbacks: AtomicU64::new(0),
-                streams: AtomicU64::new(0),
-                stream_frames: AtomicU64::new(0),
-                stream_rows: AtomicU64::new(0),
-                stream_truncated: AtomicU64::new(0),
-                stream_fallbacks: AtomicU64::new(0),
-                batch_streams: AtomicU64::new(0),
-                batch_stream_entries: AtomicU64::new(0),
-                batch_stream_truncated: AtomicU64::new(0),
-                batch_stream_fallbacks: AtomicU64::new(0),
-                in_flight: AtomicI64::new(0),
-                sites: Mutex::new(HashMap::new()),
-            },
+            stats: Stats::default(),
             planner,
             client,
             config,
@@ -773,10 +815,11 @@ impl FederatedGateway {
         if !inner.config.notifications_enabled {
             return;
         }
+        if inner.notify.registry_sink.lock().is_some() {
+            return;
+        }
         let authority = inner.planner.registry_authority();
-        if inner.notify.registry_sink.lock().is_some()
-            || inner.notify.unsupported.lock().contains(&authority)
-        {
+        if inner.notify.unsupported.lock().contains(&authority) {
             return;
         }
         let handler = Arc::new(RegistryEvents {
@@ -880,6 +923,8 @@ impl FederatedGateway {
             .collect();
         per_site.sort_by(|a, b| a.0.cmp(&b.0));
         let (plan_snapshot_hits, plan_snapshot_refreshes) = inner.planner.snapshot_stats();
+        let (plan_expansion_hits, plan_expansion_refreshes, plan_expansion_invalidations) =
+            inner.planner.expansion_stats();
         let (notify_subscriptions, notify_events, notify_resyncs) = inner.notify.counters();
         GatewaySnapshot {
             queries: inner.stats.queries.load(Ordering::Relaxed),
@@ -922,6 +967,9 @@ impl FederatedGateway {
             batch_stream_fallback_calls: inner.stats.batch_stream_fallbacks.load(Ordering::Relaxed),
             plan_snapshot_hits,
             plan_snapshot_refreshes,
+            plan_expansion_hits,
+            plan_expansion_refreshes,
+            plan_expansion_invalidations,
             per_site,
         }
     }
@@ -929,8 +977,10 @@ impl FederatedGateway {
     /// Run one federated query end to end (blocking; safe to call from many
     /// threads at once) under a fresh default-budget context.
     pub fn query(&self, query: &FederatedQuery) -> FederatedResult {
+        // Nobody else holds this context, so the result takes its trace
+        // instead of copying it.
         let ctx = CallContext::with_budget(self.inner.config.call_timeout);
-        self.query_with_context(query, &ctx)
+        self.run_query(query, ctx, true)
     }
 
     /// Run one federated query under the caller's [`CallContext`]: its
@@ -939,65 +989,89 @@ impl FederatedGateway {
     /// request id, and the assembled cross-site trace comes back on the
     /// result.
     pub fn query_with_context(&self, query: &FederatedQuery, ctx: &CallContext) -> FederatedResult {
-        let started = Instant::now();
-        let inner = &self.inner;
-        inner.stats.queries.fetch_add(1, Ordering::Relaxed);
         // Normalize: every query runs under *some* deadline so a silent site
         // cannot hold the gather forever.
         let qctx = if ctx.deadline().is_some() {
             ctx.clone()
         } else {
-            ctx.with_remaining(inner.config.call_timeout)
+            ctx.with_remaining(self.inner.config.call_timeout)
         };
+        self.run_query(query, qctx, false)
+    }
+
+    fn run_query(
+        &self,
+        query: &FederatedQuery,
+        qctx: CallContext,
+        own_trace: bool,
+    ) -> FederatedResult {
+        let started = Instant::now();
+        let inner = &self.inner;
+        inner.stats.queries.fetch_add(1, Ordering::Relaxed);
         let query_deadline = qctx.deadline().expect("normalized context has a deadline");
-        let plan = inner.planner.plan(query);
-        for site in &plan.invalidated {
+        let QueryPlan {
+            sites,
+            mut errors,
+            invalidated,
+            expanded,
+        } = inner.planner.plan(query);
+        for site in &invalidated {
             self.invalidate_site(site);
         }
+        for (site, why) in &expanded {
+            qctx.record_span("gateway.plan", "expand", site, started, why);
+        }
         self.ensure_registry_subscription();
-        self.ensure_site_subscriptions(&plan.sites);
-        let mut errors = plan.errors.clone();
-        let sites_total = plan.sites.len() + errors.len();
+        self.ensure_site_subscriptions(&sites);
+        let sites_total = sites.len() + errors.len();
         // Every tuple of the query (primary metric + extras) fans out to
         // every target. Tuples of one instance land in the same batch group,
-        // so a multi-metric query still costs one wire call per host.
-        let prs: Vec<Arc<PrQuery>> = query.pr_queries().into_iter().map(Arc::new).collect();
+        // so a multi-metric query still costs one wire call per host. A
+        // tuple's window and the window-blanked half of its cache series
+        // key are the same for every target: worked out once, here. A query
+        // whose time bounds don't parse bypasses the cache entirely
+        // (fetched, served, never stored).
+        let prs: Vec<_> = (query.pr_queries().into_iter())
+            .map(|pr| {
+                let window = pr.time_window().ok().filter(|_| inner.config.cache_enabled);
+                let tuple = || cache::series_tuple(&pr.metric, &pr.foci, &pr.rtype);
+                let cached = window.map(|window| (window, tuple()));
+                (Arc::new(pr), cached)
+            })
+            .collect();
         let query_upstream = Arc::new(AtomicU64::new(0));
         let (tx, rx) = unbounded::<Outcome>();
-        let mut rows: Vec<SiteRows> = Vec::new();
+        let targets: usize = sites.iter().map(|site| site.targets.len()).sum();
+        let mut rows: Vec<SiteRows> = Vec::with_capacity(targets * prs.len());
         let mut pending: Vec<PendingTarget> = Vec::new();
         let scatter_start = Instant::now();
-        for site_plan in &plan.sites {
+        let mut series = String::new();
+        for site_plan in &sites {
             // Probe the shared segment cache first; only misses go
             // upstream, and a partially covered window goes upstream
             // *narrowed* to just the missing sub-range.
             let mut uncached: Vec<UncachedSlot<'_>> = Vec::new();
-            for target in &site_plan.targets {
-                for pr in &prs {
+            // Slots the cache answered: exact, range, partial.
+            let mut answered = [0usize; 3];
+            for target in site_plan.targets.iter() {
+                for (pr, cached) in &prs {
                     let mut slot_pr = Arc::clone(pr);
                     let mut cache_fill: Option<CacheFill> = None;
                     let mut prefix_rows: Option<Arc<Vec<String>>> = None;
-                    // A query whose time bounds don't parse bypasses the
-                    // cache entirely (fetched, served, never stored).
-                    if let (true, Ok(window)) = (inner.config.cache_enabled, pr.time_window()) {
-                        let series = cache::series_key(
-                            target.primary.as_str(),
-                            &pr.metric,
-                            &pr.foci,
-                            &pr.rtype,
-                        );
-                        match inner.cache.lookup(&series, window) {
+                    if let Some((window, tuple)) = cached {
+                        cache::write_series_key(&mut series, target.primary.as_str(), tuple);
+                        let epoch = inner.cache.epoch();
+                        let fill = |window| CacheFill {
+                            series: series.clone(),
+                            window,
+                            epoch,
+                        };
+                        match inner.cache.lookup(&series, *window) {
                             Lookup::Hit {
                                 rows: cached,
                                 exact,
                             } => {
-                                qctx.record_span(
-                                    "gateway.cache",
-                                    "getPR",
-                                    &site_plan.site,
-                                    started,
-                                    if exact { "hit" } else { "range-hit" },
-                                );
+                                answered[usize::from(!exact)] += 1;
                                 rows.push(SiteRows {
                                     site: site_plan.site.clone(),
                                     execution: target.primary.clone(),
@@ -1012,30 +1086,26 @@ impl FederatedGateway {
                                 rows: covered,
                                 missing,
                             } => {
-                                qctx.record_span(
-                                    "gateway.cache",
-                                    "getPR",
-                                    &site_plan.site,
-                                    started,
-                                    "partial-hit",
-                                );
+                                answered[2] += 1;
                                 let mut narrowed = (**pr).clone();
                                 narrowed.start = fmt_time(missing.0);
                                 narrowed.end = fmt_time(missing.1);
                                 slot_pr = Arc::new(narrowed);
                                 prefix_rows = Some(Arc::new(covered));
-                                cache_fill = Some(CacheFill {
-                                    series,
-                                    window: missing,
-                                });
+                                cache_fill = Some(fill(missing));
                             }
-                            Lookup::Miss => {
-                                cache_fill = Some(CacheFill { series, window });
-                            }
+                            Lookup::Miss => cache_fill = Some(fill(*window)),
                         }
                     }
                     uncached.push((target, slot_pr, cache_fill, prefix_rows));
                 }
+            }
+            if answered != [0; 3] {
+                // One span per site, not one per target: what the cache
+                // answered, by kind.
+                let [exact, range, partial] = answered;
+                let outcome = format!("hit:{exact} range-hit:{range} partial-hit:{partial}");
+                qctx.record_span("gateway.cache", "getPR", &site_plan.site, started, &outcome);
             }
             // Batch-capable sites fold their misses into one multi-call wire
             // request per host (a site's instances may be spread across
@@ -1066,34 +1136,46 @@ impl FederatedGateway {
             // Batched groups ride the interleaved batch-stream wire when the
             // site advertises it; otherwise the buffered multi-call.
             let batch_stream = inner.config.streaming_enabled && site_plan.supports_batch_stream;
+            // One target's gather state; a batched target shares its batch's
+            // leg context and never streams.
+            let pend = |target: &ExecTarget,
+                        pr: &Arc<PrQuery>,
+                        cache_fill: &Option<CacheFill>,
+                        prefix_rows: Option<Arc<Vec<String>>>,
+                        batched: bool,
+                        primary_ctx: &CallContext| PendingTarget {
+                site: site_plan.site.clone(),
+                target: target.clone(),
+                pr: Arc::clone(pr),
+                cache_fill: cache_fill.clone(),
+                prefix_rows,
+                deadline: query_deadline,
+                hedge_at: (target.hedge.as_ref())
+                    .and(inner.config.hedge_after)
+                    .map(|delay| scatter_start + delay),
+                hedge_fired: false,
+                primary_failed: false,
+                hedge_failed: false,
+                done: false,
+                batched,
+                streaming: streaming && !batched,
+                primary_ctx: primary_ctx.clone(),
+                hedge_ctx: None,
+            };
             for (target, pr, cache_fill, prefix_rows) in per_call {
                 if inner.config.batch_enabled {
                     inner.stats.batch_fallback.fetch_add(1, Ordering::Relaxed);
                 }
                 let idx = pending.len();
-                let hedge_at = target
-                    .hedge
-                    .as_ref()
-                    .and(inner.config.hedge_after)
-                    .map(|delay| scatter_start + delay);
                 let primary_ctx = qctx.leg(ppg_context::leg_tag(idx, 0), 0);
-                pending.push(PendingTarget {
-                    site: site_plan.site.clone(),
-                    target: target.clone(),
-                    pr: Arc::clone(&pr),
-                    cache_fill: cache_fill.clone(),
+                pending.push(pend(
+                    target,
+                    &pr,
+                    &cache_fill,
                     prefix_rows,
-                    deadline: query_deadline,
-                    hedge_at,
-                    hedge_fired: false,
-                    primary_failed: false,
-                    hedge_failed: false,
-                    done: false,
-                    batched: false,
-                    streaming,
-                    primary_ctx: primary_ctx.clone(),
-                    hedge_ctx: None,
-                });
+                    false,
+                    &primary_ctx,
+                ));
                 self.submit_call(
                     tx.clone(),
                     idx,
@@ -1122,28 +1204,14 @@ impl FederatedGateway {
                 let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
                 for (target, pr, cache_fill, prefix_rows) in group {
                     let idx = pending.len();
-                    let hedge_at = target
-                        .hedge
-                        .as_ref()
-                        .and(inner.config.hedge_after)
-                        .map(|delay| scatter_start + delay);
-                    pending.push(PendingTarget {
-                        site: site_plan.site.clone(),
-                        target: target.clone(),
-                        pr: Arc::clone(&pr),
-                        cache_fill: cache_fill.clone(),
+                    pending.push(pend(
+                        target,
+                        &pr,
+                        &cache_fill,
                         prefix_rows,
-                        deadline: query_deadline,
-                        hedge_at,
-                        hedge_fired: false,
-                        primary_failed: false,
-                        hedge_failed: false,
-                        done: false,
-                        batched: true,
-                        streaming: false,
-                        primary_ctx: shared_ctx.clone(),
-                        hedge_ctx: None,
-                    });
+                        true,
+                        &shared_ctx,
+                    ));
                     members.push((idx, target.primary.clone(), pr, cache_fill));
                 }
                 self.submit_batch(
@@ -1156,6 +1224,25 @@ impl FederatedGateway {
                 );
             }
         }
+        // Send pending target `idx`'s hedge leg to its replica.
+        let fire_hedge = |idx: usize, p: &mut PendingTarget, hedge: Gsh| {
+            p.hedge_fired = true;
+            inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
+            let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
+            p.hedge_ctx = Some(hedge_ctx.clone());
+            self.submit_call(
+                tx.clone(),
+                idx,
+                p.site.clone(),
+                hedge,
+                Arc::clone(&p.pr),
+                p.cache_fill.clone(),
+                true,
+                p.streaming,
+                hedge_ctx,
+                Arc::clone(&query_upstream),
+            );
+        };
         let mut remaining = pending.len();
         while remaining > 0 {
             let now = Instant::now();
@@ -1245,23 +1332,7 @@ impl FederatedGateway {
                                 // Fail fast: don't wait for the hedge delay
                                 // once the primary has definitively failed.
                                 let hedge = p.target.hedge.clone().expect("checked");
-                                p.hedge_fired = true;
-                                inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
-                                p.hedge_ctx = Some(hedge_ctx.clone());
-                                let (site, fill) = (p.site.clone(), p.cache_fill.clone());
-                                self.submit_call(
-                                    tx.clone(),
-                                    idx,
-                                    site,
-                                    hedge,
-                                    Arc::clone(&p.pr),
-                                    fill,
-                                    true,
-                                    p.streaming,
-                                    hedge_ctx,
-                                    Arc::clone(&query_upstream),
-                                );
+                                fire_hedge(idx, p, hedge);
                             } else {
                                 let hedge_pending = p.hedge_fired && !p.hedge_failed;
                                 let primary_pending = !p.primary_failed;
@@ -1287,23 +1358,7 @@ impl FederatedGateway {
                         if let (Some(hedge_at), Some(hedge)) = (p.hedge_at, p.target.hedge.clone())
                         {
                             if !p.hedge_fired && hedge_at <= now {
-                                p.hedge_fired = true;
-                                inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
-                                p.hedge_ctx = Some(hedge_ctx.clone());
-                                let (site, fill) = (p.site.clone(), p.cache_fill.clone());
-                                self.submit_call(
-                                    tx.clone(),
-                                    idx,
-                                    site,
-                                    hedge,
-                                    Arc::clone(&p.pr),
-                                    fill,
-                                    true,
-                                    p.streaming,
-                                    hedge_ctx,
-                                    Arc::clone(&query_upstream),
-                                );
+                                fire_hedge(idx, p, hedge);
                             }
                         }
                         if p.deadline <= now {
@@ -1343,9 +1398,18 @@ impl FederatedGateway {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        // One structured error per site; the first (earliest) failure wins.
-        let mut seen = HashSet::new();
-        errors.retain(|e| seen.insert(e.site.clone()));
+        if !errors.is_empty() {
+            // One structured error per site; the first (earliest) failure wins.
+            let mut seen = HashSet::new();
+            errors.retain(|e| seen.insert(e.site.clone()));
+            // A site that faulted or vanished may have lost the instances its
+            // remembered expansions name: ask it again next time.
+            for e in &errors {
+                if !matches!(e.kind, SiteErrorKind::Planning | SiteErrorKind::Timeout) {
+                    inner.planner.forget_expansions(&e.site, "site-error");
+                }
+            }
+        }
         rows.sort_by(|a, b| {
             (a.site.as_str(), a.execution.as_str()).cmp(&(b.site.as_str(), b.execution.as_str()))
         });
@@ -1363,7 +1427,11 @@ impl FederatedGateway {
             elapsed: started.elapsed(),
             upstream_calls: query_upstream.load(Ordering::Relaxed),
             request_id: qctx.request_id().to_owned(),
-            trace: qctx.spans(),
+            trace: if own_trace {
+                qctx.take_spans()
+            } else {
+                qctx.spans()
+            },
         }
     }
 
@@ -1630,17 +1698,7 @@ fn run_buffered_batch_wire(
             }
             Some(_permit) => {
                 let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-                let entries: Vec<BatchEntry> = leaders
-                    .iter()
-                    .map(|(_, exec, pr, _, _)| {
-                        BatchEntry::new(
-                            exec.url().path,
-                            "getPR",
-                            EXECUTION_NS,
-                            &ExecutionStub::pr_params(pr),
-                        )
-                    })
-                    .collect();
+                let entries = batch_entries(&leaders);
                 let mut attempt = 0u32;
                 loop {
                     if leg_ctx.expired() {
@@ -1692,22 +1750,10 @@ fn run_buffered_batch_wire(
                                 ),
                             ));
                         }
-                        Err(e) => {
-                            let (kind, retryable) = classify(&e);
-                            if retryable && attempt < inner.config.retries {
-                                attempt += 1;
-                                let backoff = inner.config.backoff * (1 << attempt.min(6));
-                                if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                                    break Err((
-                                        SiteErrorKind::Timeout,
-                                        format!("{e} (budget exhausted during retry backoff)"),
-                                    ));
-                                }
-                                std::thread::sleep(backoff);
-                                continue;
-                            }
-                            break Err((kind, e.to_string()));
-                        }
+                        Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
+                            None => continue,
+                            Some(failure) => break Err(failure),
+                        },
                     }
                 }
             }
@@ -1722,18 +1768,14 @@ fn run_buffered_batch_wire(
                     Ok(value) => match value.into_str_array() {
                         Some(entry_rows) => {
                             let entry_rows = Arc::new(entry_rows);
-                            if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
-                                inner.cache.insert(
-                                    &fill.series,
+                            if let Some(fill) = &cache_fill {
+                                cache_store(
+                                    inner,
+                                    site,
+                                    fill,
                                     fill.window,
                                     Arc::clone(&entry_rows),
                                 );
-                                inner
-                                    .site_keys
-                                    .lock()
-                                    .entry(site.to_owned())
-                                    .or_default()
-                                    .insert(fill.series);
                             }
                             Ok(FlightRows::complete(entry_rows))
                         }
@@ -1742,14 +1784,7 @@ fn run_buffered_batch_wire(
                             "batched getPR returned a non-array".to_owned(),
                         )),
                     },
-                    Err(fault) => {
-                        let kind = if fault.is_deadline_exceeded() || fault.is_cancelled() {
-                            SiteErrorKind::Timeout
-                        } else {
-                            SiteErrorKind::Fault
-                        };
-                        Err((kind, fault.to_string()))
-                    }
+                    Err(fault) => Err((fault_kind(&fault), fault.to_string())),
                 };
                 inner.flights.publish(
                     token,
@@ -1759,14 +1794,7 @@ fn run_buffered_batch_wire(
             }
         }
         Err((kind, detail)) => {
-            for (idx, _, _, _, token) in leaders {
-                let result: FlightResult = Err((kind, detail.clone()));
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
+            publish_batch_failure(inner, leaders, leg_ctx, span_base, kind, detail, results);
         }
     }
 }
@@ -1881,17 +1909,7 @@ fn run_batch_stream_wire(
     query_upstream: &Arc<AtomicU64>,
 ) -> BatchStreamAttempt {
     let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-    let entries: Vec<BatchEntry> = leaders
-        .iter()
-        .map(|(_, exec, pr, _, _)| {
-            BatchEntry::new(
-                exec.url().path,
-                "getPR",
-                EXECUTION_NS,
-                &ExecutionStub::pr_params(pr),
-            )
-        })
-        .collect();
+    let entries = batch_entries(leaders);
     let mut attempt = 0u32;
     loop {
         if leg_ctx.expired() {
@@ -1902,54 +1920,13 @@ fn run_batch_stream_wire(
         }
         inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
         query_upstream.fetch_add(1, Ordering::Relaxed);
-        // Per-entry accumulation and incremental cache state. Streaming
-        // merges only make sense for single-focus queries (multi-focus rows
-        // interleave foci within one frame), mirroring the per-call path.
+        // Per-entry accumulation and incremental cache claims.
         let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); leaders.len()];
-        let mut frame_fills: Vec<Option<CacheFill>> = leaders
-            .iter()
-            .map(|(_, _, pr, fill, _)| {
-                if inner.config.cache_enabled && pr.foci.len() <= 1 {
-                    fill.clone()
-                } else {
-                    None
-                }
-            })
+        let mut claims: Vec<FrameClaims> = (leaders.iter())
+            .map(|(_, _, pr, fill, _)| FrameClaims::new(fill.as_ref(), pr))
             .collect();
-        let mut frontiers = vec![f64::NEG_INFINITY; leaders.len()];
         let exchanged = stub.call_batch_stream(&entries, leg_ctx, &mut |entry, frame| {
-            let keep = if let Some(fill) = &frame_fills[entry] {
-                match frame_window(&frame) {
-                    Some((lo, hi)) if lo >= frontiers[entry] => {
-                        frontiers[entry] = hi;
-                        let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
-                        if claim.0 <= claim.1 {
-                            inner
-                                .cache
-                                .insert(&fill.series, claim, Arc::new(frame.clone()));
-                            inner
-                                .site_keys
-                                .lock()
-                                .entry(site.to_owned())
-                                .or_default()
-                                .insert(fill.series.clone());
-                        }
-                        true
-                    }
-                    _ => {
-                        // Unspanned or regressing frame: the incremental
-                        // claims already made may overlap it, so drop the
-                        // series and stop claiming for this entry.
-                        inner.cache.remove(&fill.series);
-                        false
-                    }
-                }
-            } else {
-                true
-            };
-            if !keep {
-                frame_fills[entry] = None;
-            }
+            claims[entry].claim(inner, site, &frame);
             entry_rows[entry].extend(frame);
             !leg_ctx.expired()
         });
@@ -1968,27 +1945,16 @@ fn run_batch_stream_wire(
                     flight_results.push(match outcome {
                         BatchStreamEntryOutcome::Done { .. } => {
                             let rows = Arc::new(rows);
-                            if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
+                            if let Some(fill) = cache_fill {
                                 // The sealed entry covers its whole window
                                 // even where sparse rows left gaps between
                                 // the incremental claims.
-                                inner.cache.insert(&fill.series, fill.window, Arc::clone(&rows));
-                                inner
-                                    .site_keys
-                                    .lock()
-                                    .entry(site.to_owned())
-                                    .or_default()
-                                    .insert(fill.series.clone());
+                                cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
                             }
                             Ok(FlightRows::complete(rows))
                         }
                         BatchStreamEntryOutcome::Fault(fault) => {
-                            let kind = if fault.is_deadline_exceeded() || fault.is_cancelled() {
-                                SiteErrorKind::Timeout
-                            } else {
-                                SiteErrorKind::Fault
-                            };
-                            Err((kind, fault.to_string()))
+                            Err((fault_kind(fault), fault.to_string()))
                         }
                         BatchStreamEntryOutcome::Truncated { rows: delivered, detail } => {
                             inner
@@ -2026,25 +1992,12 @@ fn run_batch_stream_wire(
                 break BatchStreamAttempt::Done(flight_results);
             }
             Ok(None) => break BatchStreamAttempt::Downgrade,
-            Err(e) => {
-                // The stub only errors before any row arrived, so a retry
-                // starts from a clean slate — no partial cache claims to
-                // unwind.
-                let (kind, retryable) = classify(&e);
-                if retryable && attempt < inner.config.retries {
-                    attempt += 1;
-                    let backoff = inner.config.backoff * (1 << attempt.min(6));
-                    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                        break BatchStreamAttempt::Failed(
-                            SiteErrorKind::Timeout,
-                            format!("{e} (budget exhausted during retry backoff)"),
-                        );
-                    }
-                    std::thread::sleep(backoff);
-                    continue;
-                }
-                break BatchStreamAttempt::Failed(kind, e.to_string());
-            }
+            // The stub only errors before any row arrived, so a retry starts
+            // from a clean slate — no partial cache claims to unwind.
+            Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
+                None => continue,
+                Some((kind, detail)) => break BatchStreamAttempt::Failed(kind, detail),
+            },
         }
     }
 }
@@ -2150,26 +2103,10 @@ fn run_flight(
                                 Ok(rows) => {
                                     break Ok(FlightRows::complete(Arc::new(rows)));
                                 }
-                                Err(e) => {
-                                    let (kind, retryable) = classify(&e);
-                                    if retryable && attempt < inner.config.retries {
-                                        attempt += 1;
-                                        let backoff = inner.config.backoff * (1 << attempt.min(6));
-                                        // The budget only shrinks: a retry whose
-                                        // backoff would outlive it is pointless.
-                                        if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                                            break Err((
-                                                SiteErrorKind::Timeout,
-                                                format!(
-                                                    "{e} (budget exhausted during retry backoff)"
-                                                ),
-                                            ));
-                                        }
-                                        std::thread::sleep(backoff);
-                                        continue;
-                                    }
-                                    break Err((kind, e.to_string()));
-                                }
+                                Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
+                                    None => continue,
+                                    Some(failure) => break Err(failure),
+                                },
                             }
                         }
                     }
@@ -2179,16 +2116,8 @@ fn run_flight(
             // already did its own (per-frame + trailer) inserts, and a
             // truncated stream's coverage is unknown, so neither re-inserts.
             if let (Ok(flight), Some(fill)) = (&outcome, cache_fill) {
-                if inner.config.cache_enabled && !use_stream && !flight.truncated {
-                    inner
-                        .cache
-                        .insert(&fill.series, fill.window, Arc::clone(&flight.rows));
-                    inner
-                        .site_keys
-                        .lock()
-                        .entry(site.to_owned())
-                        .or_default()
-                        .insert(fill.series.clone());
+                if !use_stream && !flight.truncated {
+                    cache_store(inner, site, fill, fill.window, Arc::clone(&flight.rows));
                 }
             }
             let mut spans = leg_ctx.spans();
@@ -2198,6 +2127,50 @@ fn run_flight(
                 FlightOutcome::new(outcome.clone(), leg_ctx.request_id(), flight_spans),
             );
             outcome
+        }
+    }
+}
+
+/// One streamed fill's incremental cache claims. Per-frame merges are sound
+/// only for single-focus tuples (a multi-foci scan restarts time once per
+/// focus) and only while the frame sequence stays monotone in time: each
+/// frame may claim the window its own rows span solely because no later
+/// frame's row can reach back into it. The first violation retracts the
+/// claims made so far and stops claiming; the whole-window insert at the
+/// trailer still happens.
+struct FrameClaims {
+    fill: Option<CacheFill>,
+    frontier: f64,
+}
+
+impl FrameClaims {
+    fn new(fill: Option<&CacheFill>, pr: &PrQuery) -> FrameClaims {
+        FrameClaims {
+            fill: fill.filter(|_| pr.foci.len() <= 1).cloned(),
+            frontier: f64::NEG_INFINITY,
+        }
+    }
+
+    fn claim(&mut self, inner: &Inner, site: &str, frame: &[String]) {
+        let Some(fill) = &self.fill else {
+            return;
+        };
+        match frame_window(frame) {
+            Some((lo, hi)) if lo >= self.frontier => {
+                self.frontier = hi;
+                // Clamp the claim to the fetched window: a row's span may
+                // poke past the query bounds, but rows beyond them were
+                // never fetched.
+                let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
+                if claim.0 <= claim.1 {
+                    cache_store(inner, site, fill, claim, Arc::new(frame.to_vec()));
+                }
+            }
+            _ => {
+                // Out-of-order frame (or an unparseable span).
+                inner.cache.retract(&fill.series);
+                self.fill = None;
+            }
         }
     }
 }
@@ -2245,50 +2218,11 @@ fn run_stream_leader(
         inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
         query_upstream.fetch_add(1, Ordering::Relaxed);
         let mut rows: Vec<String> = Vec::new();
-        // Per-frame cache merges are sound only for single-focus tuples (a
-        // multi-foci scan restarts time once per focus) and only while the
-        // frame sequence stays monotone in time: each frame may claim the
-        // window its own rows span solely because no later frame's row can
-        // reach back into it. The first violation drops the series and stops
-        // merging; the trailer-time full-window insert still happens.
-        let mut frame_fill = if inner.config.cache_enabled && pr.foci.len() <= 1 {
-            cache_fill.cloned()
-        } else {
-            None
-        };
-        let mut frontier = f64::NEG_INFINITY;
+        let mut claims = FrameClaims::new(cache_fill, pr);
         let mut frames = 0u64;
         let outcome = stub.get_pr_stream(pr, leg_ctx, &mut |frame: Vec<String>| {
             frames += 1;
-            if let Some(fill) = &frame_fill {
-                match frame_window(&frame) {
-                    Some((lo, hi)) if lo >= frontier => {
-                        frontier = hi;
-                        // Clamp the claim to the fetched window: a row's span
-                        // may poke past the query bounds, but rows beyond
-                        // them were never fetched.
-                        let claim = (lo.max(fill.window.0), hi.min(fill.window.1));
-                        if claim.0 <= claim.1 {
-                            inner
-                                .cache
-                                .insert(&fill.series, claim, Arc::new(frame.clone()));
-                            inner
-                                .site_keys
-                                .lock()
-                                .entry(site.to_owned())
-                                .or_default()
-                                .insert(fill.series.clone());
-                        }
-                    }
-                    _ => {
-                        // Out-of-order frame (or an unparseable span): the
-                        // per-frame claims made so far may be wrong — retract
-                        // the series and stop merging.
-                        inner.cache.remove(&fill.series);
-                        frame_fill = None;
-                    }
-                }
-            }
+            claims.claim(inner, site, &frame);
             rows.extend(frame);
             // Frame-boundary cancellation: a spent budget (deadline or a
             // lost hedge race) stops the pull here; the stub drops the
@@ -2332,16 +2266,8 @@ fn run_stream_leader(
                 // the standard full-window insert, exactly like the buffered
                 // path — merge_filterable dedups rows the per-frame claims
                 // already hold.
-                if let (true, Some(fill)) = (inner.config.cache_enabled, cache_fill) {
-                    inner
-                        .cache
-                        .insert(&fill.series, fill.window, Arc::clone(&rows));
-                    inner
-                        .site_keys
-                        .lock()
-                        .entry(site.to_owned())
-                        .or_default()
-                        .insert(fill.series.clone());
+                if let Some(fill) = cache_fill {
+                    cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
                 }
                 break Ok(FlightRows::complete(rows));
             }
@@ -2372,25 +2298,13 @@ fn run_stream_leader(
                     format!("stream died after {delivered} rows: {detail}"),
                 ));
             }
-            Err(e) => {
-                // Non-truncation errors only occur before any row was
-                // delivered (the stub maps later failures to StreamTruncated),
-                // so the buffered path's retry discipline applies unchanged.
-                let (kind, retryable) = classify(&e);
-                if retryable && attempt < inner.config.retries {
-                    attempt += 1;
-                    let backoff = inner.config.backoff * (1 << attempt.min(6));
-                    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-                        break Err((
-                            SiteErrorKind::Timeout,
-                            format!("{e} (budget exhausted during retry backoff)"),
-                        ));
-                    }
-                    std::thread::sleep(backoff);
-                    continue;
-                }
-                break Err((kind, e.to_string()));
-            }
+            // Non-truncation errors only occur before any row was delivered
+            // (the stub maps later failures to StreamTruncated), so the
+            // buffered path's retry discipline applies unchanged.
+            Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
+                None => continue,
+                Some(failure) => break Err(failure),
+            },
         }
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! * **Planner** ([`plan`]) — snapshots the Registry, binds (and reuses)
 //!   one Application instance per site, and expands the query to concrete
-//!   per-Execution `getPR` targets.
+//!   per-Execution `getPR` targets, remembering each selector's expansion
+//!   the way the paper's client keeps the handles `getExecs` gave it.
 //! * **Scatter executor** ([`pool`]) — a bounded worker pool with per-site
 //!   concurrency permits, per-call timeouts, and retry with exponential
 //!   backoff.

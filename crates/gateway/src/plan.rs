@@ -6,13 +6,21 @@
 //! per-Execution `getPR` targets, and — when the site advertises its Manager
 //! — pair each target with a hedge replica on a different host.
 //!
+//! Like the paper's client, which asks the Application for `getExecs` once
+//! and then works on the handles it got back, the planner remembers each
+//! selector's expansion beside the site's binding for `plan_cache_ttl`, so a
+//! warm plan costs no wire call. An expansion is forgotten with its binding,
+//! on a membership delta, on an invalidation event from the site, and after
+//! any query on which the site faulted — a vanished instance costs one
+//! failed query, never a stuck plan.
+//!
 //! A site that fails any planning step yields a structured
 //! [`SiteError`] instead of failing the whole federation.
 
 use crate::query::{FederatedQuery, SiteError, SiteErrorKind};
 use parking_lot::Mutex;
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{FactoryStub, GridServiceStub, Gsh, OgsiError, RegistryStub, ServiceEntry};
+use pperf_ogsi::{FactoryStub, GridServiceStub, Gsh, OgsiError, RegistryStub};
 use pperfgrid::{ApplicationStub, ManagerStub};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,8 +44,9 @@ pub struct SitePlan {
     pub site: String,
     /// The site's Application factory handle.
     pub factory: Gsh,
-    /// Expanded `getPR` targets.
-    pub targets: Vec<ExecTarget>,
+    /// Expanded `getPR` targets (shared with the planner's remembered
+    /// expansion: a warm plan clones the pointer, not the handles).
+    pub targets: Arc<[ExecTarget]>,
     /// The site advertises `supportsBatch` service data, so its targets may
     /// ride one multi-call wire request per host instead of one call each.
     pub supports_batch: bool,
@@ -67,6 +76,10 @@ pub struct QueryPlan {
     /// changed factory URL (site republished) since the previous snapshot.
     /// The gateway drops their cached results and bindings.
     pub invalidated: Vec<String>,
+    /// Sites this plan had to expand over the wire, each with why no
+    /// remembered expansion served: `cold` (never asked), `ttl`, `event`
+    /// (membership delta or site invalidation), `site-error`, `lease`.
+    pub expanded: Vec<(String, &'static str)>,
 }
 
 impl QueryPlan {
@@ -76,28 +89,52 @@ impl QueryPlan {
     }
 }
 
+/// What a site's Application instance advertised at bind time.
+#[derive(Clone, Copy)]
+struct Capabilities {
+    batch: bool,
+    binary: bool,
+    streaming: bool,
+    batch_stream: bool,
+}
+
+/// One selector's remembered expansion, fresh while `plan_cache_ttl` has not
+/// run out and the membership generation it was made under still stands.
+struct Expansion {
+    targets: Arc<[ExecTarget]>,
+    at: Instant,
+    generation: u64,
+}
+
+/// Selector values are caller-chosen, so each site remembers at most this
+/// many expansions; the oldest makes room.
+const MAX_EXPANSIONS_PER_SITE: usize = 64;
+
 /// A bound Application instance (and its site's Manager, once discovered),
 /// reused across queries so repeat federations skip `createService`.
 struct BoundSite {
     app: ApplicationStub,
     manager: Option<ManagerStub>,
-    /// Learned once at bind time from `supportsBatch` service data.
-    supports_batch: bool,
-    /// Learned once at bind time from `supportsBinary` service data.
-    supports_binary: bool,
-    /// Learned once at bind time from `supportsStreaming` service data.
-    supports_streaming: bool,
-    /// Learned once at bind time from `supportsBatchStream` service data.
-    supports_batch_stream: bool,
-    /// Hedges already learned for primaries of this site (primary handle →
-    /// hedge, `None` recorded for un-hedgeable primaries).
-    hedges: HashMap<String, Option<Gsh>>,
+    /// Learned once at bind time from the `supports*` service data.
+    caps: Capabilities,
+    /// `selector → targets` (hedges included) as last expanded.
+    expansions: HashMap<Option<(String, String)>, Expansion>,
+}
+
+/// One registry entry as the planner uses it: label and factory handle
+/// worked out once per snapshot, not once per plan.
+struct SiteEntry {
+    /// Site label (`organization/service`).
+    site: String,
+    factory_url: String,
+    /// The parsed factory handle, or why it does not parse.
+    factory: Result<Gsh, String>,
 }
 
 /// A cached registry snapshot with its capture time and the membership
 /// generation it was captured under.
 struct Snapshot {
-    entries: Vec<ServiceEntry>,
+    entries: Arc<[SiteEntry]>,
     at: Instant,
     generation: u64,
 }
@@ -110,18 +147,28 @@ pub struct Planner {
     bound: Mutex<HashMap<String, BoundSite>>,
     /// Short-TTL cache of the registry snapshot: planning a federated query
     /// costs two wire calls (`findOrganizations` + `listServices`) before
-    /// any site is touched; back-to-back queries reuse one snapshot.
-    /// `Duration::ZERO` disables the cache.
+    /// any site is touched; back-to-back queries reuse one snapshot. The
+    /// same TTL bounds each remembered expansion. `Duration::ZERO` disables
+    /// both: every plan asks the registry and every site again.
     snapshot_ttl: Duration,
     snapshot: Mutex<Option<Snapshot>>,
     /// Registry-membership generation: bumped by every invalidation (push
-    /// delta, explicit call). A snapshot is only served while its recorded
-    /// generation still matches, so a delta arriving *mid-refresh* — after
-    /// the wire fetch started but before the snapshot was stored — can
-    /// never resurrect pre-delta entries.
+    /// delta, explicit call). A snapshot or expansion is only served while
+    /// its recorded generation still matches, so a delta arriving
+    /// *mid-refresh* — after the wire fetch started but before the result
+    /// was stored — can never resurrect the pre-delta view.
     generation: AtomicU64,
     snapshot_hits: AtomicU64,
     snapshot_refreshes: AtomicU64,
+    /// Bumped whenever expansions are dropped: an expansion whose wire call
+    /// was in flight across a drop is used for its own query but not kept.
+    expansion_drops: AtomicU64,
+    expansion_hits: AtomicU64,
+    expansion_refreshes: AtomicU64,
+    expansion_invalidations: AtomicU64,
+    /// Why a site's expansions were last dropped, until its next expansion
+    /// reports it in [`QueryPlan::expanded`].
+    drop_cause: Mutex<HashMap<String, &'static str>>,
     /// `site label → factory URL` as of the previous fresh snapshot, diffed
     /// against each new one to detect expired leases and republished sites.
     last_seen: Mutex<HashMap<String, String>>,
@@ -129,7 +176,8 @@ pub struct Planner {
 
 impl Planner {
     /// A planner reading site entries from the registry at `registry`,
-    /// reusing each snapshot for `snapshot_ttl` (zero disables caching).
+    /// reusing each snapshot and expansion for `snapshot_ttl` (zero
+    /// disables both).
     pub fn new(
         client: Arc<HttpClient>,
         registry: Gsh,
@@ -146,6 +194,11 @@ impl Planner {
             generation: AtomicU64::new(0),
             snapshot_hits: AtomicU64::new(0),
             snapshot_refreshes: AtomicU64::new(0),
+            expansion_drops: AtomicU64::new(0),
+            expansion_hits: AtomicU64::new(0),
+            expansion_refreshes: AtomicU64::new(0),
+            expansion_invalidations: AtomicU64::new(0),
+            drop_cause: Mutex::new(HashMap::new()),
             last_seen: Mutex::new(HashMap::new()),
         }
     }
@@ -156,13 +209,12 @@ impl Planner {
             Ok(snapshot) => snapshot,
             Err(e) => {
                 return QueryPlan {
-                    sites: Vec::new(),
                     errors: vec![SiteError {
                         site: "<registry>".to_owned(),
                         kind: SiteErrorKind::Planning,
                         detail: format!("registry snapshot failed: {e}"),
                     }],
-                    invalidated: Vec::new(),
+                    ..QueryPlan::default()
                 }
             }
         };
@@ -170,19 +222,18 @@ impl Planner {
             invalidated,
             ..QueryPlan::default()
         };
-        for entry in entries {
-            let site = format!("{}/{}", entry.organization, entry.name);
+        for entry in entries.iter() {
             if let Some(pattern) = &query.site_pattern {
-                if !site.contains(pattern.as_str()) {
+                if !entry.site.contains(pattern.as_str()) {
                     continue;
                 }
             }
-            match self.plan_site(&site, &entry, query) {
+            match self.plan_site(entry, query, &mut plan.expanded) {
                 Ok(site_plan) => plan.sites.push(site_plan),
-                Err(e) => plan.errors.push(SiteError {
-                    site,
+                Err(detail) => plan.errors.push(SiteError {
+                    site: entry.site.clone(),
                     kind: SiteErrorKind::Planning,
-                    detail: e.to_string(),
+                    detail,
                 }),
             }
         }
@@ -193,13 +244,13 @@ impl Planner {
     /// invalidated since the previous fresh snapshot. Served from the TTL
     /// cache when fresh enough (the invalidated list is only ever non-empty
     /// on a refresh — a cached snapshot cannot observe lease changes).
-    fn snapshot(&self) -> Result<(Vec<ServiceEntry>, Vec<String>), OgsiError> {
+    fn snapshot(&self) -> Result<(Arc<[SiteEntry]>, Vec<String>), OgsiError> {
         let generation = self.generation.load(Ordering::Acquire);
         if self.snapshot_ttl > Duration::ZERO {
             if let Some(cached) = self.snapshot.lock().as_ref() {
                 if cached.at.elapsed() <= self.snapshot_ttl && cached.generation == generation {
                     self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((cached.entries.clone(), Vec::new()));
+                    return Ok((Arc::clone(&cached.entries), Vec::new()));
                 }
             }
         }
@@ -209,20 +260,24 @@ impl Planner {
         let registry = RegistryStub::bind(Arc::clone(&self.client), &self.registry);
         let mut entries = Vec::new();
         for org in registry.find_organizations("")? {
-            entries.extend(registry.list_services(&org.name)?);
-        }
-        self.snapshot_refreshes.fetch_add(1, Ordering::Relaxed);
-        let invalidated = self.diff_leases(&entries);
-        if !invalidated.is_empty() {
-            // A vanished or republished site's Application binding points at
-            // a dead (or wrong) instance; retire it with the lease.
-            let mut bound = self.bound.lock();
-            for site in &invalidated {
-                bound.remove(site);
+            for service in registry.list_services(&org.name)? {
+                entries.push(SiteEntry {
+                    site: format!("{}/{}", service.organization, service.name),
+                    factory: Gsh::parse(service.factory_url.as_str()).map_err(|e| e.to_string()),
+                    factory_url: service.factory_url,
+                });
             }
         }
+        let entries: Arc<[SiteEntry]> = entries.into();
+        self.snapshot_refreshes.fetch_add(1, Ordering::Relaxed);
+        let invalidated = self.diff_leases(&entries);
+        // A vanished or republished site's Application binding points at a
+        // dead (or wrong) instance; retire it with the lease.
+        for site in &invalidated {
+            self.unbind(site, "lease");
+        }
         *self.snapshot.lock() = Some(Snapshot {
-            entries: entries.clone(),
+            entries: Arc::clone(&entries),
             at: Instant::now(),
             generation,
         });
@@ -232,15 +287,10 @@ impl Planner {
     /// Sites present in the previous snapshot whose entry is now gone
     /// (lease expired without renewal) or carries a different factory URL
     /// (site republished after a restart). Updates the `last_seen` map.
-    fn diff_leases(&self, entries: &[ServiceEntry]) -> Vec<String> {
+    fn diff_leases(&self, entries: &[SiteEntry]) -> Vec<String> {
         let fresh: HashMap<String, String> = entries
             .iter()
-            .map(|e| {
-                (
-                    format!("{}/{}", e.organization, e.name),
-                    e.factory_url.clone(),
-                )
-            })
+            .map(|e| (e.site.clone(), e.factory_url.clone()))
             .collect();
         let mut last_seen = self.last_seen.lock();
         let mut invalidated: Vec<String> = last_seen
@@ -261,12 +311,25 @@ impl Planner {
         )
     }
 
+    /// `(hits, refreshes, invalidations)` for remembered expansions: site
+    /// plans served without a wire call, site plans that asked the
+    /// Application, and expansions dropped before their TTL (event, site
+    /// error, lease).
+    pub fn expansion_stats(&self) -> (u64, u64, u64) {
+        (
+            self.expansion_hits.load(Ordering::Relaxed),
+            self.expansion_refreshes.load(Ordering::Relaxed),
+            self.expansion_invalidations.load(Ordering::Relaxed),
+        )
+    }
+
     /// Drop the cached registry snapshot so the next plan refreshes (push
     /// membership deltas, tests, or callers that just changed the registry
     /// and can't wait out the TTL). Also bumps the membership generation,
-    /// which retires any refresh still in flight — without the bump, a
-    /// concurrent [`Planner::plan`] that fetched entries *before* this call
-    /// could store them *after* it, resurrecting the pre-delta view.
+    /// which retires every remembered expansion and any refresh still in
+    /// flight — without the bump, a concurrent [`Planner::plan`] that
+    /// fetched entries *before* this call could store them *after* it,
+    /// resurrecting the pre-delta view.
     pub fn invalidate_snapshot(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
         *self.snapshot.lock() = None;
@@ -282,8 +345,63 @@ impl Planner {
     /// Also forgets the site's lease, so the next snapshot refresh does not
     /// re-report a withdrawal that a push delta already handled.
     pub fn unbind_site(&self, site: &str) {
-        self.bound.lock().remove(site);
+        self.unbind(site, "lease");
         self.last_seen.lock().remove(site);
+    }
+
+    /// Drop a binding and, with it, every expansion it remembered.
+    fn unbind(&self, site: &str, cause: &'static str) {
+        self.expansion_drops.fetch_add(1, Ordering::AcqRel);
+        let dropped = (self.bound.lock().remove(site)).map_or(0, |b| b.expansions.len());
+        self.note_dropped(site, dropped, cause);
+    }
+
+    /// Forget what `site` expanded to: a query on it just ended with a
+    /// fault or an unreachable instance, so its handles may be gone.
+    pub fn forget_expansions(&self, site: &str, cause: &'static str) {
+        self.expansion_drops.fetch_add(1, Ordering::AcqRel);
+        let dropped = (self.bound.lock().get_mut(site)).map_or(0, |b| {
+            let dropped = b.expansions.len();
+            b.expansions.clear();
+            dropped
+        });
+        self.note_dropped(site, dropped, cause);
+    }
+
+    /// A site container at `authority` published an invalidation: forget
+    /// every expansion naming the instance `url` — or, when events were
+    /// missed (`url` is `None`: a gap or a lost connection), every
+    /// expansion with a target on that container.
+    pub fn forget_expansions_at(&self, authority: &str, url: Option<&str>) {
+        // Counted even when nothing stored is named: an expansion still on
+        // the wire may name the instance, and must not be kept.
+        self.expansion_drops.fetch_add(1, Ordering::AcqRel);
+        let on_container = format!("http://{authority}/");
+        let names = |gsh: &Gsh| match url {
+            Some(url) => gsh.as_str() == url,
+            None => gsh.as_str().starts_with(&on_container),
+        };
+        let mut dropped: Vec<(String, usize)> = Vec::new();
+        for (site, bound) in self.bound.lock().iter_mut() {
+            let before = bound.expansions.len();
+            bound.expansions.retain(|_, exp| {
+                !(exp.targets.iter())
+                    .any(|t| names(&t.primary) || t.hedge.as_ref().is_some_and(&names))
+            });
+            if bound.expansions.len() < before {
+                dropped.push((site.clone(), before - bound.expansions.len()));
+            }
+        }
+        for (site, count) in dropped {
+            self.note_dropped(&site, count, "event");
+        }
+    }
+
+    fn note_dropped(&self, site: &str, expansions: usize, cause: &'static str) {
+        if expansions > 0 {
+            (self.expansion_invalidations).fetch_add(expansions as u64, Ordering::Relaxed);
+            self.drop_cause.lock().insert(site.to_owned(), cause);
+        }
     }
 
     /// The `host:port` of the registry this planner snapshots.
@@ -291,128 +409,161 @@ impl Planner {
         self.registry.url().authority()
     }
 
-    /// Expand one site, retrying once with a fresh Application instance if a
-    /// cached binding has gone stale (site restarted since the last query).
+    /// Plan one site: from its remembered expansion when that is fresh,
+    /// else over the wire — retrying once with a fresh Application instance
+    /// if a cached binding has gone stale (site restarted since the last
+    /// query).
     fn plan_site(
         &self,
-        site: &str,
-        entry: &ServiceEntry,
+        entry: &SiteEntry,
         query: &FederatedQuery,
-    ) -> Result<SitePlan, OgsiError> {
-        match self.expand(site, entry, query, false) {
-            Ok(plan) => Ok(plan),
-            Err(_) if self.was_bound(site) => self.expand(site, entry, query, true),
-            Err(e) => Err(e),
+        expanded: &mut Vec<(String, &'static str)>,
+    ) -> Result<SitePlan, String> {
+        let factory = entry.factory.as_ref().map_err(String::clone)?;
+        let generation = self.generation.load(Ordering::Acquire);
+        let mut cause = "cold";
+        if let Some(bound) = self.bound.lock().get(&entry.site) {
+            match bound.expansions.get(&query.selector) {
+                Some(exp) if exp.generation != generation => cause = "event",
+                Some(exp) if exp.at.elapsed() > self.snapshot_ttl => cause = "ttl",
+                Some(exp) => {
+                    self.expansion_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(site_plan(
+                        entry,
+                        factory,
+                        bound.caps,
+                        Arc::clone(&exp.targets),
+                    ));
+                }
+                None => {}
+            }
         }
+        if let Some(dropped) = self.drop_cause.lock().remove(&entry.site) {
+            cause = dropped;
+        }
+        expanded.push((entry.site.clone(), cause));
+        self.expansion_refreshes.fetch_add(1, Ordering::Relaxed);
+        let was_bound = self.bound.lock().contains_key(&entry.site);
+        let (caps, targets) = match self.expand(entry, factory, query, generation) {
+            Err(_) if was_bound => {
+                self.bound.lock().remove(&entry.site);
+                self.expand(entry, factory, query, generation)
+            }
+            other => other,
+        }
+        .map_err(|e| e.to_string())?;
+        Ok(site_plan(entry, factory, caps, targets))
     }
 
-    fn was_bound(&self, site: &str) -> bool {
-        self.bound.lock().contains_key(site)
-    }
-
+    /// Ask the site's Application (binding it first if need be) what the
+    /// query's selector expands to, and remember the answer.
     fn expand(
         &self,
-        site: &str,
-        entry: &ServiceEntry,
+        entry: &SiteEntry,
+        factory: &Gsh,
         query: &FederatedQuery,
-        rebind: bool,
-    ) -> Result<SitePlan, OgsiError> {
-        if rebind {
-            self.bound.lock().remove(site);
-        }
+        generation: u64,
+    ) -> Result<(Capabilities, Arc<[ExecTarget]>), OgsiError> {
+        let site = entry.site.as_str();
+        let drops = self.expansion_drops.load(Ordering::Acquire);
         // Look up (and drop the lock on) the cached binding before any wire
         // work: createService and capability discovery must not run under it.
-        let cached = self.bound.lock().get(site).map(|bound| {
-            (
-                bound.app.clone(),
-                bound.supports_batch,
-                bound.supports_binary,
-                bound.supports_streaming,
-                bound.supports_batch_stream,
-            )
-        });
-        let (app, supports_batch, supports_binary, supports_streaming, supports_batch_stream) =
-            match cached {
-                Some(cached) => cached,
-                None => {
-                    let factory_gsh = Gsh::parse(entry.factory_url.as_str())?;
-                    let factory = FactoryStub::bind(Arc::clone(&self.client), &factory_gsh);
-                    let instance = factory.create_service(&[])?;
-                    let app = ApplicationStub::bind(Arc::clone(&self.client), &instance);
-                    let manager = self.hedging.then(|| self.discover_manager(&app)).flatten();
-                    // The capability probes are independent service-data reads;
-                    // running them concurrently keeps a fresh bind at one probe
-                    // round-trip however many capabilities exist.
-                    let (supports_batch, binary_probe, supports_streaming, batch_stream_probe) =
-                        std::thread::scope(|scope| {
-                            let batch = scope.spawn(|| self.discover_batch_support(&app));
-                            let binary = scope.spawn(|| self.discover_binary_support(&app));
-                            let streaming = scope.spawn(|| self.discover_streaming_support(&app));
-                            let batch_stream =
-                                scope.spawn(|| self.discover_batch_stream_support(&app));
-                            (
-                                batch.join().unwrap_or(false),
-                                binary.join().unwrap_or(false),
-                                // Streaming rides the per-call path, not the
-                                // batch one, so its probe stands on its own.
-                                streaming.join().unwrap_or(false),
-                                batch_stream.join().unwrap_or(false),
-                            )
-                        });
-                    // Binary is an extension of the batch protocol, so only
-                    // batch-capable sites honor it. A positive answer pre-seeds
-                    // the client's per-peer codec memory: the first multi-call
-                    // to this site opens with a PPGB frame instead of probing
-                    // via an XML `Accept` advertisement.
-                    let supports_binary = supports_batch && binary_probe;
-                    if supports_binary {
-                        self.client.mark_binary(&app.handle().url().authority());
-                    }
-                    // Batch streaming composes the batch envelope with the
-                    // stream framing, so it is only honored where both parents
-                    // are advertised too.
-                    let supports_batch_stream =
-                        supports_batch && supports_streaming && batch_stream_probe;
-                    self.bound.lock().insert(
-                        site.to_owned(),
-                        BoundSite {
-                            app: app.clone(),
-                            manager,
-                            supports_batch,
-                            supports_binary,
-                            supports_streaming,
-                            supports_batch_stream,
-                            hedges: HashMap::new(),
-                        },
-                    );
-                    (
-                        app,
-                        supports_batch,
-                        supports_binary,
-                        supports_streaming,
-                        supports_batch_stream,
-                    )
-                }
-            };
+        let cached = (self.bound.lock().get(site))
+            .map(|bound| (bound.app.clone(), bound.manager.clone(), bound.caps));
+        let (app, manager, caps) = match cached {
+            Some(cached) => cached,
+            None => self.bind(site, factory)?,
+        };
         let primaries = match &query.selector {
             Some((attribute, value)) => app.get_execs(attribute, value)?,
             None => app.get_all_execs()?,
         };
-        let hedges = self.hedges_for(site, &primaries);
-        let targets = primaries
+        // One wire call learns every hedge; a failure (or a site without a
+        // Manager) leaves the targets unhedged — hedging is best-effort.
+        let hedges = (manager.filter(|_| !primaries.is_empty()))
+            .and_then(|manager| manager.get_hedges(&primaries).ok())
+            .unwrap_or_else(|| vec![None; primaries.len()]);
+        let targets: Arc<[ExecTarget]> = primaries
             .into_iter()
             .zip(hedges)
             .map(|(primary, hedge)| ExecTarget { primary, hedge })
             .collect();
-        Ok(SitePlan {
-            site: site.to_owned(),
-            factory: Gsh::parse(entry.factory_url.as_str())?,
-            targets,
-            supports_batch,
-            supports_binary,
-            supports_streaming,
-            supports_batch_stream,
-        })
+        if self.snapshot_ttl > Duration::ZERO
+            && self.expansion_drops.load(Ordering::Acquire) == drops
+        {
+            if let Some(bound) = self.bound.lock().get_mut(site) {
+                let known = &mut bound.expansions;
+                if known.len() >= MAX_EXPANSIONS_PER_SITE && !known.contains_key(&query.selector) {
+                    let oldest = known.iter().min_by_key(|(_, exp)| exp.at);
+                    if let Some(oldest) = oldest.map(|(selector, _)| selector.clone()) {
+                        known.remove(&oldest);
+                    }
+                }
+                known.insert(
+                    query.selector.clone(),
+                    Expansion {
+                        targets: Arc::clone(&targets),
+                        at: Instant::now(),
+                        generation,
+                    },
+                );
+            }
+        }
+        Ok((caps, targets))
+    }
+
+    /// Create and remember the site's Application instance, discovering its
+    /// Manager and capabilities once.
+    fn bind(
+        &self,
+        site: &str,
+        factory: &Gsh,
+    ) -> Result<(ApplicationStub, Option<ManagerStub>, Capabilities), OgsiError> {
+        let instance = FactoryStub::bind(Arc::clone(&self.client), factory).create_service(&[])?;
+        let app = ApplicationStub::bind(Arc::clone(&self.client), &instance);
+        let manager = self.hedging.then(|| self.discover_manager(&app)).flatten();
+        // The capability probes are independent service-data reads; running
+        // them concurrently keeps a fresh bind at one probe round-trip
+        // however many capabilities exist.
+        let [batch, binary, streaming, batch_stream] = std::thread::scope(|scope| {
+            [
+                "supportsBatch",
+                "supportsBinary",
+                "supportsStreaming",
+                "supportsBatchStream",
+            ]
+            .map(|name| scope.spawn(|| self.advertises(&app, name)))
+            .map(|probe| probe.join().unwrap_or(false))
+        });
+        let caps = Capabilities {
+            batch,
+            // Binary is an extension of the batch protocol, so only
+            // batch-capable sites honor it.
+            binary: batch && binary,
+            // Streaming rides the per-call path, not the batch one, so its
+            // probe stands on its own.
+            streaming,
+            // Batch streaming composes the batch envelope with the stream
+            // framing, so it is only honored where both parents are
+            // advertised too.
+            batch_stream: batch && streaming && batch_stream,
+        };
+        if caps.binary {
+            // Pre-seed the client's per-peer codec memory: the first
+            // multi-call to this site opens with a PPGB frame instead of
+            // probing via an XML `Accept` advertisement.
+            self.client.mark_binary(&app.handle().url().authority());
+        }
+        self.bound.lock().insert(
+            site.to_owned(),
+            BoundSite {
+                app: app.clone(),
+                manager: manager.clone(),
+                caps,
+                expansions: HashMap::new(),
+            },
+        );
+        Ok((app, manager, caps))
     }
 
     /// The site's Manager handle, advertised as `managerGsh` service data on
@@ -425,98 +576,16 @@ impl Planner {
         Some(ManagerStub::bind(Arc::clone(&self.client), &gsh))
     }
 
-    /// Whether the site advertises the batched wire protocol. Best-effort
-    /// and negotiated once per binding: absent/false/unreadable all mean
-    /// per-call getPR, so pre-batch sites keep working untouched.
-    fn discover_batch_support(&self, app: &ApplicationStub) -> bool {
+    /// Whether the site advertises a wire capability as boolean service
+    /// data. Best-effort and negotiated once per binding: absent, false, or
+    /// unreadable all mean "no", so sites predating the capability keep
+    /// working untouched on the older wire.
+    fn advertises(&self, app: &ApplicationStub, capability: &str) -> bool {
         let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBatch")
+        gs.find_service_data(capability)
             .ok()
             .and_then(|v| v.as_bool())
             .unwrap_or(false)
-    }
-
-    /// Whether the site advertises the PPGB binary codec. Same best-effort
-    /// rules as [`Planner::discover_batch_support`]: absent, false, or
-    /// unreadable all mean XML.
-    fn discover_binary_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBinary")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Whether the site advertises incremental result streams. Same
-    /// best-effort rules: absent, false, or unreadable all mean buffered
-    /// getPR answers, so pre-streaming sites keep working untouched.
-    fn discover_streaming_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsStreaming")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Whether the site advertises the interleaved batch-stream wire. Same
-    /// best-effort rules: absent, false, or unreadable all mean the batch
-    /// falls back to the buffered (PR 4) envelope.
-    fn discover_batch_stream_support(&self, app: &ApplicationStub) -> bool {
-        let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data("supportsBatchStream")
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
-    }
-
-    /// Hedge handles aligned with `primaries`, consulting the site's Manager
-    /// only for primaries not already learned.
-    fn hedges_for(&self, site: &str, primaries: &[Gsh]) -> Vec<Option<Gsh>> {
-        if !self.hedging || primaries.is_empty() {
-            return vec![None; primaries.len()];
-        }
-        let (manager, mut known) = {
-            let bound = self.bound.lock();
-            let Some(bound_site) = bound.get(site) else {
-                return vec![None; primaries.len()];
-            };
-            let Some(manager) = bound_site.manager.clone() else {
-                return vec![None; primaries.len()];
-            };
-            let known: Vec<Option<Option<Gsh>>> = primaries
-                .iter()
-                .map(|p| bound_site.hedges.get(p.as_str()).cloned())
-                .collect();
-            (manager, known)
-        };
-        let unknown: Vec<Gsh> = primaries
-            .iter()
-            .zip(&known)
-            .filter(|(_, k)| k.is_none())
-            .map(|(p, _)| p.clone())
-            .collect();
-        if !unknown.is_empty() {
-            // One wire call learns every missing hedge; failure leaves them
-            // unhedged (best-effort).
-            let learned = manager
-                .get_hedges(&unknown)
-                .unwrap_or_else(|_| vec![None; unknown.len()]);
-            let mut bound = self.bound.lock();
-            if let Some(bound_site) = bound.get_mut(site) {
-                for (primary, hedge) in unknown.iter().zip(&learned) {
-                    bound_site
-                        .hedges
-                        .insert(primary.as_str().to_owned(), hedge.clone());
-                }
-            }
-            let mut learned_iter = learned.into_iter();
-            for slot in known.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(learned_iter.next().unwrap_or(None));
-                }
-            }
-        }
-        known.into_iter().map(|k| k.flatten()).collect()
     }
 
     /// Drop every cached Application binding (e.g. between test phases).
@@ -527,5 +596,22 @@ impl Planner {
     /// Number of sites with a live cached Application binding.
     pub fn bound_sites(&self) -> usize {
         self.bound.lock().len()
+    }
+}
+
+fn site_plan(
+    entry: &SiteEntry,
+    factory: &Gsh,
+    caps: Capabilities,
+    targets: Arc<[ExecTarget]>,
+) -> SitePlan {
+    SitePlan {
+        site: entry.site.clone(),
+        factory: factory.clone(),
+        targets,
+        supports_batch: caps.batch,
+        supports_binary: caps.binary,
+        supports_streaming: caps.streaming,
+        supports_batch_stream: caps.batch_stream,
     }
 }

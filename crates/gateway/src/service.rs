@@ -196,6 +196,18 @@ impl ServicePort for FederatedQueryService {
                 "planSnapshotRefreshes",
                 Value::Int(snapshot.plan_snapshot_refreshes as i64),
             )
+            .with(
+                "planExpansionHits",
+                Value::Int(snapshot.plan_expansion_hits as i64),
+            )
+            .with(
+                "planExpansionRefreshes",
+                Value::Int(snapshot.plan_expansion_refreshes as i64),
+            )
+            .with(
+                "planExpansionInvalidations",
+                Value::Int(snapshot.plan_expansion_invalidations as i64),
+            )
             .with("perSiteLatency", Value::StrArray(per_site))
     }
 }

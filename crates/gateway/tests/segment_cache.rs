@@ -10,7 +10,7 @@ use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, ExecutionWrapper, PrQuery, Site, SiteConfig, WrapperError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn start_container() -> Arc<Container> {
@@ -81,18 +81,58 @@ impl Drop for TempDirGuard {
     }
 }
 
+/// Holds a `get_pr` inside the data layer until the test lets it go, so an
+/// interleaving is forced rather than slept for.
+#[derive(Default)]
+struct Gate {
+    /// `(armed, a call is waiting)`.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn arm(&self) {
+        self.state.lock().unwrap().0 = true;
+    }
+
+    /// Called by the data layer: blocks while the gate is armed.
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.0 {
+            state.1 = true;
+            self.changed.notify_all();
+            state = self.changed.wait(state).unwrap();
+        }
+        state.1 = false;
+    }
+
+    fn wait_for_a_caller(&self) {
+        let mut state = self.state.lock().unwrap();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().0 = false;
+        self.changed.notify_all();
+    }
+}
+
 /// Wraps the scripted store, counting data-layer `get_pr` arrivals and
 /// recording each query's `(start, end)` window.
 struct RecordingWrapper {
     inner: MemApplicationWrapper,
     get_pr_calls: Arc<AtomicUsize>,
     windows: Arc<Mutex<Vec<(String, String)>>>,
+    gate: Arc<Gate>,
 }
 
 struct RecordingExec {
     inner: Arc<dyn ExecutionWrapper>,
     get_pr_calls: Arc<AtomicUsize>,
     windows: Arc<Mutex<Vec<(String, String)>>>,
+    gate: Arc<Gate>,
 }
 
 impl ApplicationWrapper for RecordingWrapper {
@@ -116,6 +156,7 @@ impl ApplicationWrapper for RecordingWrapper {
             inner: self.inner.execution(exec_id)?,
             get_pr_calls: Arc::clone(&self.get_pr_calls),
             windows: Arc::clone(&self.windows),
+            gate: Arc::clone(&self.gate),
         }))
     }
 }
@@ -142,6 +183,7 @@ impl ExecutionWrapper for RecordingExec {
             .lock()
             .unwrap()
             .push((query.start.clone(), query.end.clone()));
+        self.gate.pass();
         self.inner.get_pr(query)
     }
 }
@@ -205,6 +247,7 @@ fn partial_overlap_fetches_only_the_missing_subrange() {
         inner: spanned_wrapper(1, None),
         get_pr_calls: Arc::clone(&get_pr_calls),
         windows: Arc::clone(&windows),
+        gate: Arc::default(),
     });
     // The site's own PR cache stays off so the recorded windows are exactly
     // what the gateway asked for.
@@ -298,6 +341,7 @@ fn warm_restart_answers_first_overlapping_query_from_disk() {
         inner: spanned_wrapper(2, None),
         get_pr_calls: Arc::clone(&get_pr_calls),
         windows: Arc::new(Mutex::new(Vec::new())),
+        gate: Arc::default(),
     });
     let site = Site::deploy(
         &container,
@@ -452,4 +496,74 @@ fn concurrent_queries_and_invalidations_stay_consistent() {
     let narrow = gateway.query(&query_over("3", "6"));
     assert_eq!(narrow.upstream_calls, 0);
     assert_eq!(narrow.total_rows(), rows_in(2, 3, 6));
+}
+
+/// The stale re-insert race, forced: a read misses and is held inside the
+/// site's data layer; the instance's `cache.invalidate` arrives and is
+/// handled; only then does the read's fetch return. Its rows predate the
+/// invalidation, so they are served to that reader and never stored — the
+/// next read goes back to the site.
+#[test]
+fn fetch_that_lost_a_race_with_invalidation_is_not_stored() {
+    let client = Arc::new(HttpClient::new());
+    let c_reg = start_container();
+    let c_site = start_container();
+    let registry = registry_on(&c_reg);
+    let gate = Arc::new(Gate::default());
+    let app: Arc<dyn ApplicationWrapper> = Arc::new(RecordingWrapper {
+        inner: spanned_wrapper(1, None),
+        get_pr_calls: Arc::new(AtomicUsize::new(0)),
+        windows: Arc::new(Mutex::new(Vec::new())),
+        gate: Arc::clone(&gate),
+    });
+    let config = SiteConfig::new("mem").with_cache(false);
+    let site = Site::deploy(&c_site, Arc::clone(&client), app, &config).unwrap();
+    publish(&client, &registry, "MEM", &site);
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        GatewayConfig::default().with_call_timeout(Duration::from_secs(10)),
+    );
+
+    // Bind, subscribe, and learn the instance's path.
+    let first = gateway.query(&query_over("0", "2"));
+    assert!(first.errors.is_empty(), "{:?}", first.errors);
+    let instance = first.rows[0].execution.path();
+    let connected = std::time::Instant::now();
+    while gateway.notify_subscriptions() < 2 {
+        assert!(
+            connected.elapsed() < Duration::from_secs(5),
+            "no push subscription"
+        );
+        std::thread::yield_now();
+    }
+
+    gate.arm();
+    let racing = std::thread::scope(|scope| {
+        let read = scope.spawn(|| gateway.query(&query_over("5", "8")));
+        gate.wait_for_a_caller();
+        let handled = gateway.snapshot().notify_events;
+        let source = c_site.notification_source().expect("notifying container");
+        assert!(source.publish("cache.invalidate", &instance) > 0);
+        while gateway.snapshot().notify_events == handled {
+            std::thread::yield_now();
+        }
+        gate.release();
+        read.join().unwrap()
+    });
+    assert!(racing.errors.is_empty(), "{:?}", racing.errors);
+    assert_eq!(
+        racing.total_rows(),
+        rows_in(1, 5, 8),
+        "the reader is still served"
+    );
+
+    let after = gateway.query(&query_over("5", "8"));
+    assert!(after.errors.is_empty(), "{:?}", after.errors);
+    assert_eq!(
+        (after.upstream_calls, after.rows[0].from_cache),
+        (1, false),
+        "rows fetched before the invalidation must not answer reads after it"
+    );
+    assert_eq!(after.total_rows(), rows_in(1, 5, 8));
 }

@@ -53,9 +53,11 @@ echo "==> push notification plane: PPG_FORCE_XML=1 pass (XML event codec stays g
 PPG_FORCE_XML=1 cargo test -q -p ppg-notify
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test notify
 
-echo "==> semantic segment cache suite (range subsumption, stress, spill)"
-cargo test -q -p pperf-gateway cache
+echo "==> semantic segment cache suite (range subsumption, stress, spill, allocation budget of a hit)"
 cargo test -q -p pperf-gateway --test segment_cache
+cargo test -q -p pperf-gateway --test alloc_budget
+echo "==> substrate microbenches (segment_cache group: lookup ns per returned row, merge-insert ns per row)"
+cargo bench -q -p pperf-bench --bench substrates
 echo "==> semantic segment cache: PPG_FORCE_XML=1 pass (spill is codec-negotiation independent)"
 PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test segment_cache
 
