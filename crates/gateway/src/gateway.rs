@@ -489,6 +489,11 @@ pub struct GatewaySnapshot {
     /// Remembered expansions dropped ahead of their TTL (site invalidation
     /// event, site error, lease).
     pub plan_expansion_invalidations: u64,
+    /// TCP connections the gateway's HTTP client has opened (lifetime; a
+    /// client shared with other components counts theirs too). Flat across
+    /// queries means every exchange, streamed ones included, rode a pooled
+    /// keep-alive connection.
+    pub http_connections_opened: u64,
     /// Per-site latency/error accounting, sorted by site label.
     pub per_site: Vec<(String, SiteLatency)>,
 }
@@ -970,6 +975,7 @@ impl FederatedGateway {
             plan_expansion_hits,
             plan_expansion_refreshes,
             plan_expansion_invalidations,
+            http_connections_opened: inner.client.connections_opened(),
             per_site,
         }
     }

@@ -208,6 +208,10 @@ impl ServicePort for FederatedQueryService {
                 "planExpansionInvalidations",
                 Value::Int(snapshot.plan_expansion_invalidations as i64),
             )
+            .with(
+                "httpConnectionsOpened",
+                Value::Int(snapshot.http_connections_opened as i64),
+            )
             .with("perSiteLatency", Value::StrArray(per_site))
     }
 }

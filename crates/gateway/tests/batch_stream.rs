@@ -3,15 +3,20 @@
 //! costs exactly the unsealed entry (sealed siblings keep their rows), a
 //! consumer hangup abandons the whole batch at a frame boundary, and a
 //! stale `supportsBatchStream` advertisement downgrades to the buffered
-//! multi-call once and is then remembered.
+//! multi-call once and is then remembered. A cleanly ended batch stream
+//! leaves its connection pooled, and a container on one CPU answers a batch
+//! with one producer, entry by entry in request order.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
-use pperf_httpd::HttpClient;
+use pperf_httpd::{HttpClient, Request};
 use pperf_ogsi::{
     BatchStreamEntryOutcome, Container, ContainerConfig, FactoryStub, Gsh, RegistryService,
     RegistryStub, ServiceStub,
 };
-use pperf_soap::BatchEntry;
+use pperf_soap::{
+    encode_binary_batch_call, BatchEntry, BatchStreamEvent, BatchStreamReader, BINARY_CONTENT_TYPE,
+    STREAM_CONTENT_TYPE,
+};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{
     ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig, EXECUTION_NS,
@@ -33,6 +38,16 @@ fn registry_on(container: &Container) -> Gsh {
 }
 
 fn mem_wrapper(execs: usize, rows_per_exec: usize) -> MemApplicationWrapper {
+    delayed_wrapper(execs, rows_per_exec, None)
+}
+
+/// Like [`mem_wrapper`], with every scan taking `delay` — so entries that
+/// run on parallel producers seal out of request order.
+fn delayed_wrapper(
+    execs: usize,
+    rows_per_exec: usize,
+    delay: Option<Duration>,
+) -> MemApplicationWrapper {
     let app = MemApplicationWrapper::new(vec![("name", "MemApp")]);
     for i in 0..execs {
         let mut exec = MemExecution {
@@ -41,6 +56,7 @@ fn mem_wrapper(execs: usize, rows_per_exec: usize) -> MemApplicationWrapper {
             metrics: vec!["gflops".into()],
             types: vec!["MEM".into()],
             time: ("0".into(), "10".into()),
+            query_delay: delay,
             ..Default::default()
         };
         exec.results.insert(
@@ -402,4 +418,185 @@ fn stale_batch_stream_advertisement_falls_back_and_is_remembered() {
         0,
         "the dead route never counted a stream"
     );
+}
+
+/// Fifty sequential federated queries against one batch-stream site
+/// (registry on the same container, caches off, so every query streams a
+/// batch) open no connection beyond those the first query's bind opened:
+/// each stream ends with its terminator and its socket goes back to the
+/// pool for the next exchange. (The bind reads four capabilities
+/// concurrently, so it may open up to four; the pool keeps them all.)
+#[test]
+fn sequential_batch_stream_queries_reuse_pooled_connections() {
+    let setup = Arc::new(HttpClient::new());
+    let container = start_container(ContainerConfig::default());
+    let registry = registry_on(&container);
+    let site = Site::deploy(
+        &container,
+        Arc::clone(&setup),
+        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
+        &SiteConfig::new("pooled"),
+    )
+    .unwrap();
+    publish(&setup, &registry, "POOLED", &site);
+
+    let client = Arc::new(HttpClient::new());
+    let gateway = FederatedGateway::new(Arc::clone(&client), registry, batch_config());
+    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
+    let bind = gateway.query(&query);
+    assert!(bind.errors.is_empty(), "{:?}", bind.errors);
+    let bound = gateway.snapshot().http_connections_opened;
+    assert!((1..=4).contains(&bound), "bind opened {bound}");
+    for _ in 0..50 {
+        let result = gateway.query(&query);
+        assert!(result.errors.is_empty(), "{:?}", result.errors);
+        assert_eq!(result.total_rows(), 6);
+    }
+    let snapshot = gateway.snapshot();
+    assert_eq!(snapshot.batch_streams, 51, "every query streamed its batch");
+    assert_eq!(snapshot.batch_stream_fallback_calls, 0);
+    assert_eq!(
+        snapshot.http_connections_opened, bound,
+        "pooled connections carried every later exchange"
+    );
+    assert_eq!(client.connections_opened(), bound);
+}
+
+/// Deploy `app` as a site on `container` and bind one `getPR` batch entry
+/// per Execution instance, the way the gateway's planner would.
+fn bound_entries(
+    container: &Container,
+    client: &Arc<HttpClient>,
+    app: MemApplicationWrapper,
+) -> Vec<BatchEntry> {
+    let site = Site::deploy(
+        container,
+        Arc::clone(client),
+        Arc::new(app) as Arc<dyn ApplicationWrapper>,
+        &SiteConfig::new("wide"),
+    )
+    .unwrap();
+    let factory = FactoryStub::bind(Arc::clone(client), &site.app_factory);
+    let app = ApplicationStub::bind(Arc::clone(client), &factory.create_service(&[]).unwrap());
+    let query = PrQuery {
+        metric: "gflops".into(),
+        foci: vec!["/Execution".into()],
+        start: String::new(),
+        end: String::new(),
+        rtype: String::new(),
+    };
+    (app.get_all_execs().unwrap().iter())
+        .map(|gsh| {
+            BatchEntry::new(
+                gsh.url().path,
+                "getPR",
+                EXECUTION_NS,
+                &ExecutionStub::pr_params(&query),
+            )
+        })
+        .collect()
+}
+
+/// Send `entries` to `container`'s `/ogsa/batch-stream` and read the raw
+/// interleaved sections: the order entries sealed in (each seal verified
+/// its row count and checksum) and each entry's rows.
+fn stream_batch(
+    container: &Container,
+    client: &HttpClient,
+    entries: &[BatchEntry],
+) -> (Vec<u32>, Vec<Vec<String>>) {
+    let url =
+        pperf_httpd::Url::parse(&format!("{}/ogsa/batch-stream", container.base_url())).unwrap();
+    let frame = encode_binary_batch_call(entries, None);
+    let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
+    request.headers.set("Accept", STREAM_CONTENT_TYPE);
+    let mut stream = client.send_streaming(&url, &request, None).unwrap();
+    assert!(stream.is_chunked());
+    let mut reader = BatchStreamReader::new();
+    let mut sealed = Vec::new();
+    let mut rows = vec![Vec::new(); entries.len()];
+    let mut buf = [0u8; 8192];
+    loop {
+        while let Some(event) = reader.next_event().unwrap() {
+            match event {
+                BatchStreamEvent::EntryRows { entry, rows: got } => {
+                    rows[entry as usize].extend(got);
+                }
+                BatchStreamEvent::EntryEnd { entry, rows: count } => {
+                    assert_eq!(count as usize, rows[entry as usize].len());
+                    sealed.push(entry);
+                }
+                BatchStreamEvent::EntryFault { entry, fault } => {
+                    panic!("entry {entry} faulted: {fault:?}")
+                }
+                BatchStreamEvent::Begin { .. } | BatchStreamEvent::EntryOpen { .. } => {}
+            }
+        }
+        match stream.read_data(&mut buf).unwrap() {
+            0 => break,
+            n => reader.feed(&buf[..n]),
+        }
+    }
+    assert!(reader.finished(), "every declared entry sealed");
+    (sealed, rows)
+}
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// Confine the calling thread (and threads it starts afterwards) to the
+/// first CPU it may run on. Returns whether the kernel agreed.
+fn pin_to_one_cpu() -> bool {
+    // A Linux `cpu_set_t`: 1 024 CPUs in 16 words.
+    let mut mask = [0u64; 16];
+    let bytes = std::mem::size_of_val(&mask);
+    // SAFETY: `mask` is a writable buffer of exactly `bytes` bytes; pid 0
+    // names the calling thread.
+    if unsafe { sched_getaffinity(0, bytes, mask.as_mut_ptr()) } != 0 {
+        return false;
+    }
+    let Some(word) = mask.iter().position(|w| *w != 0) else {
+        return false;
+    };
+    let mut one = [0u64; 16];
+    one[word] = 1 << mask[word].trailing_zeros();
+    // SAFETY: `one` is a readable buffer of exactly `bytes` bytes naming a
+    // CPU the thread was already allowed on.
+    unsafe { sched_setaffinity(0, bytes, one.as_ptr()) == 0 }
+}
+
+/// A container started on a thread pinned to one CPU sizes its batch
+/// producers to that CPU: a 16-entry batch stream is answered by one
+/// producer, so entries seal strictly in request order (each scan takes
+/// 10 ms, so two producers would seal them interleaved). The same batch
+/// answered by an unpinned container (however many producers it runs)
+/// carries identical rows per entry.
+#[test]
+fn one_cpu_container_streams_a_batch_with_one_producer() {
+    let pinned = std::thread::spawn(|| {
+        assert!(pin_to_one_cpu(), "sched_setaffinity refused");
+        start_container(ContainerConfig::default())
+    })
+    .join()
+    .unwrap();
+    let unpinned = start_container(ContainerConfig::default());
+    let client = Arc::new(HttpClient::new());
+    let app = || delayed_wrapper(16, 3, Some(Duration::from_millis(10)));
+    let pinned_entries = bound_entries(&pinned, &client, app());
+    let unpinned_entries = bound_entries(&unpinned, &client, app());
+    assert_eq!(pinned_entries.len(), 16);
+
+    let (order, pinned_rows) = stream_batch(&pinned, &client, &pinned_entries);
+    assert_eq!(
+        order,
+        (0..16).collect::<Vec<u32>>(),
+        "one producer, in order"
+    );
+    let (mut other_order, unpinned_rows) = stream_batch(&unpinned, &client, &unpinned_entries);
+    other_order.sort_unstable();
+    assert_eq!(other_order, order, "every entry sealed once");
+    assert_eq!(pinned_rows, unpinned_rows);
+    assert!(pinned_rows.iter().all(|rows| rows.len() == 3));
 }

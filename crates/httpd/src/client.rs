@@ -215,6 +215,8 @@ pub struct HttpClient {
     bytes_sent: AtomicU64,
     /// Response payload bytes received (bodies only).
     bytes_received: AtomicU64,
+    /// TCP connections this client opened (pooled reuse opens none).
+    connections_opened: AtomicU64,
 }
 
 impl Default for HttpClient {
@@ -238,6 +240,7 @@ impl HttpClient {
             binary_peers: Mutex::new(HashSet::new()),
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
+            connections_opened: AtomicU64::new(0),
         }
     }
 
@@ -271,6 +274,13 @@ impl HttpClient {
             self.bytes_sent.load(Ordering::Relaxed),
             self.bytes_received.load(Ordering::Relaxed),
         )
+    }
+
+    /// TCP connections opened over this client's lifetime. A request that
+    /// reuses a pooled keep-alive connection (buffered or streamed) opens
+    /// none, so this answers "did that exchange reconnect".
+    pub fn connections_opened(&self) -> u64 {
+        self.connections_opened.load(Ordering::Relaxed)
     }
 
     /// POST `body` to `url`.
@@ -352,13 +362,7 @@ impl HttpClient {
                 }
             }
         }
-        let connect_timeout = match deadline {
-            Some(d) => self
-                .connect_timeout
-                .min(d.saturating_duration_since(Instant::now())),
-            None => self.connect_timeout,
-        };
-        let mut conn = PooledConn::connect(&authority, connect_timeout)?;
+        let mut conn = self.open(&authority, deadline)?;
         match conn.exchange_with_deadline(request, &authority, deadline, self.max_body_bytes) {
             Ok(resp) => {
                 self.count_payload(request, &resp);
@@ -420,13 +424,7 @@ impl HttpClient {
                 }
             }
         }
-        let connect_timeout = match deadline {
-            Some(d) => self
-                .connect_timeout
-                .min(d.saturating_duration_since(Instant::now())),
-            None => self.connect_timeout,
-        };
-        let conn = PooledConn::connect(&authority, connect_timeout)?;
+        let conn = self.open(&authority, deadline)?;
         match self.start_stream(conn, request, &authority, deadline) {
             Ok(streaming) => Ok(streaming),
             Err(ExchangeError {
@@ -482,6 +480,20 @@ impl HttpClient {
             .fetch_add(request.body.len() as u64, Ordering::Relaxed);
         self.bytes_received
             .fetch_add(response.body.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Open a fresh connection to `authority`, within what is left of
+    /// `deadline` when one is set, and count it.
+    fn open(&self, authority: &str, deadline: Option<Instant>) -> Result<PooledConn> {
+        let timeout = match deadline {
+            Some(d) => self
+                .connect_timeout
+                .min(d.saturating_duration_since(Instant::now())),
+            None => self.connect_timeout,
+        };
+        let conn = PooledConn::connect(authority, timeout)?;
+        self.connections_opened.fetch_add(1, Ordering::Relaxed);
+        Ok(conn)
     }
 
     fn checkout(&self, authority: &str) -> Option<PooledConn> {
@@ -609,15 +621,12 @@ impl StreamingResponse<'_> {
                     }
                     return Ok(n);
                 }
-                let size = read_chunk_size(&mut conn.reader)?;
+                let mut line = [0u8; MAX_CHUNK_LINE];
+                let size = read_chunk_size(&mut conn.reader, &mut line)?;
                 if size == 0 {
                     // Trailer section: lines until the blank terminator.
-                    loop {
-                        let line = read_chunk_line(&mut conn.reader)?;
-                        if line.is_empty() {
-                            return Ok(0);
-                        }
-                    }
+                    while !read_chunk_line(&mut conn.reader, &mut line)?.is_empty() {}
+                    return Ok(0);
                 }
                 *remaining = size;
             },
@@ -651,17 +660,12 @@ impl StreamingResponse<'_> {
         Ok(response)
     }
 
-    /// Body complete: clear the borrowed socket's read timeout and give the
-    /// connection back to the pool. Chunked (streamed) responses are the
-    /// exception: the server closes the connection after the terminator
-    /// chunk, so pooling one would hand the next request a socket about to
-    /// reset under it — it is dropped instead.
+    /// Body complete — for a chunked body, the terminator chunk and trailer
+    /// arrived: clear the borrowed socket's read timeout and give the
+    /// connection back to the pool, where the next request reuses it.
     fn finish(&mut self) {
         self.finished = true;
         if let Some(conn) = self.conn.take() {
-            if matches!(self.state, BodyState::Chunked { .. }) {
-                return;
-            }
             let _ = conn.stream.set_read_timeout(None);
             self.client.checkin(&self.authority, conn);
         }
@@ -712,35 +716,53 @@ fn read_some(reader: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
     }
 }
 
-/// Read one CRLF-terminated line of the chunked framing, without the CRLF.
-fn read_chunk_line(reader: &mut impl BufRead) -> Result<String> {
-    let mut line = String::new();
+/// Read one LF-terminated line of the chunked framing into `line`, and
+/// return it without its line ending. Copies straight out of the reader's
+/// buffer: nothing is allocated per chunk.
+fn read_chunk_line<'l>(
+    reader: &mut impl BufRead,
+    line: &'l mut [u8; MAX_CHUNK_LINE],
+) -> Result<&'l [u8]> {
+    let mut len = 0;
     loop {
-        let before = line.len();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Err(HttpError::ConnectionClosed),
-            Ok(_) => {}
+        let available = match reader.fill_buf() {
+            Ok([]) => return Err(HttpError::ConnectionClosed),
+            Ok(available) => available,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(HttpError::Io(e)),
-        }
-        if line.ends_with('\n') {
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            return Ok(line);
-        }
-        if line.len() == before || line.len() > MAX_CHUNK_LINE {
+        };
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(available.len(), |at| at + 1);
+        if len + take > MAX_CHUNK_LINE {
             return Err(HttpError::Malformed("oversized chunk-size line".into()));
+        }
+        line[len..len + take].copy_from_slice(&available[..take]);
+        len += take;
+        reader.consume(take);
+        if newline.is_some() {
+            let mut end = len;
+            while end > 0 && matches!(line[end - 1], b'\n' | b'\r') {
+                end -= 1;
+            }
+            return Ok(&line[..end]);
         }
     }
 }
 
-/// Parse the next chunk-size line (hex, optional `;extensions`).
-fn read_chunk_size(reader: &mut impl BufRead) -> Result<usize> {
-    let line = read_chunk_line(reader)?;
-    let digits = line.split(';').next().unwrap_or("").trim();
-    usize::from_str_radix(digits, 16)
-        .map_err(|_| HttpError::Malformed(format!("bad chunk size {line:?}")))
+/// Parse the next chunk-size line (hex, optional `;extensions`), using
+/// `line` as the read buffer.
+fn read_chunk_size(reader: &mut impl BufRead, line: &mut [u8; MAX_CHUNK_LINE]) -> Result<usize> {
+    let line = read_chunk_line(reader, line)?;
+    let digits = line.split(|&b| b == b';').next().unwrap_or_default();
+    std::str::from_utf8(digits)
+        .ok()
+        .and_then(|digits| usize::from_str_radix(digits.trim(), 16).ok())
+        .ok_or_else(|| {
+            HttpError::Malformed(format!(
+                "bad chunk size {:?}",
+                String::from_utf8_lossy(line)
+            ))
+        })
 }
 
 /// Consume the CRLF that terminates a chunk's payload.
@@ -816,13 +838,19 @@ mod tests {
         // Park several pooled connections, kill the server, and verify ONE
         // stale hit empties the whole per-authority pool (no per-request
         // failed-exchange tax on the rest).
-        let handler = Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone()));
+        // The handler holds each request until all three are in flight, so
+        // no exchange can finish and lend its connection to another.
+        let all_in = Arc::new(std::sync::Barrier::new(3));
+        let handler = Arc::new(move |req: &Request| {
+            all_in.wait();
+            Response::ok("text/plain", req.body.clone())
+        });
         let mut server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
         let addr = server.addr();
         let authority = format!("{addr}");
         let client = HttpClient::new();
         let url = format!("http://{addr}/x");
-        // Three interleaved in-flight requests leave three pooled conns.
+        // Three concurrently in-flight requests leave three pooled conns.
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 let client = &client;
@@ -877,28 +905,54 @@ mod tests {
         client.forget_binary("never-seen:9");
     }
 
-    #[test]
-    fn streaming_receive_dechunks_without_repooling() {
-        // A handler that streams three chunks then closes; the client must
-        // see the dechunked bytes in order and must NOT repool the
-        // connection — the server closes streamed connections after the
-        // terminator chunk, so a repooled one would reset under the next
-        // request.
-        let handler = Arc::new(|_: &Request| {
+    /// A server whose `/stream` path streams `parts` then closes the writer
+    /// (or, with `abort`, drops it unclosed) and whose other paths echo the
+    /// request path buffered.
+    fn parts_server(parts: &'static [&'static str], abort: bool) -> HttpServer {
+        let handler = Arc::new(move |req: &Request| {
+            if req.path != "/stream" {
+                return Response::ok("text/plain", req.path.clone().into_bytes());
+            }
             let (resp, writer) = Response::stream_windowed("application/x-ppg-stream", 0);
             std::thread::spawn(move || {
-                for part in ["alpha-", "beta-", "gamma"] {
+                for part in parts {
                     writer.send(part.as_bytes().to_vec());
                 }
-                writer.close();
+                if !abort {
+                    writer.close();
+                }
             });
             resp
         });
-        let server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
-        let authority = format!("{}", server.addr());
-        let client = HttpClient::new();
+        HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap()
+    }
+
+    /// Read a streamed body to its end through `buf`-sized reads.
+    fn drain_stream(streaming: &mut StreamingResponse<'_>, buf: &mut [u8]) -> Result<Vec<u8>> {
+        let mut got = Vec::new();
+        loop {
+            match streaming.read_data(buf)? {
+                0 => return Ok(got),
+                n => got.extend_from_slice(&buf[..n]),
+            }
+        }
+    }
+
+    fn stream_request(authority: &str) -> (Url, Request) {
         let url = Url::parse(&format!("http://{authority}/stream")).unwrap();
         let request = Request::post(url.path.clone(), "text/plain", Vec::new());
+        (url, request)
+    }
+
+    #[test]
+    fn streaming_receive_dechunks_and_repools() {
+        // Three chunks then a clean close: the client sees the dechunked
+        // bytes in order, and once the terminator is read the connection
+        // goes back to the pool and carries the next request.
+        let server = parts_server(&["alpha-", "beta-", "gamma"], false);
+        let authority = format!("{}", server.addr());
+        let client = HttpClient::new();
+        let (url, request) = stream_request(&authority);
         let mut streaming = client.send_streaming(&url, &request, None).unwrap();
         assert_eq!(streaming.status, Status::OK);
         assert!(streaming.is_chunked());
@@ -907,27 +961,81 @@ mod tests {
             Some("application/x-ppg-stream"),
             "stream head carries the negotiated content type"
         );
-        let mut got = Vec::new();
-        let mut buf = [0u8; 7]; // deliberately smaller than the chunks
-        loop {
-            let n = streaming.read_data(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&buf[..n]);
-        }
+        // Deliberately smaller than the chunks.
+        let got = drain_stream(&mut streaming, &mut [0u8; 7]).unwrap();
         assert_eq!(got, b"alpha-beta-gamma");
         assert_eq!(streaming.bytes_read(), got.len() as u64);
         drop(streaming);
         assert_eq!(
             client.pooled(&authority),
-            0,
-            "a drained stream's connection is closed, never pooled"
+            1,
+            "a cleanly terminated stream's connection is pooled"
         );
-        // The next request simply opens a fresh connection.
-        assert!(client.get(&format!("http://{authority}/again")).is_ok());
+        // The next request rides the same socket.
+        let again = client.get(&format!("http://{authority}/again")).unwrap();
+        assert_eq!(again.body, b"/again");
+        assert_eq!(client.connections_opened(), 1, "no reconnect");
+        assert_eq!(server.requests_served(), 2);
         let (_, received) = client.payload_bytes();
         assert!(received >= 16, "streamed bytes counted: {received}");
+    }
+
+    #[test]
+    fn pooled_post_stream_connection_carries_buffered_then_stream() {
+        let server = parts_server(&["one-", "two"], false);
+        let authority = format!("{}", server.addr());
+        let client = HttpClient::new();
+        let (url, request) = stream_request(&authority);
+        let mut buf = [0u8; 64];
+        let mut first = client.send_streaming(&url, &request, None).unwrap();
+        assert_eq!(drain_stream(&mut first, &mut buf).unwrap(), b"one-two");
+        drop(first);
+        // A buffered exchange, then a second stream, on the one socket.
+        let buffered = client
+            .post(
+                &format!("http://{authority}/between"),
+                "text/plain",
+                Vec::new(),
+            )
+            .unwrap();
+        assert_eq!(buffered.body, b"/between");
+        let mut second = client.send_streaming(&url, &request, None).unwrap();
+        assert!(second.is_chunked());
+        assert_eq!(drain_stream(&mut second, &mut buf).unwrap(), b"one-two");
+        drop(second);
+        assert_eq!(
+            client.connections_opened(),
+            1,
+            "three exchanges, one socket"
+        );
+        assert_eq!(client.pooled(&authority), 1);
+        assert_eq!(server.requests_served(), 3);
+    }
+
+    #[test]
+    fn aborted_stream_is_never_pooled() {
+        // The producer drops its writer unclosed after two chunks: the body
+        // ends without a terminator, the read fails typed, and the socket is
+        // dropped rather than pooled — the next request reconnects.
+        let server = parts_server(&["partial-", "rows"], true);
+        let authority = format!("{}", server.addr());
+        let client = HttpClient::new();
+        let (url, request) = stream_request(&authority);
+        let mut streaming = client.send_streaming(&url, &request, None).unwrap();
+        let err = drain_stream(&mut streaming, &mut [0u8; 64]).unwrap_err();
+        assert!(matches!(err, HttpError::ResponseLost(_)), "{err:?}");
+        drop(streaming);
+        assert_eq!(
+            client.pooled(&authority),
+            0,
+            "a truncated stream is dropped"
+        );
+        assert!(client.get(&format!("http://{authority}/after")).is_ok());
+        assert_eq!(
+            client.connections_opened(),
+            2,
+            "the next request reconnects"
+        );
     }
 
     #[test]

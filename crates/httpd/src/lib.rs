@@ -22,6 +22,10 @@
 //!   provably preceded the first flushed request byte; an ambiguous
 //!   failure surfaces as [`HttpError::ResponseLost`] so non-idempotent
 //!   SOAP calls are never silently re-executed.
+//! * A streamed (chunked) response that ends with its terminator chunk
+//!   leaves the connection in keep-alive on both ends; an aborted stream
+//!   closes without the terminator, so the peer sees truncation and never
+//!   pools the socket.
 
 mod client;
 mod error;

@@ -231,7 +231,8 @@ impl Response {
     /// A 200 streaming response: the paired [`crate::StreamWriter`] feeds
     /// the body one `Transfer-Encoding: chunked` chunk per payload while
     /// the connection stays parked on the event loop. Closing the writer
-    /// ends the stream cleanly; peer death surfaces through
+    /// ends the stream cleanly and the connection serves its next
+    /// keep-alive request; peer death surfaces through
     /// [`crate::StreamWriter::is_dead`].
     pub fn stream(content_type: &str) -> (Response, crate::stream::StreamWriter) {
         Response::stream_windowed(content_type, 0)

@@ -167,6 +167,9 @@ struct EventLoop {
     shared: Arc<Shared>,
     max_connections: usize,
     accepting: bool,
+    /// Scratch list of push-mode tokens for [`EventLoop::pump_streams`],
+    /// kept between loop turns so pumping allocates nothing.
+    push_tokens: Vec<Token>,
 }
 
 impl EventLoop {
@@ -407,9 +410,10 @@ impl EventLoop {
         }
         if let Some(handle) = response.stream.clone() {
             // Adopt push mode: chunked head now, body chunks as the paired
-            // writer produces them. The connection no longer serves
-            // requests; it ends when the writer closes or the peer hangs
-            // up. Spent payload segments recirculate to the producer.
+            // writer produces them. The connection serves no requests until
+            // the writer closes (then it returns to keep-alive) or aborts
+            // (then it closes). Spent payload segments recirculate to the
+            // producer meanwhile.
             let mut head = Vec::new();
             response.write_stream_head(&mut head);
             conn.out.push_seg(head);
@@ -430,18 +434,20 @@ impl EventLoop {
     }
 
     /// Move queued stream payloads into every push connection's output
-    /// buffer and flush. Writer closure appends the terminator chunk and
-    /// closes the connection once it drains.
+    /// buffer and flush. The token list reuses one buffer across loop
+    /// turns, so a loop with no push connection allocates nothing here.
     fn pump_streams(&mut self) {
-        let push: Vec<Token> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.push.is_some())
-            .map(|(&t, _)| t)
-            .collect();
-        for token in push {
+        let mut push = std::mem::take(&mut self.push_tokens);
+        push.extend(
+            (self.conns.iter())
+                .filter(|(_, c)| c.push.is_some())
+                .map(|(&t, _)| t),
+        );
+        for &token in &push {
             self.pump_stream(token);
         }
+        push.clear();
+        self.push_tokens = push;
     }
 
     fn pump_stream(&mut self, token: Token) {
@@ -454,14 +460,19 @@ impl EventLoop {
             };
             let before = conn.out.len();
             if handle.pump_into(&mut conn.out) {
-                if !handle.aborted() {
-                    conn.out.extend(b"0\r\n\r\n");
-                }
-                // An aborted stream (producer dropped its last writer
-                // without closing) skips the terminator: the peer must see
-                // a truncated chunked body, never a clean end.
-                conn.close_after_flush = true;
                 conn.push = None;
+                if handle.aborted() {
+                    // The producer dropped its last writer without closing:
+                    // no terminator, and the connection closes, so the peer
+                    // sees a truncated chunked body, never a clean end.
+                    conn.close_after_flush = true;
+                } else {
+                    // A clean end: the terminator completes the response and
+                    // the connection goes back to request parsing once it
+                    // flushes (or closes, if the request asked for that).
+                    conn.out.extend(b"0\r\n\r\n");
+                    conn.out.set_reclaim(false);
+                }
                 self.flush(token);
                 return;
             }
@@ -653,6 +664,7 @@ impl HttpServer {
             shared: Arc::clone(&shared),
             max_connections: config.max_connections.max(1),
             accepting: true,
+            push_tokens: Vec::new(),
         };
         let poll_thread = std::thread::Builder::new()
             .name("httpd-poll".into())
@@ -972,12 +984,28 @@ mod tests {
         assert!(writer.send(b"second".to_vec()));
         assert_eq!(read_until(&mut sock, b"second\r\n"), b"6\r\nsecond\r\n");
 
-        // Closing the writer emits the terminator chunk and closes the
-        // socket.
+        // Closing the writer emits the terminator chunk, and the connection
+        // goes back to keep-alive: a second request on the same socket is
+        // served (with a second stream).
         writer.close();
         assert_eq!(read_until(&mut sock, b"0\r\n\r\n"), b"0\r\n\r\n");
-        let mut rest = Vec::new();
-        assert_eq!(sock.read_to_end(&mut rest).unwrap(), 0, "clean EOF");
+        let mut wire = Vec::new();
+        Request::get("/again").write_to(&mut wire, "h:1").unwrap();
+        sock.write_all(&wire).unwrap();
+        let head = read_until(&mut sock, b"\r\n\r\n");
+        assert!(head.starts_with(b"HTTP/1.1 200"), "{head:?}");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while writers.lock().len() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let second = writers.lock()[1].clone();
+        assert!(second.send(b"again".to_vec()));
+        second.close();
+        assert_eq!(
+            read_until(&mut sock, b"0\r\n\r\n"),
+            b"5\r\nagain\r\n0\r\n\r\n"
+        );
+        assert_eq!(server.requests_served(), 2, "both requests on one socket");
     }
 
     #[test]

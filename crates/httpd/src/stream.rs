@@ -18,8 +18,10 @@
 //! The handler returns the response like any other, but it carries a
 //! [`StreamHandle`] the event loop adopts. From then on the connection is
 //! in *push mode*: every payload the paired [`StreamWriter`] enqueues is
-//! written as one `Transfer-Encoding: chunked` chunk, and closing the
-//! writer emits the zero-length terminator chunk and closes the socket.
+//! written as one `Transfer-Encoding: chunked` chunk. Closing the writer
+//! emits the zero-length terminator chunk, after which the connection
+//! leaves push mode and serves its next keep-alive request; a writer
+//! dropped unclosed (an abort) closes the socket without the terminator.
 //!
 //! The window is byte-denominated and enforced twice: a blocking send
 //! parks the producer while the queue holds ≥ window bytes, and the event
@@ -42,6 +44,24 @@ use std::time::Duration;
 /// Spent payload buffers held for producer reuse beyond this count are
 /// simply freed — enough to cover the window's worth of frames in flight.
 const SPARE_CAP: usize = 8;
+
+/// Longest chunk-size line: every hex digit of a `usize` plus CRLF.
+const CHUNK_LINE_MAX: usize = 2 * std::mem::size_of::<usize>() + 2;
+
+/// Render `len` as a chunk-size line (uppercase hex, no leading zeros,
+/// CRLF) into `buf`, returning the used tail.
+fn chunk_size_line(mut len: usize, buf: &mut [u8; CHUNK_LINE_MAX]) -> &[u8] {
+    let mut start = CHUNK_LINE_MAX - 2;
+    buf[start..].copy_from_slice(b"\r\n");
+    loop {
+        start -= 1;
+        buf[start] = b"0123456789ABCDEF"[len & 0xF];
+        len >>= 4;
+        if len == 0 {
+            return &buf[start..];
+        }
+    }
+}
 
 /// Payload queue between one [`StreamWriter`] and the event loop, with a
 /// running byte total so the window check is O(1).
@@ -193,7 +213,8 @@ impl StreamWriter {
     }
 
     /// Finish the stream: queued payloads still flush, then the terminator
-    /// chunk is written and the connection closes. Idempotent.
+    /// chunk is written and the connection returns to keep-alive.
+    /// Idempotent.
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Release);
         self.inner.space.notify_all();
@@ -315,12 +336,13 @@ impl StreamHandle {
         let window = self.inner.window.load(Ordering::Relaxed);
         let mut queue = self.inner.queue.lock().expect("stream queue lock");
         let mut popped = false;
+        let mut line = [0u8; CHUNK_LINE_MAX];
         while window == 0 || out.len() < window {
             let Some(payload) = queue.items.pop_front() else {
                 break;
             };
             queue.bytes -= payload.len();
-            out.extend(format!("{:X}\r\n", payload.len()).as_bytes());
+            out.extend(chunk_size_line(payload.len(), &mut line));
             out.push_seg(payload);
             out.extend(b"\r\n");
             popped = true;
@@ -400,6 +422,18 @@ mod tests {
         let mut out = OutBuf::new();
         let finished = handle.pump_into(&mut out);
         (out.peek_all(), finished)
+    }
+
+    #[test]
+    fn chunk_size_lines_match_formatted_hex() {
+        let mut buf = [0u8; CHUNK_LINE_MAX];
+        for len in [0, 1, 9, 10, 15, 16, 255, 4096, 65_535, 1 << 20, usize::MAX] {
+            assert_eq!(
+                chunk_size_line(len, &mut buf),
+                format!("{len:X}\r\n").as_bytes(),
+                "{len}"
+            );
+        }
     }
 
     #[test]

@@ -178,9 +178,21 @@ struct Inner {
     /// In-flight calls by cancel key, so `POST /ogsa/cancel` can flip the
     /// right leg's flag while its handler is still running.
     active: Mutex<HashMap<String, CallContext>>,
+    /// CPUs this process may run on, read once at start
+    /// (`available_parallelism` honours the affinity mask and the cgroup
+    /// quota). Batches never run more producers than this.
+    cpus: usize,
 }
 
 impl Inner {
+    /// Producer threads for a batch of `entries`: one per entry, capped at
+    /// [`BATCH_PARALLELISM`] and at the CPUs the process may run on — a
+    /// producer beyond the CPU count only adds a thread spawn and contends
+    /// for a core that is already busy.
+    fn batch_producers(&self, entries: usize) -> usize {
+        entries.min(BATCH_PARALLELISM).min(self.cpus)
+    }
+
     fn port_u16(&self) -> u16 {
         self.port.load(Ordering::Acquire) as u16
     }
@@ -287,6 +299,7 @@ impl Container {
             batch_stream_faults: AtomicU64::new(0),
             batch_stream_peak_queued: AtomicU64::new(0),
             active: Mutex::new(HashMap::new()),
+            cpus: std::thread::available_parallelism().map_or(1, usize::from),
         });
         let handler = Arc::new(Dispatch {
             inner: Arc::downgrade(&inner),
@@ -769,8 +782,27 @@ fn resolve_context(request: &Request, wire_ctx: Option<CallContext>) -> CallCont
 
 /// Cap on concurrently executing entries within one batch: enough to cover
 /// a full per-site fan-out without letting one huge batch monopolize the
-/// host's handler threads.
+/// host's handler threads. The CPU count caps it further
+/// ([`Inner::batch_producers`]).
 const BATCH_PARALLELISM: usize = 8;
+
+/// Longest stretch of a buffered batch's budget kept back for the reply.
+const BATCH_REPLY_HEADROOM: Duration = Duration::from_millis(50);
+
+/// A buffered batch answers in one response, after its slowest entry. Its
+/// entries therefore run against a deadline a sixteenth of the budget (at
+/// most [`BATCH_REPLY_HEADROOM`]) ahead of the caller's: an entry cut off
+/// there still leaves its finished siblings time to travel back before the
+/// caller stops waiting, instead of racing the caller's read timeout.
+fn reserve_reply_headroom(ctx: CallContext) -> CallContext {
+    match ctx.remaining() {
+        Some(rem) => {
+            let headroom = (rem / 16).min(BATCH_REPLY_HEADROOM);
+            ctx.with_remaining(rem.saturating_sub(headroom))
+        }
+        None => ctx,
+    }
+}
 
 /// `POST /ogsa/batch`: a multi-call envelope (see [`pperf_soap::batch`]).
 ///
@@ -793,7 +825,7 @@ fn handle_batch(inner: &Arc<Inner>, request: &Request) -> Response {
     inner
         .batch_entries
         .fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let ctx = resolve_context(request, soap_ctx);
+    let ctx = reserve_reply_headroom(resolve_context(request, soap_ctx));
     let site = format!("{}:{}", inner.host, inner.port_u16());
     // Codec negotiation: a client that advertised the PPGB codec gets its
     // successful response in kind (and learns this site speaks binary).
@@ -912,7 +944,7 @@ fn handle_binary(inner: &Arc<Inner>, request: &Request) -> Response {
     inner
         .binary_entries
         .fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let ctx = resolve_context(request, frame_ctx);
+    let ctx = reserve_reply_headroom(resolve_context(request, frame_ctx));
     let site = format!("{}:{}", inner.host, inner.port_u16());
 
     let (outcome_tag, mut response) = if ctx.expired() {
@@ -1297,10 +1329,11 @@ fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
 }
 
 /// Drive one batch stream to completion: the batch head goes out first, then
-/// up to [`BATCH_PARALLELISM`] producer threads stream their entry chunks
-/// concurrently through the one shared windowed writer. Entries within a
-/// chunk run serially; sections from different chunks interleave frame by
-/// frame on the wire. Returns the span outcome tag.
+/// [`Inner::batch_producers`] threads stream their entry chunks concurrently
+/// through the one shared windowed writer. Entries within a chunk run
+/// serially; sections from different chunks interleave frame by frame on the
+/// wire. With one producer (one CPU, or one entry) this thread streams every
+/// entry itself, in request order. Returns the span outcome tag.
 fn run_batch_stream(
     inner: &Arc<Inner>,
     entries: &[BatchEntry],
@@ -1324,7 +1357,7 @@ fn run_batch_stream(
     inner.batch_stream_frames.fetch_add(1, Ordering::Relaxed);
 
     let faulted = AtomicUsize::new(0);
-    let workers = entries.len().min(BATCH_PARALLELISM);
+    let workers = inner.batch_producers(entries.len());
     if workers <= 1 {
         for (index, entry) in entries.iter().enumerate() {
             if !run_batch_stream_entry(inner, index as u32, entry, ctx, writer) {
@@ -1507,14 +1540,14 @@ fn run_batch_stream_entry(
     sealed
 }
 
-/// Execute a batch's entries, up to [`BATCH_PARALLELISM`] at a time, and
+/// Execute a batch's entries, [`Inner::batch_producers`] at a time, and
 /// collect per-entry outcomes in request order.
 fn run_batch_entries(
     inner: &Arc<Inner>,
     entries: &[BatchEntry],
     ctx: &CallContext,
 ) -> Vec<BatchOutcome> {
-    let workers = entries.len().min(BATCH_PARALLELISM);
+    let workers = inner.batch_producers(entries.len());
     if workers <= 1 {
         return entries
             .iter()

@@ -6,6 +6,11 @@
 #                            # workspace: `cargo test` never compiles it)
 #   PPG_BENCH=1 scripts/ci.sh  # additionally run the gateway fan-out bench
 #                              # (quick scale) and emit BENCH_gateway.json
+#
+# After the full suite, every stage re-runs tests under a different
+# environment (CPU placement, poller backend, codec pin, build profile,
+# feature); a plain filtered re-run of what `cargo test -q` already ran adds
+# nothing and is not repeated here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,60 +24,26 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> tier-1: minidb bound plans (differential vs the interpreter oracle, allocation budget, release arithmetic)"
-cargo test -q -p pperf-minidb --lib differential_tests
-cargo test -q -p pperf-minidb --test alloc_budget
-cargo test -q --release -p pperf-minidb
+echo "==> one CPU (the benchmark's placement: batches run on one producer)"
+taskset -c 0 cargo test -q -p pperf-httpd -p pperf-ogsi -p pperf-gateway
 
-echo "==> call-context suite (deadlines, cancellation, tracing)"
-cargo test -q -p ppg-context
-cargo test -q -p pperf-gateway --test deadline
+echo "==> minidb bound plans in release (arithmetic without debug overflow checks)"
+cargo test -q --release -p pperf-minidb
 
 echo "==> httpd event-loop soak (1000+ parked keep-alive connections)"
 cargo test -q -p pperf-httpd --features soak --test event_loop
 
 echo "==> httpd suite on the portable poll(2) backend"
 PPG_FORCE_POLL=1 cargo test -q -p pperf-httpd
-
-echo "==> batched wire protocol suite (mixed fleets, per-entry faults/deadlines)"
-cargo test -q -p pperf-soap batch
-cargo test -q -p pperf-gateway --test batch
 PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test batch
 
-echo "==> binary data plane suite (PPGB codec, negotiation, mixed fleets)"
-cargo test -q -p pperf-soap wire
-cargo test -q -p pperf-gateway --test binary
-cargo test -q -p pperf-gateway --test force_xml
-echo "==> binary data plane: PPG_FORCE_XML=1 pass (fallback path stays green)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test batch --test federation --test deadline
-
-echo "==> push notification plane suite (subscriptions, delta push, invalidation)"
-cargo test -q -p ppg-notify
-cargo test -q -p pperf-gateway --test notify
-echo "==> push notification plane: PPG_FORCE_XML=1 pass (XML event codec stays green)"
+echo "==> PPG_FORCE_XML=1: the XML fallback paths (batches, notify events, spill, streams pinned buffered)"
+PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test batch --test federation --test deadline \
+    --test notify --test segment_cache --test force_xml
 PPG_FORCE_XML=1 cargo test -q -p ppg-notify
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test notify
 
-echo "==> semantic segment cache suite (range subsumption, stress, spill, allocation budget of a hit)"
-cargo test -q -p pperf-gateway --test segment_cache
-cargo test -q -p pperf-gateway --test alloc_budget
 echo "==> substrate microbenches (segment_cache group: lookup ns per returned row, merge-insert ns per row)"
 cargo bench -q -p pperf-bench --bench substrates
-echo "==> semantic segment cache: PPG_FORCE_XML=1 pass (spill is codec-negotiation independent)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test segment_cache
-
-echo "==> streaming data path suite (incremental frames, backpressure, partial results)"
-cargo test -q -p pperf-soap stream
-cargo test -q -p pperf-httpd stream
-cargo test -q -p pperf-gateway --test streaming
-echo "==> streaming data path: PPG_FORCE_XML=1 pass (the pin serves buffered, never streams)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml
-
-echo "==> batch-streaming suite (interleaved entry sections, per-entry truncation, fallback)"
-cargo test -q -p pperf-soap batch_stream
-cargo test -q -p pperf-gateway --test batch_stream
-echo "==> batch-streaming: PPG_FORCE_XML=1 pass (the pin keeps batches buffered XML)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test force_xml --test batch --test federation
 
 echo "==> repo benchmark harness (own workspace: build, self-tests, 1 s smoke of all five workloads)"
 benchmark/check.sh
