@@ -146,14 +146,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.coalesced
     );
     println!(
-        "wire planes: {} PPGB frames ({} entries), {} XML batches ({} entries), \
-         {} binary downgrades, {} batch fallbacks",
-        snapshot.binary_calls,
-        snapshot.binary_entries,
-        snapshot.batched_calls - snapshot.binary_calls,
-        snapshot.batch_entries - snapshot.binary_entries,
-        snapshot.binary_fallback_calls,
-        snapshot.batch_fallback_calls
+        "wire routes: {} framed calls ({} entries, {} truncated, {} downgrades), \
+         {} per-call XML calls",
+        snapshot.batch_streams,
+        snapshot.batch_stream_entries,
+        snapshot.batch_stream_truncated,
+        snapshot.batch_stream_fallback_calls,
+        snapshot.xml_calls
     );
     Ok(())
 }

@@ -5,8 +5,10 @@
 //! 1. **Plan** — snapshot the Registry, bind Application instances, expand
 //!    to per-Execution `getPR` targets ([`crate::plan::Planner`]); all three
 //!    are remembered, so a warm plan makes no wire call.
-//! 2. **Scatter** — submit one job per target to the bounded worker pool,
-//!    under per-site concurrency permits, with retry + exponential backoff.
+//! 2. **Scatter** — submit one flight per host to the bounded worker pool:
+//!    one framed PPGB call carrying every target the host holds, or — for a
+//!    site without the framed route — one SOAP/XML `getPR` per target; under
+//!    per-site concurrency permits, with retry + exponential backoff.
 //! 3. **Coalesce** — identical in-flight `getPR` tuples share one upstream
 //!    call ([`crate::coalesce::SingleFlight`]); completed results populate a
 //!    shared semantic segment cache ([`crate::cache::SegmentCache`]) checked
@@ -27,8 +29,8 @@ use crate::query::{FederatedQuery, FederatedResult, SiteError, SiteErrorKind, Si
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pperf_httpd::{HttpClient, Request};
-use pperf_ogsi::{BatchStreamEntryOutcome, BatchWire, Gsh, OgsiError, ServiceStub, StreamWire};
-use pperf_soap::{BatchEntry, BatchOutcome, Fault};
+use pperf_ogsi::{BatchStreamEntryOutcome, Gsh, OgsiError, ServiceStub};
+use pperf_soap::{BatchEntry, Fault};
 use pperfgrid::{row_time_span, ExecutionStub, PrQuery, EXECUTION_NS};
 use ppg_context::CallContext;
 use ppg_notify::{
@@ -85,13 +87,13 @@ type UncachedSlot<'a> = (
     Option<Arc<Vec<String>>>,
 );
 
-/// One member of a batched wire call: original target index, Execution
-/// instance, getPR tuple, and where to cache the fetch.
-type BatchMember = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>);
+/// One member of a flight: pending-target index, Execution instance,
+/// getPR tuple, and where to cache the fetch.
+type FlightMember = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>);
 
-/// A batch member that won its single-flight group and must ride the wire,
-/// carrying the coalescing token it will publish the outcome through.
-type BatchLeader = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>, Token);
+/// A flight member that won its single-flight group and must ride the
+/// wire, carrying the coalescing token it will publish the outcome through.
+type FlightLeader = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>, Token);
 
 /// Render one window bound back to the wire's string form (empty string
 /// for an unbounded side). `f64` Display round-trips through
@@ -155,29 +157,12 @@ pub struct GatewayConfig {
     /// two snapshot wire calls are repeated. `Duration::ZERO` disables the
     /// snapshot cache.
     pub plan_cache_ttl: Duration,
-    /// Fold each site's uncached targets into one multi-call wire request
-    /// per host, when the site advertises `supportsBatch`. Sites that don't
-    /// (and singleton target groups) transparently fall back to per-call
-    /// getPR.
-    pub batch_enabled: bool,
-    /// Let those multi-calls travel the binary data plane (PPGB frames)
-    /// against sites whose containers speak it, with per-connection codec
-    /// negotiation and transparent XML fallback. Off pins every batch to
-    /// XML regardless of what sites advertise.
-    pub binary_enabled: bool,
     /// Subscribe to the push notification plane: registry membership deltas
     /// invalidate the planner snapshot the moment they happen (instead of
     /// waiting out `plan_cache_ttl`), and per-site invalidation events drop
     /// cached results ahead of their TTL. Sites that don't speak the plane
     /// silently stay on TTL polling, as does everything when this is off.
     pub notifications_enabled: bool,
-    /// Consume per-call `getPR` answers as incremental PPGB result streams
-    /// from sites that advertise `supportsStreaming`: rows arrive
-    /// frame-at-a-time (constant gateway memory per in-flight scan, partial
-    /// results when a site dies mid-stream, cancellation at frame
-    /// boundaries). Legacy sites — and batched multi-calls — stay on the
-    /// buffered wire; off pins everything to it.
-    pub streaming_enabled: bool,
 }
 
 impl Default for GatewayConfig {
@@ -196,10 +181,7 @@ impl Default for GatewayConfig {
             cache_spill_dir: None,
             cache_spill_max_bytes: 256 << 20,
             plan_cache_ttl: Duration::from_millis(500),
-            batch_enabled: true,
-            binary_enabled: true,
             notifications_enabled: true,
-            streaming_enabled: true,
         }
     }
 }
@@ -268,27 +250,9 @@ impl GatewayConfig {
         self
     }
 
-    /// Toggle the batched wire protocol (per-site multi-call fan-in).
-    pub fn with_batching(mut self, enabled: bool) -> GatewayConfig {
-        self.batch_enabled = enabled;
-        self
-    }
-
-    /// Toggle the binary data plane for batched multi-calls.
-    pub fn with_binary(mut self, enabled: bool) -> GatewayConfig {
-        self.binary_enabled = enabled;
-        self
-    }
-
     /// Toggle push-notification subscriptions (event-driven invalidation).
     pub fn with_notifications(mut self, enabled: bool) -> GatewayConfig {
         self.notifications_enabled = enabled;
-        self
-    }
-
-    /// Toggle incremental result streaming for per-call getPR.
-    pub fn with_streaming(mut self, enabled: bool) -> GatewayConfig {
-        self.streaming_enabled = enabled;
         self
     }
 }
@@ -336,42 +300,17 @@ struct Stats {
     /// deltas and per-site `cache.invalidate` events), counted separately
     /// from the TTL-expiry path above.
     notify_invalidations: AtomicU64,
-    /// Batched multi-call wire requests issued.
-    batched_calls: AtomicU64,
-    /// getPR entries that rode those batched requests.
-    batch_entries: AtomicU64,
-    /// Per-call getPR calls issued while batching was enabled (site without
-    /// `supportsBatch`, singleton target group, or hedge leg).
-    batch_fallback: AtomicU64,
-    /// Batched wire requests that travelled as PPGB binary frames.
-    binary_calls: AtomicU64,
-    /// getPR entries that rode those binary frames.
-    binary_entries: AtomicU64,
-    /// Batched wire requests that tried binary but were transparently
-    /// re-sent as XML (legacy peer, corrupt frame, non-binary answer).
-    binary_fallbacks: AtomicU64,
-    /// Per-call getPR answers consumed as incremental result streams.
-    streams: AtomicU64,
-    /// Stream-segment frames those calls consumed.
-    stream_frames: AtomicU64,
-    /// Rows those frames delivered.
-    stream_rows: AtomicU64,
-    /// Streams that died after delivering rows but before their trailer —
-    /// surfaced as partial results with a `Truncated` site error.
-    stream_truncated: AtomicU64,
-    /// Stream attempts transparently re-sent as buffered calls (legacy
-    /// peer: route missing or non-stream answer).
-    stream_fallbacks: AtomicU64,
-    /// Batched wire requests consumed as interleaved batch streams.
+    /// Per-call SOAP/XML `getPR` calls issued.
+    xml_calls: AtomicU64,
+    /// Framed calls whose answer stream opened.
     batch_streams: AtomicU64,
-    /// getPR entries that rode those batch streams.
+    /// getPR entries those framed calls carried.
     batch_stream_entries: AtomicU64,
-    /// Batch-stream entries that died after delivering rows but before
-    /// their trailer — surfaced as partial results with a `Truncated`
-    /// site error, siblings unaffected.
+    /// Framed entries that died after delivering rows but before their
+    /// trailer — surfaced as partial results with a `Truncated` site error,
+    /// siblings unaffected.
     batch_stream_truncated: AtomicU64,
-    /// Batch-stream attempts transparently re-sent as buffered batches
-    /// (legacy or PR-4-era peer: route missing or non-stream answer).
+    /// Framed attempts a host turned away, re-sent per-call over SOAP/XML.
     batch_stream_fallbacks: AtomicU64,
     in_flight: AtomicI64,
     sites: Mutex<HashMap<String, SiteLatency>>,
@@ -442,39 +381,19 @@ pub struct GatewaySnapshot {
     pub notify_events: u64,
     /// Poll-fallback resyncs after sequence gaps on those subscriptions.
     pub notify_resyncs: u64,
-    /// Batched multi-call wire requests issued.
-    pub batched_calls: u64,
-    /// getPR entries that rode those batched requests.
-    pub batch_entries: u64,
-    /// Per-call getPR calls issued while batching was enabled (no site
-    /// capability, singleton group, or hedge leg).
-    pub batch_fallback_calls: u64,
-    /// Batched wire requests that travelled as PPGB binary frames.
-    pub binary_calls: u64,
-    /// getPR entries that rode those binary frames.
-    pub binary_entries: u64,
-    /// Binary attempts transparently re-sent as XML (legacy peer, corrupt
-    /// frame, or non-binary answer).
-    pub binary_fallback_calls: u64,
-    /// Per-call getPR answers consumed as incremental result streams.
-    pub streams: u64,
-    /// Stream-segment frames those calls consumed.
-    pub stream_frames: u64,
-    /// Rows those frames delivered.
-    pub stream_rows: u64,
-    /// Streams that died after delivering rows but before their trailer
-    /// (partial results, `Truncated` site errors).
-    pub stream_truncated: u64,
-    /// Stream attempts transparently re-sent as buffered calls.
-    pub stream_fallback_calls: u64,
-    /// Batched wire requests consumed as interleaved batch streams.
+    /// Per-call SOAP/XML `getPR` calls issued (sites without the framed
+    /// route, downgrades, `PPG_FORCE_XML=1`).
+    pub xml_calls: u64,
+    /// Framed calls whose answer stream opened: one PPGB exchange per host
+    /// group or hedge leg.
     pub batch_streams: u64,
-    /// getPR entries that rode those batch streams.
+    /// getPR entries those framed calls carried.
     pub batch_stream_entries: u64,
-    /// Batch-stream entries that died after delivering rows but before
-    /// their trailer (partial results, `Truncated` site errors).
+    /// Framed entries that died after delivering rows but before their
+    /// trailer (partial results, `Truncated` site errors).
     pub batch_stream_truncated: u64,
-    /// Batch-stream attempts transparently re-sent as buffered batches.
+    /// Framed attempts a host turned away (404, a non-stream answer,
+    /// corruption before any row), re-sent per-call over SOAP/XML.
     pub batch_stream_fallback_calls: u64,
     /// Registry-snapshot cache hits in the planner.
     pub plan_snapshot_hits: u64,
@@ -510,13 +429,10 @@ struct Inner {
     flights: Arc<SingleFlight>,
     stats: Stats,
     notify: NotifyState,
-    /// Container authorities whose stream attempt fell back to a buffered
-    /// call: legacy peers, remembered so later calls skip the dead probe.
-    no_stream: Mutex<HashSet<String>>,
-    /// Container authorities whose batch-stream attempt fell back to the
-    /// buffered batch: PR-4-era peers, remembered so later batches skip
-    /// the dead probe.
-    no_batch_stream: Mutex<HashSet<String>>,
+    /// Container authorities that turned the framed route away: legacy
+    /// peers behind a stale advertisement, remembered so later calls go
+    /// per-call over SOAP/XML without the dead probe.
+    no_framed: Mutex<HashSet<String>>,
 }
 
 /// The gateway's push subscriptions (empty when notifications are off).
@@ -698,13 +614,13 @@ struct PendingTarget {
     primary_failed: bool,
     hedge_failed: bool,
     done: bool,
-    /// The primary leg rode a shared multi-call batch: `primary_ctx` is the
-    /// batch's shared context, so cancelling it would kill sibling entries.
-    batched: bool,
-    /// This target's legs (hedge included) consume incremental result
-    /// streams: the site advertises `supportsStreaming` and the gateway has
-    /// streaming on. Batched targets never stream.
-    streaming: bool,
+    /// The primary leg shares a framed call with sibling entries:
+    /// `primary_ctx` is that call's context, so cancelling it would kill
+    /// the siblings.
+    shared: bool,
+    /// The site takes framed calls: the hedge leg rides a one-entry framed
+    /// call too.
+    framed: bool,
     /// The primary leg's context (cancelled if the hedge wins or the
     /// deadline expires while it is still out).
     primary_ctx: CallContext,
@@ -738,8 +654,8 @@ fn fault_kind(fault: &Fault) -> SiteErrorKind {
     }
 }
 
-/// The wire entries of a batch: one `getPR` sub-call per leader.
-fn batch_entries(leaders: &[BatchLeader]) -> Vec<BatchEntry> {
+/// The entries of a framed call: one `getPR` sub-call per leader.
+fn framed_entries(leaders: &[FlightLeader]) -> Vec<BatchEntry> {
     (leaders.iter())
         .map(|(_, exec, pr, _, _)| {
             let params = ExecutionStub::pr_params(pr);
@@ -801,8 +717,7 @@ impl FederatedGateway {
             client,
             config,
             notify: NotifyState::default(),
-            no_stream: Mutex::new(HashSet::new()),
-            no_batch_stream: Mutex::new(HashSet::new()),
+            no_framed: Mutex::new(HashSet::new()),
         };
         let gateway = Arc::new(FederatedGateway {
             inner: Arc::new(inner),
@@ -955,17 +870,7 @@ impl FederatedGateway {
             notify_subscriptions,
             notify_events,
             notify_resyncs,
-            batched_calls: inner.stats.batched_calls.load(Ordering::Relaxed),
-            batch_entries: inner.stats.batch_entries.load(Ordering::Relaxed),
-            batch_fallback_calls: inner.stats.batch_fallback.load(Ordering::Relaxed),
-            binary_calls: inner.stats.binary_calls.load(Ordering::Relaxed),
-            binary_entries: inner.stats.binary_entries.load(Ordering::Relaxed),
-            binary_fallback_calls: inner.stats.binary_fallbacks.load(Ordering::Relaxed),
-            streams: inner.stats.streams.load(Ordering::Relaxed),
-            stream_frames: inner.stats.stream_frames.load(Ordering::Relaxed),
-            stream_rows: inner.stats.stream_rows.load(Ordering::Relaxed),
-            stream_truncated: inner.stats.stream_truncated.load(Ordering::Relaxed),
-            stream_fallback_calls: inner.stats.stream_fallbacks.load(Ordering::Relaxed),
+            xml_calls: inner.stats.xml_calls.load(Ordering::Relaxed),
             batch_streams: inner.stats.batch_streams.load(Ordering::Relaxed),
             batch_stream_entries: inner.stats.batch_stream_entries.load(Ordering::Relaxed),
             batch_stream_truncated: inner.stats.batch_stream_truncated.load(Ordering::Relaxed),
@@ -1031,7 +936,7 @@ impl FederatedGateway {
         self.ensure_site_subscriptions(&sites);
         let sites_total = sites.len() + errors.len();
         // Every tuple of the query (primary metric + extras) fans out to
-        // every target. Tuples of one instance land in the same batch group,
+        // every target. Tuples of one instance land in the same framed call,
         // so a multi-metric query still costs one wire call per host. A
         // tuple's window and the window-blanked half of its cache series
         // key are the same for every target: worked out once, here. A query
@@ -1052,6 +957,8 @@ impl FederatedGateway {
         let mut pending: Vec<PendingTarget> = Vec::new();
         let scatter_start = Instant::now();
         let mut series = String::new();
+        // `PPG_FORCE_XML=1` pins every target to per-call SOAP/XML.
+        let force_xml = std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1");
         for site_plan in &sites {
             // Probe the shared segment cache first; only misses go
             // upstream, and a partially covered window goes upstream
@@ -1113,119 +1020,78 @@ impl FederatedGateway {
                 let outcome = format!("hit:{exact} range-hit:{range} partial-hit:{partial}");
                 qctx.record_span("gateway.cache", "getPR", &site_plan.site, started, &outcome);
             }
-            // Batch-capable sites fold their misses into one multi-call wire
-            // request per host (a site's instances may be spread across
-            // replica containers); everything else goes per-call.
-            let mut batch_groups: Vec<Vec<UncachedSlot<'_>>> = Vec::new();
-            let mut per_call: Vec<UncachedSlot<'_>> = Vec::new();
-            if inner.config.batch_enabled && site_plan.supports_batch {
+            // A site advertising the framed route folds its misses into one
+            // framed call per host (a site's instances may be spread across
+            // replica containers); a lone target is a one-entry call. Every
+            // other target — the site does not advertise the route, its host
+            // already turned it away, or `PPG_FORCE_XML=1` — goes per-call
+            // over SOAP/XML.
+            let framed = site_plan.framed && !force_xml;
+            let mut flights: Vec<(bool, Vec<UncachedSlot<'_>>)> = Vec::new();
+            if framed {
                 let mut by_host: HashMap<String, Vec<UncachedSlot<'_>>> = HashMap::new();
                 for slot in uncached {
-                    by_host
-                        .entry(slot.0.primary.url().authority())
+                    (by_host.entry(slot.0.primary.url().authority()))
                         .or_default()
                         .push(slot);
                 }
-                for (_, group) in by_host {
-                    if group.len() > 1 {
-                        batch_groups.push(group);
+                let no_framed = inner.no_framed.lock();
+                for (host, group) in by_host {
+                    if no_framed.contains(&host) {
+                        flights.extend(group.into_iter().map(|slot| (false, vec![slot])));
                     } else {
-                        // A one-entry batch pays the envelope overhead for
-                        // nothing — send it as a plain call.
-                        per_call.extend(group);
+                        flights.push((true, group));
                     }
                 }
             } else {
-                per_call = uncached;
+                flights.extend(uncached.into_iter().map(|slot| (false, vec![slot])));
             }
-            let streaming = inner.config.streaming_enabled && site_plan.supports_streaming;
-            // Batched groups ride the interleaved batch-stream wire when the
-            // site advertises it; otherwise the buffered multi-call.
-            let batch_stream = inner.config.streaming_enabled && site_plan.supports_batch_stream;
-            // One target's gather state; a batched target shares its batch's
-            // leg context and never streams.
-            let pend = |target: &ExecTarget,
-                        pr: &Arc<PrQuery>,
-                        cache_fill: &Option<CacheFill>,
-                        prefix_rows: Option<Arc<Vec<String>>>,
-                        batched: bool,
-                        primary_ctx: &CallContext| PendingTarget {
-                site: site_plan.site.clone(),
-                target: target.clone(),
-                pr: Arc::clone(pr),
-                cache_fill: cache_fill.clone(),
-                prefix_rows,
-                deadline: query_deadline,
-                hedge_at: (target.hedge.as_ref())
-                    .and(inner.config.hedge_after)
-                    .map(|delay| scatter_start + delay),
-                hedge_fired: false,
-                primary_failed: false,
-                hedge_failed: false,
-                done: false,
-                batched,
-                streaming: streaming && !batched,
-                primary_ctx: primary_ctx.clone(),
-                hedge_ctx: None,
-            };
-            for (target, pr, cache_fill, prefix_rows) in per_call {
-                if inner.config.batch_enabled {
-                    inner.stats.batch_fallback.fetch_add(1, Ordering::Relaxed);
+            for (framed_call, group) in flights {
+                // One leg context per flight; its targets keep their own
+                // pending slot (and hedge schedule).
+                let mut leg_ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
+                let shared = group.len() > 1;
+                if shared {
+                    // A shared framed call hands its outcomes back when its
+                    // last entry seals: an entry running right up to the
+                    // deadline would hold every finished sibling past the
+                    // gather deadline. Reserve headroom so they arrive.
+                    if let Some(rem) = leg_ctx.remaining() {
+                        let margin = (rem / 8).min(Duration::from_millis(250));
+                        leg_ctx = leg_ctx.with_remaining(rem.saturating_sub(margin));
+                    }
                 }
-                let idx = pending.len();
-                let primary_ctx = qctx.leg(ppg_context::leg_tag(idx, 0), 0);
-                pending.push(pend(
-                    target,
-                    &pr,
-                    &cache_fill,
-                    prefix_rows,
-                    false,
-                    &primary_ctx,
-                ));
-                self.submit_call(
-                    tx.clone(),
-                    idx,
-                    site_plan.site.clone(),
-                    target.primary.clone(),
-                    pr,
-                    cache_fill,
-                    false,
-                    streaming,
-                    primary_ctx,
-                    Arc::clone(&query_upstream),
-                );
-            }
-            for group in batch_groups {
-                // One shared leg context for the whole wire call; entries
-                // keep their own pending slot (and hedge schedule).
-                let mut shared_ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
-                // A batch is one HTTP exchange: a server-side entry running
-                // right up to the shared deadline would hold every sibling's
-                // finished answer past the gather deadline. Reserve headroom
-                // so the mixed response still travels back in time.
-                if let Some(rem) = shared_ctx.remaining() {
-                    let margin = (rem / 8).min(Duration::from_millis(250));
-                    shared_ctx = shared_ctx.with_remaining(rem.saturating_sub(margin));
-                }
-                let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
+                let mut members: Vec<FlightMember> = Vec::with_capacity(group.len());
                 for (target, pr, cache_fill, prefix_rows) in group {
                     let idx = pending.len();
-                    pending.push(pend(
-                        target,
-                        &pr,
-                        &cache_fill,
+                    pending.push(PendingTarget {
+                        site: site_plan.site.clone(),
+                        target: target.clone(),
+                        pr: Arc::clone(&pr),
+                        cache_fill: cache_fill.clone(),
                         prefix_rows,
-                        true,
-                        &shared_ctx,
-                    ));
+                        deadline: query_deadline,
+                        hedge_at: (target.hedge.as_ref())
+                            .and(inner.config.hedge_after)
+                            .map(|delay| scatter_start + delay),
+                        hedge_fired: false,
+                        primary_failed: false,
+                        hedge_failed: false,
+                        done: false,
+                        shared,
+                        framed,
+                        primary_ctx: leg_ctx.clone(),
+                        hedge_ctx: None,
+                    });
                     members.push((idx, target.primary.clone(), pr, cache_fill));
                 }
-                self.submit_batch(
+                self.submit(
                     tx.clone(),
                     site_plan.site.clone(),
                     members,
-                    batch_stream,
-                    shared_ctx,
+                    framed_call,
+                    false,
+                    leg_ctx,
                     Arc::clone(&query_upstream),
                 );
             }
@@ -1236,15 +1102,13 @@ impl FederatedGateway {
             inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
             let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
             p.hedge_ctx = Some(hedge_ctx.clone());
-            self.submit_call(
+            let member = (idx, hedge, Arc::clone(&p.pr), p.cache_fill.clone());
+            self.submit(
                 tx.clone(),
-                idx,
                 p.site.clone(),
-                hedge,
-                Arc::clone(&p.pr),
-                p.cache_fill.clone(),
+                vec![member],
+                p.framed,
                 true,
-                p.streaming,
                 hedge_ctx,
                 Arc::clone(&query_upstream),
             );
@@ -1286,10 +1150,10 @@ impl FederatedGateway {
                                 inner.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
                                 // The primary lost the race: cancel its leg so
                                 // its site stops burning handler time on an
-                                // answer nobody will read. A batched primary
-                                // shares its context with sibling entries, so
-                                // it must be left to finish.
-                                if !p.primary_failed && !p.batched {
+                                // answer nobody will read. A primary sharing
+                                // its framed call with sibling entries must
+                                // be left to finish.
+                                if !p.primary_failed && !p.shared {
                                     self.cancel_leg(&p.primary_ctx, &p.target.primary);
                                     inner.stats.hedges_cancelled.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -1372,10 +1236,10 @@ impl FederatedGateway {
                             remaining -= 1;
                             // Cancel whatever is still out there: the budget
                             // is gone, so any answer would be discarded. At
-                            // the deadline every sibling of a shared batch
-                            // context is equally doomed, so cancelling it is
-                            // safe — but only once per batch.
-                            if !(p.primary_failed || (p.batched && p.primary_ctx.cancelled())) {
+                            // the deadline every sibling of a shared framed
+                            // call is equally doomed, so cancelling it is
+                            // safe — but only once per call.
+                            if !(p.primary_failed || (p.shared && p.primary_ctx.cancelled())) {
                                 self.cancel_leg(&p.primary_ctx, &p.target.primary);
                             }
                             if p.hedge_fired && !p.hedge_failed {
@@ -1459,19 +1323,17 @@ impl FederatedGateway {
         });
     }
 
-    /// Queue one target call: single-flight → site permit → retrying `getPR`
-    /// under the leg's context → cache fill → outcome on `tx`.
+    /// Queue one flight: the members' single-flight joins → one site permit
+    /// → one framed call (`framed`) or per-call SOAP/XML `getPR`s → cache
+    /// fills → outcomes on `tx`.
     #[allow(clippy::too_many_arguments)]
-    fn submit_call(
+    fn submit(
         &self,
         tx: Sender<Outcome>,
-        idx: usize,
         site: String,
-        exec: Gsh,
-        pr: Arc<PrQuery>,
-        cache_fill: Option<CacheFill>,
+        members: Vec<FlightMember>,
+        framed: bool,
         hedged: bool,
-        streaming: bool,
         leg_ctx: CallContext,
         query_upstream: Arc<AtomicU64>,
     ) {
@@ -1479,58 +1341,14 @@ impl FederatedGateway {
         self.pool.submit(move || {
             let started = Instant::now();
             inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-            let result = run_flight(
-                &inner,
-                &site,
-                &exec,
-                &pr,
-                cache_fill.as_ref(),
-                streaming,
-                &leg_ctx,
-                &query_upstream,
-            );
-            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            inner
-                .stats
-                .record_site(&site, started.elapsed(), result.is_err());
-            let _ = tx.send(Outcome {
-                idx,
-                hedged,
-                result,
-            });
-        });
-    }
-
-    /// Queue one batched wire call covering several targets on one host:
-    /// per-entry single-flight coalescing → one site permit → one multi-call
-    /// POST → per-entry cache fill and outcomes on `tx`. With `stream`, the
-    /// exchange rides the interleaved batch-stream wire instead (falling
-    /// back to the buffered multi-call when the peer can't).
-    fn submit_batch(
-        &self,
-        tx: Sender<Outcome>,
-        site: String,
-        members: Vec<BatchMember>,
-        stream: bool,
-        leg_ctx: CallContext,
-        query_upstream: Arc<AtomicU64>,
-    ) {
-        let inner = Arc::clone(&self.inner);
-        self.pool.submit(move || {
-            let started = Instant::now();
-            inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-            let results = if stream {
-                run_batch_stream_flight(&inner, &site, &members, &leg_ctx, &query_upstream)
-            } else {
-                run_batch_flight(&inner, &site, &members, &leg_ctx, &query_upstream)
-            };
+            let results = run_flight(&inner, &site, &members, framed, &leg_ctx, &query_upstream);
             inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             let failed = results.iter().any(|(_, r)| r.is_err());
             inner.stats.record_site(&site, started.elapsed(), failed);
             for (idx, result) in results {
                 let _ = tx.send(Outcome {
                     idx,
-                    hedged: false,
+                    hedged,
                     result,
                 });
             }
@@ -1538,88 +1356,120 @@ impl FederatedGateway {
     }
 }
 
-/// One batched flight: each entry still joins the per-tuple single-flight
-/// group (followers adopt the leader's published outcome and stay off the
-/// wire), then every remaining leader rides one multi-call exchange under a
-/// single site permit. Per-entry faults map back to per-entry errors; a
-/// whole-batch failure fails every leader the same way.
-fn run_batch_flight(
+/// One flight, for either route. Each member joins its tuple's
+/// single-flight group first (a follower adopts the leader's published
+/// outcome and stays off the wire); the leaders then share one site permit
+/// and ride one framed call (`framed`, unless their host already turned the
+/// route away) or one per-call SOAP/XML `getPR` each. A host that turns the
+/// framed call away is remembered, and the leaders — still holding their
+/// tokens — re-send per-call without joining their flights again. Every
+/// token is published exactly once.
+fn run_flight(
     inner: &Arc<Inner>,
     site: &str,
-    members: &[BatchMember],
+    members: &[FlightMember],
+    framed: bool,
     leg_ctx: &CallContext,
     query_upstream: &Arc<AtomicU64>,
 ) -> Vec<(usize, FlightResult)> {
     let started = Instant::now();
     let mut results: Vec<(usize, FlightResult)> = Vec::with_capacity(members.len());
-    if fail_expired_members(site, members, leg_ctx, started, &mut results) {
+    if leg_ctx.expired() {
+        let outcome = if leg_ctx.cancelled() {
+            "cancelled-before-send"
+        } else {
+            "deadline-exceeded-before-send"
+        };
+        leg_ctx.record_span("gateway.call", "getPR", site, started, outcome);
+        let detail = format!("leg {} abandoned before send: {outcome}", leg_ctx.leg_tag());
+        for (idx, ..) in members {
+            results.push((*idx, Err((SiteErrorKind::Timeout, detail.clone()))));
+        }
         return results;
     }
-    let leaders = join_batch_leaders(inner, site, members, leg_ctx, started, &mut results);
+    let leaders = join_leaders(inner, site, members, leg_ctx, started, &mut results);
     if leaders.is_empty() {
         return results;
     }
-    run_buffered_batch_wire(
-        inner,
-        site,
-        leaders,
-        leg_ctx,
-        query_upstream,
-        started,
-        &mut results,
-    );
+    // Spans this flight records start here; the slice past this index is
+    // what followers adopt. Sibling legs of the same request share the
+    // trace, so a rare interleaved sibling span may ride along — acceptable
+    // for diagnostic data.
+    let span_base = leg_ctx.span_count();
+    // One permit covers the whole flight: a framed call is one upstream
+    // request from the site's point of view, whatever its entry count.
+    let outcomes = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
+        None => {
+            leg_ctx.record_span("gateway.call", "getPR", site, started, "deadline-exceeded");
+            let detail = format!("no {site} permit became free before the deadline");
+            vec![Err((SiteErrorKind::Timeout, detail)); leaders.len()]
+        }
+        Some(_permit) => {
+            let authority = leaders[0].1.url().authority();
+            let probe = framed && !inner.no_framed.lock().contains(&authority);
+            match probe.then(|| run_framed_wire(inner, site, &leaders, leg_ctx, query_upstream)) {
+                Some(FramedAttempt::Done(outcomes)) => outcomes,
+                Some(FramedAttempt::Failed(kind, detail)) => {
+                    vec![Err((kind, detail)); leaders.len()]
+                }
+                turned_away => {
+                    if turned_away.is_some() {
+                        (inner.stats.batch_stream_fallbacks).fetch_add(1, Ordering::Relaxed);
+                        inner.no_framed.lock().insert(authority);
+                    }
+                    (leaders.iter())
+                        .map(|(_, exec, pr, fill, _)| {
+                            fetch_xml(
+                                inner,
+                                site,
+                                exec,
+                                pr,
+                                fill.as_ref(),
+                                leg_ctx,
+                                query_upstream,
+                            )
+                        })
+                        .collect()
+                }
+            }
+        }
+    };
+    let mut spans = leg_ctx.spans();
+    let flight_spans = spans.split_off(span_base.min(spans.len()));
+    for ((idx, _, _, _, token), result) in leaders.into_iter().zip(outcomes) {
+        inner.flights.publish(
+            token,
+            FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
+        );
+        results.push((idx, result));
+    }
     results
 }
 
-/// Fail every member when the shared leg budget is already gone before the
-/// batch touches the wire. Returns true when the flight should end here.
-fn fail_expired_members(
-    site: &str,
-    members: &[BatchMember],
-    leg_ctx: &CallContext,
-    started: Instant,
-    results: &mut Vec<(usize, FlightResult)>,
-) -> bool {
-    if !leg_ctx.expired() {
-        return false;
-    }
-    let outcome = if leg_ctx.cancelled() {
-        "cancelled-before-send"
-    } else {
-        "deadline-exceeded-before-send"
-    };
-    leg_ctx.record_span("gateway.batch", "multiCall", site, started, outcome);
-    for (idx, _, _, _) in members {
-        results.push((
-            *idx,
-            Err((
-                SiteErrorKind::Timeout,
-                format!("leg {} abandoned before send: {outcome}", leg_ctx.leg_tag()),
-            )),
-        ));
-    }
-    true
-}
-
-/// Per-entry coalescing: an identical tuple already in flight (from this
-/// query or another) answers its entry without a wire slot. Followers get
+/// Per-member coalescing: an identical tuple already in flight (from this
+/// query or another) answers its member without a wire slot. Followers get
 /// their adopted outcome pushed into `results`; the leaders — each holding
 /// a publish token that MUST be published exactly once — come back for the
 /// wire phase.
-fn join_batch_leaders(
+fn join_leaders(
     inner: &Arc<Inner>,
     site: &str,
-    members: &[BatchMember],
+    members: &[FlightMember],
     leg_ctx: &CallContext,
     started: Instant,
     results: &mut Vec<(usize, FlightResult)>,
-) -> Vec<BatchLeader> {
-    let mut leaders: Vec<BatchLeader> = Vec::new();
+) -> Vec<FlightLeader> {
+    let mut leaders: Vec<FlightLeader> = Vec::new();
     for (idx, exec, pr, cache_fill) in members {
+        // The flight key is the exact upstream tuple (instance handle +
+        // PrQuery key): concurrent identical tuples share one call.
         let flight_key = format!("{}::{}", exec.as_str(), pr.cache_key());
         match inner.flights.join(&flight_key) {
             Flight::Follower(outcome) => {
                 if outcome.leader_request_id != leg_ctx.request_id() {
+                    // A different request did the work: adopt its spans,
+                    // then record the coalescing itself so the trace shows
+                    // which request actually hit the wire.
                     leg_ctx.extend_spans(outcome.spans.clone());
                     leg_ctx.record_span(
                         "gateway.coalesce",
@@ -1645,281 +1495,78 @@ fn join_batch_leaders(
     leaders
 }
 
-/// Publish the same failure to every held leader token and mirror it into
-/// `results`. Spans recorded since `span_base` travel with the published
-/// outcome so followers can adopt them.
-fn publish_batch_failure(
-    inner: &Arc<Inner>,
-    leaders: Vec<BatchLeader>,
-    leg_ctx: &CallContext,
-    span_base: usize,
-    kind: SiteErrorKind,
-    detail: String,
-    results: &mut Vec<(usize, FlightResult)>,
-) {
-    let mut spans = leg_ctx.spans();
-    let flight_spans = spans.split_off(span_base.min(spans.len()));
-    for (idx, _, _, _, token) in leaders {
-        let result: FlightResult = Err((kind, detail.clone()));
-        inner.flights.publish(
-            token,
-            FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-        );
-        results.push((idx, result));
-    }
-}
-
-/// The buffered (multi-call) wire phase for leaders that already hold their
-/// single-flight tokens: one site permit, one multi-call POST, per-entry
-/// cache fills, and every token published exactly once. Shared between
-/// `run_batch_flight` and the batch-stream flight's downgrade path — the
-/// latter must not re-enter `run_batch_flight`, which would try to re-join
-/// the very flight keys its leaders already hold.
-fn run_buffered_batch_wire(
-    inner: &Arc<Inner>,
+/// One per-call SOAP/XML `getPR`, retried with a backoff charged against
+/// the leg's budget; a complete answer is stored where `fill` says.
+fn fetch_xml(
+    inner: &Inner,
     site: &str,
-    leaders: Vec<BatchLeader>,
+    exec: &Gsh,
+    pr: &PrQuery,
+    fill: Option<&CacheFill>,
     leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-    started: Instant,
-    results: &mut Vec<(usize, FlightResult)>,
-) {
-    let span_base = leg_ctx.span_count();
-    // One permit covers the whole wire call: a batch is one upstream request
-    // from the site's point of view, whatever its entry count.
-    let wire_outcomes: std::result::Result<Vec<BatchOutcome>, (SiteErrorKind, String)> =
-        match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
-            None => {
-                leg_ctx.record_span(
-                    "gateway.batch",
-                    "multiCall",
-                    site,
-                    started,
-                    "deadline-exceeded",
-                );
-                Err((
-                    SiteErrorKind::Timeout,
-                    format!("no {site} permit became free before the deadline"),
-                ))
+    query_upstream: &AtomicU64,
+) -> FlightResult {
+    let stub = ExecutionStub::bind(Arc::clone(&inner.client), exec);
+    let mut attempt = 0u32;
+    loop {
+        if leg_ctx.expired() {
+            return Err((
+                SiteErrorKind::Timeout,
+                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
+            ));
+        }
+        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
+        query_upstream.fetch_add(1, Ordering::Relaxed);
+        inner.stats.xml_calls.fetch_add(1, Ordering::Relaxed);
+        match stub.get_pr_with_context(pr, leg_ctx) {
+            Ok(rows) => {
+                let rows = Arc::new(rows);
+                if let Some(fill) = fill {
+                    cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
+                }
+                return Ok(FlightRows::complete(rows));
             }
-            Some(_permit) => {
-                let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-                let entries = batch_entries(&leaders);
-                let mut attempt = 0u32;
-                loop {
-                    if leg_ctx.expired() {
-                        break Err((
-                            SiteErrorKind::Timeout,
-                            format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-                        ));
-                    }
-                    inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-                    query_upstream.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.batched_calls.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .stats
-                        .batch_entries
-                        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                    // The codec-negotiating path opens with (or re-uses) the
-                    // binary plane when enabled; `with_binary(false)` pins
-                    // every batch to XML.
-                    let exchanged = if inner.config.binary_enabled {
-                        stub.call_batch_auto(&entries, leg_ctx)
-                    } else {
-                        stub.call_batch(&entries, leg_ctx)
-                            .map(|outcomes| (outcomes, BatchWire::Xml))
-                    };
-                    match exchanged {
-                        Ok((outcomes, wire)) => {
-                            match wire {
-                                BatchWire::Binary => {
-                                    inner.stats.binary_calls.fetch_add(1, Ordering::Relaxed);
-                                    inner
-                                        .stats
-                                        .binary_entries
-                                        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                                }
-                                BatchWire::BinaryFallback => {
-                                    inner.stats.binary_fallbacks.fetch_add(1, Ordering::Relaxed);
-                                }
-                                BatchWire::Xml => {}
-                            }
-                            if outcomes.len() == entries.len() {
-                                break Ok(outcomes);
-                            }
-                            break Err((
-                                SiteErrorKind::Fault,
-                                format!(
-                                    "multiCall answered {} entries for {} sub-calls",
-                                    outcomes.len(),
-                                    entries.len()
-                                ),
-                            ));
-                        }
-                        Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
-                            None => continue,
-                            Some(failure) => break Err(failure),
-                        },
-                    }
+            Err(e) => {
+                if let Some(failure) = retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
+                    return Err(failure);
                 }
             }
-        };
-    let mut spans = leg_ctx.spans();
-    let flight_spans = spans.split_off(span_base.min(spans.len()));
-    match wire_outcomes {
-        Ok(outcomes) => {
-            for ((idx, _, _, cache_fill, token), entry_outcome) in leaders.into_iter().zip(outcomes)
-            {
-                let result: FlightResult = match entry_outcome {
-                    Ok(value) => match value.into_str_array() {
-                        Some(entry_rows) => {
-                            let entry_rows = Arc::new(entry_rows);
-                            if let Some(fill) = &cache_fill {
-                                cache_store(
-                                    inner,
-                                    site,
-                                    fill,
-                                    fill.window,
-                                    Arc::clone(&entry_rows),
-                                );
-                            }
-                            Ok(FlightRows::complete(entry_rows))
-                        }
-                        None => Err((
-                            SiteErrorKind::Fault,
-                            "batched getPR returned a non-array".to_owned(),
-                        )),
-                    },
-                    Err(fault) => Err((fault_kind(&fault), fault.to_string())),
-                };
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
-        }
-        Err((kind, detail)) => {
-            publish_batch_failure(inner, leaders, leg_ctx, span_base, kind, detail, results);
         }
     }
 }
 
-/// How one batch-stream wire attempt resolved.
-enum BatchStreamAttempt {
-    /// Per-leader flight results, aligned with the leaders that rode the
-    /// stream.
+/// How one framed wire attempt resolved.
+enum FramedAttempt {
+    /// Per-leader flight results, aligned with the leaders.
     Done(Vec<FlightResult>),
-    /// The peer does not speak the batch-stream wire (missing route or a
-    /// buffered answer): re-send the held leaders buffered.
-    Downgrade,
+    /// The host turned the framed route away (404, a non-stream answer,
+    /// corruption before any row): re-send the leaders per-call.
+    TurnedAway,
     /// A pre-row failure that applies to every leader alike.
     Failed(SiteErrorKind, String),
 }
 
-/// One batched flight over the interleaved stream wire: the same join and
-/// permit discipline as `run_batch_flight`, but the exchange is a single
-/// `POST /ogsa/batch-stream` whose per-entry row frames merge into the
-/// cache as they arrive (frontier-gated, per entry). `PPG_FORCE_XML=1` and
-/// authorities that already proved they can't batch-stream delegate to the
-/// buffered flight before joining anything; a live downgrade is remembered
-/// per authority and the already-held leaders re-ride the buffered wire
-/// inline, so single-flight followers never notice.
-fn run_batch_stream_flight(
+/// Drive one framed exchange for the held leaders. Row frames accumulate
+/// per entry and merge into the cache as they land, behind a per-entry
+/// monotone frontier ([`FrameClaims`]): an out-of-order frame poisons only
+/// that entry's series, never its siblings. A sealed entry stores its whole
+/// window. An entry the stream died in keeps its delivered rows as a
+/// truncated partial answer — or, with no rows, fails `Timeout` when the
+/// leg had run out of budget (the deadline's doing, not the site's) and
+/// `Unreachable` otherwise.
+fn run_framed_wire(
     inner: &Arc<Inner>,
     site: &str,
-    members: &[BatchMember],
+    leaders: &[FlightLeader],
     leg_ctx: &CallContext,
     query_upstream: &Arc<AtomicU64>,
-) -> Vec<(usize, FlightResult)> {
-    let authority = members
-        .first()
-        .map(|(_, exec, _, _)| exec.url().authority())
-        .unwrap_or_default();
-    let force_xml = std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1");
-    if force_xml || inner.no_batch_stream.lock().contains(&authority) {
-        return run_batch_flight(inner, site, members, leg_ctx, query_upstream);
-    }
-    let started = Instant::now();
-    let mut results: Vec<(usize, FlightResult)> = Vec::with_capacity(members.len());
-    if fail_expired_members(site, members, leg_ctx, started, &mut results) {
-        return results;
-    }
-    let leaders = join_batch_leaders(inner, site, members, leg_ctx, started, &mut results);
-    if leaders.is_empty() {
-        return results;
-    }
-    let span_base = leg_ctx.span_count();
-    // One permit covers the stream for its whole lifetime: from the site's
-    // point of view an interleaved batch is still one upstream request.
-    let attempt = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
-        None => BatchStreamAttempt::Failed(
-            SiteErrorKind::Timeout,
-            format!("no {site} permit became free before the deadline"),
-        ),
-        Some(_permit) => run_batch_stream_wire(inner, site, &leaders, leg_ctx, query_upstream),
-    };
-    match attempt {
-        BatchStreamAttempt::Done(outcomes) => {
-            let mut spans = leg_ctx.spans();
-            let flight_spans = spans.split_off(span_base.min(spans.len()));
-            for ((idx, _, _, _, token), result) in leaders.into_iter().zip(outcomes) {
-                inner.flights.publish(
-                    token,
-                    FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-                );
-                results.push((idx, result));
-            }
-        }
-        BatchStreamAttempt::Downgrade => {
-            inner
-                .stats
-                .batch_stream_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            inner.no_batch_stream.lock().insert(authority);
-            run_buffered_batch_wire(
-                inner,
-                site,
-                leaders,
-                leg_ctx,
-                query_upstream,
-                started,
-                &mut results,
-            );
-        }
-        BatchStreamAttempt::Failed(kind, detail) => {
-            publish_batch_failure(
-                inner,
-                leaders,
-                leg_ctx,
-                span_base,
-                kind,
-                detail,
-                &mut results,
-            );
-        }
-    }
-    results
-}
-
-/// Drive one `multiCallStream` exchange for the held leaders. Row frames
-/// are accumulated per entry and merged into the cache under the same
-/// frontier discipline as the single-call stream path: in-order frames
-/// claim their clamped window immediately; an out-of-order frame poisons
-/// only that entry's series (remove + stop claiming), never its siblings.
-fn run_batch_stream_wire(
-    inner: &Arc<Inner>,
-    site: &str,
-    leaders: &[BatchLeader],
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> BatchStreamAttempt {
+) -> FramedAttempt {
     let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-    let entries = batch_entries(leaders);
+    let entries = framed_entries(leaders);
     let mut attempt = 0u32;
     loop {
         if leg_ctx.expired() {
-            break BatchStreamAttempt::Failed(
+            break FramedAttempt::Failed(
                 SiteErrorKind::Timeout,
                 format!("leg {} expired before attempt", leg_ctx.leg_tag()),
             );
@@ -1934,14 +1581,14 @@ fn run_batch_stream_wire(
         let exchanged = stub.call_batch_stream(&entries, leg_ctx, &mut |entry, frame| {
             claims[entry].claim(inner, site, &frame);
             entry_rows[entry].extend(frame);
+            // Frame-boundary cancellation: a spent budget (deadline or a
+            // lost hedge race) stops the pull here.
             !leg_ctx.expired()
         });
         match exchanged {
             Ok(Some(streamed)) => {
                 inner.stats.batch_streams.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .stats
-                    .batch_stream_entries
+                (inner.stats.batch_stream_entries)
                     .fetch_add(leaders.len() as u64, Ordering::Relaxed);
                 let mut flight_results: Vec<FlightResult> =
                     Vec::with_capacity(streamed.entries.len());
@@ -1963,10 +1610,7 @@ fn run_batch_stream_wire(
                             Err((fault_kind(fault), fault.to_string()))
                         }
                         BatchStreamEntryOutcome::Truncated { rows: delivered, detail } => {
-                            inner
-                                .stats
-                                .batch_stream_truncated
-                                .fetch_add(1, Ordering::Relaxed);
+                            (inner.stats.batch_stream_truncated).fetch_add(1, Ordering::Relaxed);
                             if streamed.cancelled {
                                 Err((
                                     SiteErrorKind::Timeout,
@@ -1995,149 +1639,20 @@ fn run_batch_stream_wire(
                         }
                     });
                 }
-                break BatchStreamAttempt::Done(flight_results);
+                break FramedAttempt::Done(flight_results);
             }
-            Ok(None) => break BatchStreamAttempt::Downgrade,
+            Ok(None) => break FramedAttempt::TurnedAway,
             // The stub only errors before any row arrived, so a retry starts
             // from a clean slate — no partial cache claims to unwind.
             Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
                 None => continue,
-                Some((kind, detail)) => break BatchStreamAttempt::Failed(kind, detail),
+                Some((kind, detail)) => break FramedAttempt::Failed(kind, detail),
             },
         }
     }
 }
 
-/// One leg's upstream flight: coalesce with identical in-flight tuples,
-/// acquire the site permit within the leg's budget, then call `getPR` with
-/// retries whose backoff is charged against the remaining budget. With
-/// `streaming`, the call consumes the site's incremental result stream
-/// instead of a buffered body (unless this authority already proved it
-/// can't stream).
-#[allow(clippy::too_many_arguments)]
-fn run_flight(
-    inner: &Arc<Inner>,
-    site: &str,
-    exec: &Gsh,
-    pr: &Arc<PrQuery>,
-    cache_fill: Option<&CacheFill>,
-    streaming: bool,
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> FlightResult {
-    let started = Instant::now();
-    if leg_ctx.expired() {
-        let outcome = if leg_ctx.cancelled() {
-            "cancelled-before-send"
-        } else {
-            "deadline-exceeded-before-send"
-        };
-        leg_ctx.record_span("gateway.call", "getPR", site, started, outcome);
-        return Err((
-            SiteErrorKind::Timeout,
-            format!("leg {} abandoned before send: {outcome}", leg_ctx.leg_tag()),
-        ));
-    }
-    // The flight key is the exact upstream tuple (instance handle + PrQuery
-    // key): concurrent identical tuples share one call.
-    let flight_key = format!("{}::{}", exec.as_str(), pr.cache_key());
-    match inner.flights.join(&flight_key) {
-        Flight::Follower(outcome) => {
-            if outcome.leader_request_id != leg_ctx.request_id() {
-                // A different request did the work: adopt its spans into this
-                // trace, then record the coalescing itself so the trace shows
-                // which request actually hit the wire.
-                leg_ctx.extend_spans(outcome.spans.clone());
-                leg_ctx.record_span(
-                    "gateway.coalesce",
-                    "getPR",
-                    site,
-                    started,
-                    &format!("leader:{}", outcome.leader_request_id),
-                );
-            }
-            outcome.result
-        }
-        Flight::Leader(token) => {
-            // Spans this flight records start here; the slice past this index
-            // is what followers adopt. Sibling legs of the same request share
-            // the trace, so a rare interleaved sibling span may ride along —
-            // acceptable for diagnostic data.
-            let span_base = leg_ctx.span_count();
-            // Skip the stream probe against authorities that already fell
-            // back once — they answer buffered anyway.
-            let use_stream = streaming && !inner.no_stream.lock().contains(&exec.url().authority());
-            let outcome = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
-                None => {
-                    leg_ctx.record_span(
-                        "gateway.call",
-                        "getPR",
-                        site,
-                        started,
-                        "deadline-exceeded",
-                    );
-                    Err((
-                        SiteErrorKind::Timeout,
-                        format!("no {site} permit became free before the deadline"),
-                    ))
-                }
-                Some(_permit) => {
-                    let stub = ExecutionStub::bind(Arc::clone(&inner.client), exec);
-                    if use_stream {
-                        run_stream_leader(
-                            inner,
-                            site,
-                            exec,
-                            &stub,
-                            pr,
-                            cache_fill,
-                            leg_ctx,
-                            query_upstream,
-                        )
-                    } else {
-                        let mut attempt = 0u32;
-                        loop {
-                            if leg_ctx.expired() {
-                                break Err((
-                                    SiteErrorKind::Timeout,
-                                    format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-                                ));
-                            }
-                            inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-                            query_upstream.fetch_add(1, Ordering::Relaxed);
-                            match stub.get_pr_with_context(pr, leg_ctx) {
-                                Ok(rows) => {
-                                    break Ok(FlightRows::complete(Arc::new(rows)));
-                                }
-                                Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
-                                    None => continue,
-                                    Some(failure) => break Err(failure),
-                                },
-                            }
-                        }
-                    }
-                }
-            };
-            // The buffered path fills the cache here; the streaming path
-            // already did its own (per-frame + trailer) inserts, and a
-            // truncated stream's coverage is unknown, so neither re-inserts.
-            if let (Ok(flight), Some(fill)) = (&outcome, cache_fill) {
-                if !use_stream && !flight.truncated {
-                    cache_store(inner, site, fill, fill.window, Arc::clone(&flight.rows));
-                }
-            }
-            let mut spans = leg_ctx.spans();
-            let flight_spans = spans.split_off(span_base.min(spans.len()));
-            inner.flights.publish(
-                token,
-                FlightOutcome::new(outcome.clone(), leg_ctx.request_id(), flight_spans),
-            );
-            outcome
-        }
-    }
-}
-
-/// One streamed fill's incremental cache claims. Per-frame merges are sound
+/// One framed entry's incremental cache claims. Per-frame merges are sound
 /// only for single-focus tuples (a multi-foci scan restarts time once per
 /// focus) and only while the frame sequence stays monotone in time: each
 /// frame may claim the window its own rows span solely because no later
@@ -2192,125 +1707,4 @@ fn frame_window(rows: &[String]) -> Option<(f64, f64)> {
         hi = hi.max(e);
     }
     (lo <= hi).then_some((lo, hi))
-}
-
-/// One streamed `getPR` leg: consume the site's incremental result stream,
-/// merging each frame into the segment cache as it lands (so a stream that
-/// dies mid-scan still leaves its delivered prefix cached), accumulate the
-/// full row set, and classify the ending — clean trailer, transparent
-/// buffered fallback, truncation (partial result), or error. Pre-row
-/// transport failures retry like the buffered path; once rows have been
-/// delivered there is no retry (a replay would re-deliver them), the stream's
-/// verdict stands.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_leader(
-    inner: &Arc<Inner>,
-    site: &str,
-    exec: &Gsh,
-    stub: &ExecutionStub,
-    pr: &Arc<PrQuery>,
-    cache_fill: Option<&CacheFill>,
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> FlightResult {
-    let mut attempt = 0u32;
-    loop {
-        if leg_ctx.expired() {
-            break Err((
-                SiteErrorKind::Timeout,
-                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-            ));
-        }
-        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-        query_upstream.fetch_add(1, Ordering::Relaxed);
-        let mut rows: Vec<String> = Vec::new();
-        let mut claims = FrameClaims::new(cache_fill, pr);
-        let mut frames = 0u64;
-        let outcome = stub.get_pr_stream(pr, leg_ctx, &mut |frame: Vec<String>| {
-            frames += 1;
-            claims.claim(inner, site, &frame);
-            rows.extend(frame);
-            // Frame-boundary cancellation: a spent budget (deadline or a
-            // lost hedge race) stops the pull here; the stub drops the
-            // connection and the producer notices its reader is gone.
-            !leg_ctx.expired()
-        });
-        match outcome {
-            Ok(so) => {
-                match so.wire {
-                    StreamWire::Stream => {
-                        inner.stats.streams.fetch_add(1, Ordering::Relaxed);
-                        inner
-                            .stats
-                            .stream_frames
-                            .fetch_add(frames, Ordering::Relaxed);
-                        inner
-                            .stats
-                            .stream_rows
-                            .fetch_add(so.rows, Ordering::Relaxed);
-                    }
-                    StreamWire::StreamFallback => {
-                        // Legacy peer: remember the authority so later calls
-                        // go buffered without the dead probe.
-                        inner.stats.stream_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        inner.no_stream.lock().insert(exec.url().authority());
-                    }
-                    StreamWire::Buffered => {}
-                }
-                if so.cancelled {
-                    break Err((
-                        SiteErrorKind::Timeout,
-                        format!(
-                            "stream abandoned at a frame boundary after {} rows (leg {})",
-                            rows.len(),
-                            leg_ctx.leg_tag()
-                        ),
-                    ));
-                }
-                let rows = Arc::new(rows);
-                // Clean end (trailer verified, or a complete buffered body):
-                // the standard full-window insert, exactly like the buffered
-                // path — merge_filterable dedups rows the per-frame claims
-                // already hold.
-                if let Some(fill) = cache_fill {
-                    cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
-                }
-                break Ok(FlightRows::complete(rows));
-            }
-            Err(OgsiError::StreamTruncated {
-                rows: delivered,
-                detail,
-            }) => {
-                inner.stats.streams.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .stats
-                    .stream_frames
-                    .fetch_add(frames, Ordering::Relaxed);
-                inner
-                    .stats
-                    .stream_rows
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                if rows.is_empty() {
-                    // Nothing arrived before the connection died: a plain
-                    // unreachable-site failure, nothing partial about it.
-                    break Err((SiteErrorKind::Unreachable, detail));
-                }
-                inner.stats.stream_truncated.fetch_add(1, Ordering::Relaxed);
-                // Partial result: the delivered prefix stands (and its
-                // per-frame cache claims survive — each one was sound on its
-                // own), but no full-window claim is made.
-                break Ok(FlightRows::truncated(
-                    Arc::new(rows),
-                    format!("stream died after {delivered} rows: {detail}"),
-                ));
-            }
-            // Non-truncation errors only occur before any row was delivered
-            // (the stub maps later failures to StreamTruncated), so the
-            // buffered path's retry discipline applies unchanged.
-            Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
-                None => continue,
-                Some(failure) => break Err(failure),
-            },
-        }
-    }
 }

@@ -21,7 +21,8 @@ use crate::query::{FederatedQuery, SiteError, SiteErrorKind};
 use parking_lot::Mutex;
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{FactoryStub, GridServiceStub, Gsh, OgsiError, RegistryStub};
-use pperfgrid::{ApplicationStub, ManagerStub};
+use pperf_soap::PPGB_VERSION;
+use pperfgrid::{ApplicationStub, ManagerStub, FRAMED_CAPABILITY};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,21 +48,10 @@ pub struct SitePlan {
     /// Expanded `getPR` targets (shared with the planner's remembered
     /// expansion: a warm plan clones the pointer, not the handles).
     pub targets: Arc<[ExecTarget]>,
-    /// The site advertises `supportsBatch` service data, so its targets may
-    /// ride one multi-call wire request per host instead of one call each.
-    pub supports_batch: bool,
-    /// The site also advertises `supportsBinary`: its container decodes
-    /// PPGB frames, so those multi-calls may travel the binary data plane.
-    pub supports_binary: bool,
-    /// The site advertises `supportsStreaming`: its Execution containers
-    /// answer `/ogsa/stream` with incremental PPGB result frames, so
-    /// per-call getPR targets may be consumed frame-at-a-time.
-    pub supports_streaming: bool,
-    /// The site advertises `supportsBatchStream`: its container answers
-    /// `/ogsa/batch-stream` with interleaved per-entry stream sections, so
-    /// a whole batch may stream end to end in one exchange. Implies (and is
-    /// only honored alongside) batch and streaming support.
-    pub supports_batch_stream: bool,
+    /// The site advertises the framed PPGB route at this build's
+    /// `PPGB_VERSION`: its targets ride one framed call per host instead of
+    /// one SOAP/XML call each.
+    pub framed: bool,
 }
 
 /// A complete scatter plan: per-site target lists plus the sites that failed
@@ -89,15 +79,6 @@ impl QueryPlan {
     }
 }
 
-/// What a site's Application instance advertised at bind time.
-#[derive(Clone, Copy)]
-struct Capabilities {
-    batch: bool,
-    binary: bool,
-    streaming: bool,
-    batch_stream: bool,
-}
-
 /// One selector's remembered expansion, fresh while `plan_cache_ttl` has not
 /// run out and the membership generation it was made under still stands.
 struct Expansion {
@@ -115,8 +96,8 @@ const MAX_EXPANSIONS_PER_SITE: usize = 64;
 struct BoundSite {
     app: ApplicationStub,
     manager: Option<ManagerStub>,
-    /// Learned once at bind time from the `supports*` service data.
-    caps: Capabilities,
+    /// Whether the site takes framed calls, read once at bind time.
+    framed: bool,
     /// `selector → targets` (hedges included) as last expanded.
     expansions: HashMap<Option<(String, String)>, Expansion>,
 }
@@ -431,7 +412,7 @@ impl Planner {
                     return Ok(site_plan(
                         entry,
                         factory,
-                        bound.caps,
+                        bound.framed,
                         Arc::clone(&exp.targets),
                     ));
                 }
@@ -444,7 +425,7 @@ impl Planner {
         expanded.push((entry.site.clone(), cause));
         self.expansion_refreshes.fetch_add(1, Ordering::Relaxed);
         let was_bound = self.bound.lock().contains_key(&entry.site);
-        let (caps, targets) = match self.expand(entry, factory, query, generation) {
+        let (framed, targets) = match self.expand(entry, factory, query, generation) {
             Err(_) if was_bound => {
                 self.bound.lock().remove(&entry.site);
                 self.expand(entry, factory, query, generation)
@@ -452,7 +433,7 @@ impl Planner {
             other => other,
         }
         .map_err(|e| e.to_string())?;
-        Ok(site_plan(entry, factory, caps, targets))
+        Ok(site_plan(entry, factory, framed, targets))
     }
 
     /// Ask the site's Application (binding it first if need be) what the
@@ -463,14 +444,14 @@ impl Planner {
         factory: &Gsh,
         query: &FederatedQuery,
         generation: u64,
-    ) -> Result<(Capabilities, Arc<[ExecTarget]>), OgsiError> {
+    ) -> Result<(bool, Arc<[ExecTarget]>), OgsiError> {
         let site = entry.site.as_str();
         let drops = self.expansion_drops.load(Ordering::Acquire);
         // Look up (and drop the lock on) the cached binding before any wire
         // work: createService and capability discovery must not run under it.
         let cached = (self.bound.lock().get(site))
-            .map(|bound| (bound.app.clone(), bound.manager.clone(), bound.caps));
-        let (app, manager, caps) = match cached {
+            .map(|bound| (bound.app.clone(), bound.manager.clone(), bound.framed));
+        let (app, manager, framed) = match cached {
             Some(cached) => cached,
             None => self.bind(site, factory)?,
         };
@@ -509,61 +490,30 @@ impl Planner {
                 );
             }
         }
-        Ok((caps, targets))
+        Ok((framed, targets))
     }
 
     /// Create and remember the site's Application instance, discovering its
-    /// Manager and capabilities once.
+    /// Manager and whether it takes framed calls once.
     fn bind(
         &self,
         site: &str,
         factory: &Gsh,
-    ) -> Result<(ApplicationStub, Option<ManagerStub>, Capabilities), OgsiError> {
+    ) -> Result<(ApplicationStub, Option<ManagerStub>, bool), OgsiError> {
         let instance = FactoryStub::bind(Arc::clone(&self.client), factory).create_service(&[])?;
         let app = ApplicationStub::bind(Arc::clone(&self.client), &instance);
         let manager = self.hedging.then(|| self.discover_manager(&app)).flatten();
-        // The capability probes are independent service-data reads; running
-        // them concurrently keeps a fresh bind at one probe round-trip
-        // however many capabilities exist.
-        let [batch, binary, streaming, batch_stream] = std::thread::scope(|scope| {
-            [
-                "supportsBatch",
-                "supportsBinary",
-                "supportsStreaming",
-                "supportsBatchStream",
-            ]
-            .map(|name| scope.spawn(|| self.advertises(&app, name)))
-            .map(|probe| probe.join().unwrap_or(false))
-        });
-        let caps = Capabilities {
-            batch,
-            // Binary is an extension of the batch protocol, so only
-            // batch-capable sites honor it.
-            binary: batch && binary,
-            // Streaming rides the per-call path, not the batch one, so its
-            // probe stands on its own.
-            streaming,
-            // Batch streaming composes the batch envelope with the stream
-            // framing, so it is only honored where both parents are
-            // advertised too.
-            batch_stream: batch && streaming && batch_stream,
-        };
-        if caps.binary {
-            // Pre-seed the client's per-peer codec memory: the first
-            // multi-call to this site opens with a PPGB frame instead of
-            // probing via an XML `Accept` advertisement.
-            self.client.mark_binary(&app.handle().url().authority());
-        }
+        let framed = self.advertises_framed(&app);
         self.bound.lock().insert(
             site.to_owned(),
             BoundSite {
                 app: app.clone(),
                 manager: manager.clone(),
-                caps,
+                framed,
                 expansions: HashMap::new(),
             },
         );
-        Ok((app, manager, caps))
+        Ok((app, manager, framed))
     }
 
     /// The site's Manager handle, advertised as `managerGsh` service data on
@@ -576,16 +526,13 @@ impl Planner {
         Some(ManagerStub::bind(Arc::clone(&self.client), &gsh))
     }
 
-    /// Whether the site advertises a wire capability as boolean service
-    /// data. Best-effort and negotiated once per binding: absent, false, or
-    /// unreadable all mean "no", so sites predating the capability keep
-    /// working untouched on the older wire.
-    fn advertises(&self, app: &ApplicationStub, capability: &str) -> bool {
+    /// Whether the site advertises the framed route at this build's
+    /// `PPGB_VERSION`. Absent, another version, or unreadable all mean "no",
+    /// so such sites keep working on per-call SOAP/XML.
+    fn advertises_framed(&self, app: &ApplicationStub) -> bool {
         let gs = GridServiceStub::bind(Arc::clone(&self.client), app.handle());
-        gs.find_service_data(capability)
-            .ok()
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false)
+        let advertised = gs.find_service_data(FRAMED_CAPABILITY).ok();
+        advertised.and_then(|v| v.as_int()) == Some(i64::from(PPGB_VERSION))
     }
 
     /// Drop every cached Application binding (e.g. between test phases).
@@ -602,16 +549,13 @@ impl Planner {
 fn site_plan(
     entry: &SiteEntry,
     factory: &Gsh,
-    caps: Capabilities,
+    framed: bool,
     targets: Arc<[ExecTarget]>,
 ) -> SitePlan {
     SitePlan {
         site: entry.site.clone(),
         factory: factory.clone(),
         targets,
-        supports_batch: caps.batch,
-        supports_binary: caps.binary,
-        supports_streaming: caps.streaming,
-        supports_batch_stream: caps.batch_stream,
+        framed,
     }
 }

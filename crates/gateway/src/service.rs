@@ -152,29 +152,7 @@ impl ServicePort for FederatedQueryService {
             )
             .with("notifyEvents", Value::Int(snapshot.notify_events as i64))
             .with("notifyResyncs", Value::Int(snapshot.notify_resyncs as i64))
-            .with("batchedCalls", Value::Int(snapshot.batched_calls as i64))
-            .with("batchEntries", Value::Int(snapshot.batch_entries as i64))
-            .with(
-                "batchFallbackCalls",
-                Value::Int(snapshot.batch_fallback_calls as i64),
-            )
-            .with("binaryCalls", Value::Int(snapshot.binary_calls as i64))
-            .with("binaryEntries", Value::Int(snapshot.binary_entries as i64))
-            .with(
-                "binaryFallbackCalls",
-                Value::Int(snapshot.binary_fallback_calls as i64),
-            )
-            .with("streams", Value::Int(snapshot.streams as i64))
-            .with("streamFrames", Value::Int(snapshot.stream_frames as i64))
-            .with("streamRows", Value::Int(snapshot.stream_rows as i64))
-            .with(
-                "streamTruncated",
-                Value::Int(snapshot.stream_truncated as i64),
-            )
-            .with(
-                "streamFallbackCalls",
-                Value::Int(snapshot.stream_fallback_calls as i64),
-            )
+            .with("xmlCalls", Value::Int(snapshot.xml_calls as i64))
             .with("batchStreams", Value::Int(snapshot.batch_streams as i64))
             .with(
                 "batchStreamEntries",

@@ -1,15 +1,15 @@
-//! Batched wire protocol integration: mixed fleets of batch-capable and
-//! legacy sites, per-entry faults, and per-entry deadline expiry — all of
-//! which must preserve the gateway's partial-result semantics.
+//! A fleet mixing a site that advertises the framed route with a legacy
+//! site that does not: the capable site's targets share one framed call,
+//! the legacy site's go per-call over SOAP/XML, and both answer the same
+//! rows. (The full cross-route oracle is `wire_equivalence.rs`.)
 
-use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
+use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn start_container() -> Arc<Container> {
     Container::start("127.0.0.1:0", ContainerConfig::default()).unwrap()
@@ -21,11 +21,7 @@ fn registry_on(container: &Container) -> Gsh {
         .unwrap()
 }
 
-fn mem_wrapper(
-    execs: usize,
-    rows_per_exec: usize,
-    delay: Option<Duration>,
-) -> MemApplicationWrapper {
+fn mem_wrapper(execs: usize, rows_per_exec: usize) -> MemApplicationWrapper {
     let app = MemApplicationWrapper::new(vec![("name", "MemApp")]);
     for i in 0..execs {
         let mut exec = MemExecution {
@@ -34,7 +30,6 @@ fn mem_wrapper(
             metrics: vec!["gflops".into()],
             types: vec!["MEM".into()],
             time: ("0".into(), "10".into()),
-            query_delay: delay,
             ..Default::default()
         };
         exec.results.insert(
@@ -55,7 +50,7 @@ fn publish(client: &Arc<HttpClient>, registry: &Gsh, org: &str, site: &Site) {
 }
 
 /// Rows per site, sorted — handle-independent result shape for comparison
-/// across gateways.
+/// across routes.
 fn rows_by_site(result: &pperf_gateway::FederatedResult) -> BTreeMap<String, Vec<String>> {
     let mut by_site: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for site_rows in &result.rows {
@@ -70,9 +65,10 @@ fn rows_by_site(result: &pperf_gateway::FederatedResult) -> BTreeMap<String, Vec
     by_site
 }
 
-/// A fleet mixing a batch-capable site with a legacy (no `supportsBatch`)
-/// site must answer exactly like an all-per-call gateway — batching is a
-/// wire-level optimization, never a semantic change.
+/// A fleet mixing a framed site with a legacy (non-advertising) site over
+/// identical wrappers answers identical rows for both — batching is a
+/// wire-level optimization, never a semantic change — and the counters show
+/// which route each site rode.
 #[test]
 fn mixed_fleet_batched_and_legacy_sites_agree() {
     let client = Arc::new(HttpClient::new());
@@ -83,96 +79,21 @@ fn mixed_fleet_batched_and_legacy_sites_agree() {
     let new_site = Site::deploy(
         &c_new,
         Arc::clone(&client),
-        Arc::new(mem_wrapper(3, 2, None)) as Arc<dyn ApplicationWrapper>,
-        // This suite targets the buffered multi-call plane; pin the sites off
-        // the interleaved batch-stream wire so its counters stay meaningful.
-        &SiteConfig::new("new").with_batch_stream_advertised(false),
+        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
+        &SiteConfig::new("new"),
     )
     .unwrap();
     let old_site = Site::deploy(
         &c_old,
         Arc::clone(&client),
-        Arc::new(mem_wrapper(3, 2, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("old").with_batch_advertised(false),
+        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
+        &SiteConfig::new("old").with_framed_advertised(false),
     )
     .unwrap();
     publish(&client, &registry, "NEW", &new_site);
     publish(&client, &registry, "OLD", &old_site);
 
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
-    // Binary is pinned off so this test exercises the XML batch plane in
-    // isolation (tests/binary.rs covers the PPGB plane).
-    let batched_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_binary(false),
-    );
-    let batched = batched_gw.query(&query);
-    assert!(batched.errors.is_empty(), "{:?}", batched.errors);
-    assert_eq!(batched.rows.len(), 6);
-    // One multi-call for the capable site, three per-call fallbacks for the
-    // legacy one.
-    assert_eq!(batched.upstream_calls, 4);
-    let snapshot = batched_gw.snapshot();
-    assert_eq!(snapshot.batched_calls, 1);
-    assert_eq!(snapshot.batch_entries, 3);
-    assert_eq!(snapshot.batch_fallback_calls, 3);
-    // The wire-level counters agree: only the capable site's container saw a
-    // multi-call.
-    assert_eq!(c_new.batch_counters(), (1, 3));
-    assert_eq!(c_old.batch_counters(), (0, 0));
-
-    let per_call_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false),
-    );
-    let per_call = per_call_gw.query(&query);
-    assert!(per_call.errors.is_empty(), "{:?}", per_call.errors);
-    assert_eq!(per_call.upstream_calls, 6);
-    assert_eq!(per_call_gw.snapshot().batched_calls, 0);
-
-    // Identical FederatedResult, whatever the wire shape.
-    assert_eq!(rows_by_site(&batched), rows_by_site(&per_call));
-    assert_eq!(batched.sites_total, per_call.sites_total);
-}
-
-/// One entry of a batch faulting (here: an execution that doesn't know the
-/// metric) must cost exactly that entry — its site still contributes every
-/// other execution's rows, plus one structured error.
-#[test]
-fn per_entry_fault_yields_partial_result_under_batching() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container();
-    let registry = registry_on(&container);
-
-    let app = mem_wrapper(2, 2, None);
-    app.add_execution(
-        "mem-bad",
-        MemExecution {
-            info: vec![("runid".into(), "bad".into())],
-            foci: vec!["/Execution".into()],
-            metrics: vec!["iterations".into()], // no gflops ⇒ getPR faults
-            types: vec!["MEM".into()],
-            time: ("0".into(), "10".into()),
-            ..Default::default()
-        },
-    );
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(app) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("mem").with_batch_stream_advertised(false),
-    )
-    .unwrap();
-    publish(&client, &registry, "MEM", &site);
-
     let gateway = FederatedGateway::new(
         Arc::clone(&client),
         registry.clone(),
@@ -180,79 +101,27 @@ fn per_entry_fault_yields_partial_result_under_batching() {
             .with_cache(false)
             .with_hedging(None),
     );
-    let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
-
-    assert!(result.is_partial(), "errors: {:?}", result.errors);
-    assert_eq!(result.rows.len(), 2, "healthy entries answered");
-    assert_eq!(result.total_rows(), 4);
-    assert_eq!(result.errors.len(), 1);
-    assert_eq!(result.errors[0].kind, SiteErrorKind::Fault);
-    assert!(
-        result.errors[0].detail.contains("unknown metric"),
-        "{:?}",
-        result.errors[0]
-    );
-    // The whole site still rode one batched exchange.
+    let result = gateway.query(&query);
+    assert!(result.errors.is_empty(), "{:?}", result.errors);
+    assert_eq!(result.rows.len(), 6);
+    // One framed call for the capable site, three per-call XML calls for
+    // the legacy one.
+    assert_eq!(result.upstream_calls, 4);
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.batched_calls, 1);
-    assert_eq!(snapshot.batch_entries, 3);
-}
+    assert_eq!(snapshot.batch_streams, 1);
+    assert_eq!(snapshot.batch_stream_entries, 3);
+    assert_eq!(snapshot.xml_calls, 3);
+    assert_eq!(snapshot.batch_stream_fallback_calls, 0, "no downgrades");
+    // The wire-level counters agree: only the capable site's container saw
+    // a framed call.
+    let (calls, entries, ..) = c_new.batch_stream_counters();
+    assert_eq!((calls, entries), (1, 3));
+    assert_eq!(c_old.batch_stream_counters().0, 0);
 
-/// Entries that outlive the query budget expire individually: the fast
-/// entries of the same batch still answer, the slow ones become one
-/// structured Timeout error.
-#[test]
-fn per_entry_deadline_yields_partial_result_under_batching() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container();
-    let registry = registry_on(&container);
-
-    let app = mem_wrapper(2, 2, None);
-    app.add_execution(
-        "mem-slow",
-        MemExecution {
-            info: vec![("runid".into(), "slow".into())],
-            foci: vec!["/Execution".into()],
-            metrics: vec!["gflops".into()],
-            types: vec!["MEM".into()],
-            time: ("0".into(), "10".into()),
-            query_delay: Some(Duration::from_secs(5)),
-            ..Default::default()
-        },
-    );
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(app) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("mem").with_batch_stream_advertised(false),
-    )
-    .unwrap();
-    publish(&client, &registry, "MEM", &site);
-
-    let gateway = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_retries(0, Duration::from_millis(5))
-            .with_call_timeout(Duration::from_millis(400)),
-    );
-    let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
-
-    assert!(result.is_partial(), "errors: {:?}", result.errors);
-    assert_eq!(
-        result.rows.len(),
-        2,
-        "fast entries of the batch answered: {:?}",
-        result.rows
-    );
-    assert!(
-        result
-            .errors
-            .iter()
-            .any(|e| e.kind == SiteErrorKind::Timeout),
-        "slow entry expired: {:?}",
-        result.errors
-    );
+    // Identical rows, whatever the route.
+    let by_site = rows_by_site(&result);
+    assert_eq!(by_site.len(), 2);
+    assert_eq!(by_site["NEW/new"], by_site["OLD/old"]);
+    assert_eq!(by_site["NEW/new"].len(), 6);
+    assert_eq!(result.sites_total, 2);
 }

@@ -1,7 +1,7 @@
-//! Binary data plane integration: mixed fleets of PPGB-speaking and
-//! XML-only sites must produce identical federated answers, negotiation
-//! must upgrade and downgrade transparently, and multi-metric queries must
-//! fold every tuple of a host into one frame.
+//! The PPGB framed route beside SOAP/XML: a fleet of framed, XML-only and
+//! legacy sites answers identical rows with every counter showing which
+//! route each site used, and a stale framed advertisement downgrades to XML
+//! transparently, once.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
@@ -16,10 +16,10 @@ fn start_container() -> Arc<Container> {
 }
 
 fn start_legacy_container() -> Arc<Container> {
-    // A container predating the PPGB codec: `/ogsa/binary` answers 404 and
-    // batches are always answered in XML.
+    // A container predating the PPGB framed route: `/ogsa/batch-stream`
+    // answers 404 and every `getPR` is answered in SOAP/XML.
     let config = ContainerConfig {
-        binary_enabled: false,
+        streaming_enabled: false,
         ..Default::default()
     };
     Container::start("127.0.0.1:0", config).unwrap()
@@ -37,7 +37,7 @@ fn mem_wrapper(execs: usize, rows_per_exec: usize) -> MemApplicationWrapper {
         let mut exec = MemExecution {
             info: vec![("runid".into(), i.to_string())],
             foci: vec!["/Execution".into()],
-            metrics: vec!["gflops".into(), "iterations".into()],
+            metrics: vec!["gflops".into()],
             types: vec!["MEM".into()],
             time: ("0".into(), "10".into()),
             ..Default::default()
@@ -46,12 +46,6 @@ fn mem_wrapper(execs: usize, rows_per_exec: usize) -> MemApplicationWrapper {
             ("gflops".into(), "/Execution".into()),
             (0..rows_per_exec)
                 .map(|r| format!("gflops|{i}.{r}"))
-                .collect(),
-        );
-        exec.results.insert(
-            ("iterations".into(), "/Execution".into()),
-            (0..rows_per_exec)
-                .map(|r| format!("iterations|{i}.{r}"))
                 .collect(),
         );
         app.add_execution(format!("mem-{i}"), exec);
@@ -66,7 +60,7 @@ fn publish(client: &Arc<HttpClient>, registry: &Gsh, org: &str, site: &Site) {
 }
 
 /// Rows per site, sorted — handle-independent result shape for comparison
-/// across gateways and wire codecs.
+/// across routes.
 fn rows_by_site(result: &pperf_gateway::FederatedResult) -> BTreeMap<String, Vec<String>> {
     let mut by_site: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for site_rows in &result.rows {
@@ -91,46 +85,38 @@ fn plain_gateway(client: &Arc<HttpClient>, registry: &Gsh) -> Arc<FederatedGatew
     )
 }
 
-/// A fleet mixing a binary-capable site with an XML-batch site and a fully
-/// legacy (per-call) site must answer exactly like an all-per-call gateway.
-/// The codec is a wire-level optimization, never a semantic change — and
-/// every counter must show which plane each site actually used.
+/// A fleet mixing a PPGB-framed site, an XML-only site (honest: neither it
+/// nor its container has the framed route) and a legacy site on a framed
+/// container that does not advertise it answers the same rows from every
+/// site. The codec is a wire-level optimization, never a semantic change —
+/// and every counter shows which route each site actually used.
 #[test]
 fn mixed_fleet_binary_and_xml_sites_agree() {
     let client = Arc::new(HttpClient::new());
     let c_bin = start_container();
     let c_xml = start_legacy_container();
-    let c_old = start_legacy_container();
+    let c_old = start_container();
     let registry = registry_on(&c_bin);
 
     let bin_site = Site::deploy(
         &c_bin,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        // This suite exercises the buffered batch codecs; keep the sites off
-        // the interleaved batch-stream wire so the counters stay buffered.
-        &SiteConfig::new("bin").with_batch_stream_advertised(false),
+        &SiteConfig::new("bin"),
     )
     .unwrap();
-    // Batch-capable but binary-less: honest advertisement matching its
-    // container.
     let xml_site = Site::deploy(
         &c_xml,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("xml")
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
+        &SiteConfig::new("xml").with_framed_advertised(false),
     )
     .unwrap();
     let old_site = Site::deploy(
         &c_old,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("old")
-            .with_batch_advertised(false)
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
+        &SiteConfig::new("old").with_framed_advertised(false),
     )
     .unwrap();
     publish(&client, &registry, "BIN", &bin_site);
@@ -142,99 +128,47 @@ fn mixed_fleet_binary_and_xml_sites_agree() {
     let result = gateway.query(&query);
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.rows.len(), 9);
-    // One multi-call each for the binary and XML sites, three per-call
-    // fallbacks for the legacy one.
-    assert_eq!(result.upstream_calls, 5);
+    // One framed call for the PPGB site, three per-call XML calls each for
+    // the other two.
+    assert_eq!(result.upstream_calls, 7);
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.batched_calls, 2);
-    assert_eq!(snapshot.batch_entries, 6);
-    assert_eq!(snapshot.batch_fallback_calls, 3);
-    assert_eq!(snapshot.binary_calls, 1, "only the BIN site spoke PPGB");
-    assert_eq!(snapshot.binary_entries, 3);
-    assert_eq!(snapshot.binary_fallback_calls, 0, "no downgrades needed");
-    // Container-side agreement: the binary site saw one PPGB exchange and
-    // zero XML batches (its capability was pre-seeded from service data);
-    // the XML site saw one XML batch; the legacy one saw neither.
-    assert_eq!(c_bin.binary_counters(), (1, 3));
-    assert_eq!(c_bin.batch_counters(), (0, 0));
-    assert_eq!(c_xml.binary_counters(), (0, 0));
-    assert_eq!(c_xml.batch_counters(), (1, 3));
-    assert_eq!(c_old.batch_counters(), (0, 0));
+    assert_eq!(snapshot.batch_streams, 1, "only the BIN site spoke PPGB");
+    assert_eq!(snapshot.batch_stream_entries, 3);
+    assert_eq!(snapshot.xml_calls, 6);
+    assert_eq!(snapshot.batch_stream_fallback_calls, 0, "no downgrades");
+    // Container-side agreement: the framed site's container saw one PPGB
+    // exchange (its capability came from service data, no probe); the
+    // others saw none — not even the one that would have served it.
+    let (calls, entries, ..) = c_bin.batch_stream_counters();
+    assert_eq!((calls, entries), (1, 3));
+    assert_eq!(c_xml.batch_stream_counters().0, 0);
+    assert_eq!(c_old.batch_stream_counters().0, 0);
 
-    // Identical FederatedResult from an all-per-call gateway.
-    let per_call_gw = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false),
-    );
-    let per_call = per_call_gw.query(&query);
-    assert!(per_call.errors.is_empty(), "{:?}", per_call.errors);
-    assert_eq!(per_call.upstream_calls, 9);
-    assert_eq!(rows_by_site(&result), rows_by_site(&per_call));
-    assert_eq!(result.sites_total, per_call.sites_total);
+    let by_site = rows_by_site(&result);
+    assert_eq!(by_site.len(), 3);
+    assert_eq!(by_site["BIN/bin"], by_site["XML/xml"]);
+    assert_eq!(by_site["BIN/bin"], by_site["OLD/old"]);
+    assert_eq!(result.sites_total, 3);
 }
 
-/// A site that advertises `supportsBatch` but not `supportsBinary` still
-/// upgrades through in-band negotiation when its container actually speaks
-/// PPGB: the first batch goes out as XML with an `Accept` advertisement,
-/// comes back binary, and every later batch opens with a PPGB frame.
-#[test]
-fn accept_advertisement_upgrades_modest_sites() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container();
-    let registry = registry_on(&container);
-
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("modest")
-            .with_binary_advertised(false)
-            .with_batch_stream_advertised(false),
-    )
-    .unwrap();
-    publish(&client, &registry, "MODEST", &site);
-
-    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
-    let gateway = plain_gateway(&client, &registry);
-
-    let first = gateway.query(&query);
-    assert!(first.errors.is_empty(), "{:?}", first.errors);
-    // The upgrade round: an XML multiCall hit `/ogsa/batch` (counted there)
-    // but its *response* already travelled as a PPGB frame.
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (0, 0));
-    assert_eq!(gateway.snapshot().binary_calls, 1);
-
-    let second = gateway.query(&query);
-    assert!(second.errors.is_empty(), "{:?}", second.errors);
-    // Now the peer is known binary: the batch went to `/ogsa/binary`.
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (1, 3));
-    assert_eq!(gateway.snapshot().binary_calls, 2);
-    assert_eq!(rows_by_site(&first), rows_by_site(&second));
-}
-
-/// A site whose advertisement lies (claims `supportsBinary`, container
-/// 404s the binary route) costs one transparent downgrade, never a failed
-/// query: the frame is re-sent as XML and the peer is forgotten.
+/// A site whose advertisement lies (claims the framed route, its container
+/// 404s it) costs one transparent downgrade, never a failed query: the
+/// held entries are re-sent as per-call XML and the authority is
+/// remembered, so later queries go straight to XML.
 #[test]
 fn stale_advertisement_downgrades_transparently() {
     let client = Arc::new(HttpClient::new());
     let container = start_legacy_container();
     let registry = registry_on(&container);
 
-    // `supportsBinary` advertised (the SiteConfig default) against a
+    // The framed route advertised (the SiteConfig default) against a
     // container that never decodes PPGB — e.g. a site rolled back after its
     // registry entry was cached.
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
         Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("stale").with_batch_stream_advertised(false),
+        &SiteConfig::new("stale"),
     )
     .unwrap();
     publish(&client, &registry, "STALE", &site);
@@ -250,58 +184,16 @@ fn stale_advertisement_downgrades_transparently() {
     );
     assert_eq!(first.rows.len(), 3);
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.binary_fallback_calls, 1);
-    assert_eq!(snapshot.binary_calls, 0);
-    assert_eq!(container.batch_counters(), (1, 3), "re-sent as XML");
+    assert_eq!(snapshot.batch_stream_fallback_calls, 1);
+    assert_eq!(snapshot.batch_streams, 0);
+    assert_eq!(snapshot.xml_calls, 3, "re-sent as XML");
 
-    // The peer was forgotten: later queries go straight to XML (with the
-    // Accept advertisement the container keeps ignoring) — no second
-    // downgrade round trip.
+    // The authority was remembered: no second downgrade round trip.
     let second = gateway.query(&query);
     assert!(second.errors.is_empty(), "{:?}", second.errors);
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.binary_fallback_calls, 1);
-    assert_eq!(container.batch_counters(), (2, 6));
+    assert_eq!(snapshot.batch_stream_fallback_calls, 1);
+    assert_eq!(snapshot.xml_calls, 6);
+    assert_eq!(container.batch_stream_counters().0, 0);
     assert_eq!(rows_by_site(&first), rows_by_site(&second));
-}
-
-/// `extra_metrics` expands each execution into several `getPR` tuples, and
-/// all tuples of a host ride the *same* frame: a two-metric query over a
-/// binary site still costs exactly one wire call.
-#[test]
-fn multi_metric_query_shares_one_frame() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container();
-    let registry = registry_on(&container);
-
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(mem_wrapper(3, 2)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("multi").with_batch_stream_advertised(false),
-    )
-    .unwrap();
-    publish(&client, &registry, "MULTI", &site);
-
-    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]).also_metric("iterations");
-    let gateway = plain_gateway(&client, &registry);
-    let result = gateway.query(&query);
-    assert!(result.errors.is_empty(), "{:?}", result.errors);
-    // 3 executions × 2 tuples, one row-set each.
-    assert_eq!(result.rows.len(), 6);
-    assert_eq!(result.total_rows(), 12);
-    assert_eq!(result.upstream_calls, 1, "all six tuples shared one frame");
-    let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.binary_calls, 1);
-    assert_eq!(snapshot.binary_entries, 6);
-    assert_eq!(container.binary_counters(), (1, 6));
-
-    // Both metrics actually came back.
-    let by_site = rows_by_site(&result);
-    let rows = by_site.values().next().unwrap();
-    assert_eq!(rows.iter().filter(|r| r.starts_with("gflops|")).count(), 6);
-    assert_eq!(
-        rows.iter().filter(|r| r.starts_with("iterations|")).count(),
-        6
-    );
 }

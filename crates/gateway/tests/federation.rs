@@ -121,21 +121,21 @@ fn federates_heterogeneous_sites_and_caches_repeats() {
     // 8 tiny-HPL executions + 2 scripted ones, one result set each.
     assert_eq!(first.rows.len(), 10);
     assert!(first.total_rows() >= 8 + 2 * 3);
-    // Both sites advertise supportsBatch and supportsBatchStream, so the
-    // 10 targets collapse into one interleaved batch stream per site —
-    // unless the operational PPG_FORCE_XML pin keeps the batches buffered
-    // (ci.sh runs this suite both ways).
-    assert_eq!(first.upstream_calls, 2);
+    // Both sites advertise the framed route, so the 10 targets collapse
+    // into one framed call per site — unless the operational PPG_FORCE_XML
+    // pin sends every target per-call over SOAP/XML (ci.sh runs this suite
+    // both ways).
     assert!(first.rows.iter().all(|r| !r.from_cache));
     let snapshot = gateway.snapshot();
     if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
-        assert_eq!(snapshot.batched_calls, 2);
-        assert_eq!(snapshot.batch_entries, 10);
-        assert_eq!(snapshot.batch_streams, 0, "the pin never batch-streams");
+        assert_eq!(first.upstream_calls, 10);
+        assert_eq!(snapshot.xml_calls, 10);
+        assert_eq!(snapshot.batch_streams, 0, "the pin never frames");
     } else {
+        assert_eq!(first.upstream_calls, 2);
         assert_eq!(snapshot.batch_streams, 2);
         assert_eq!(snapshot.batch_stream_entries, 10);
-        assert_eq!(snapshot.batched_calls, 0, "nothing fell back to buffered");
+        assert_eq!(snapshot.xml_calls, 0, "nothing fell back to per-call");
     }
 
     // The identical query again: answered wholly from the gateway cache.
@@ -179,7 +179,10 @@ fn site_stopped_mid_query_yields_partial_result() {
     // The doomed site answers slowly, so its targets straddle the shutdown.
     let slow: Arc<dyn ApplicationWrapper> =
         Arc::new(mem_wrapper(3, 1, Some(Duration::from_millis(250))));
-    let slow_site = Site::deploy(&c2, Arc::clone(&client), slow, &SiteConfig::new("slow")).unwrap();
+    // Per-call SOAP/XML: the point here is calls *straddling* the shutdown,
+    // which a single framed exchange wouldn't.
+    let slow_config = SiteConfig::new("slow").with_framed_advertised(false);
+    let slow_site = Site::deploy(&c2, Arc::clone(&client), slow, &slow_config).unwrap();
     publish(
         &client,
         &registry,
@@ -203,9 +206,6 @@ fn site_stopped_mid_query_yields_partial_result() {
             .with_hedging(None)
             .with_retries(0, Duration::from_millis(5))
             .with_per_site_concurrency(1)
-            // Per-call mode: the point here is calls *straddling* the
-            // shutdown, which a single batched exchange wouldn't.
-            .with_batching(false)
             .with_call_timeout(Duration::from_secs(10)),
     );
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);

@@ -1,12 +1,15 @@
-//! `PPG_FORCE_XML=1` operational escape hatch: every exchange stays XML no
-//! matter what sites advertise. Lives in its own test binary because the
-//! variable is process-global.
+//! `PPG_FORCE_XML=1` operational escape hatch: every exchange stays per-call
+//! SOAP/XML no matter what sites advertise. Lives in its own test binary
+//! because the variable is process-global.
 
 use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{Container, ContainerConfig, RegistryService, RegistryStub};
+use pperf_ogsi::{
+    Container, ContainerConfig, FactoryStub, RegistryService, RegistryStub, StreamWire,
+};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
-use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
+use pperfgrid::{ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig};
+use ppg_context::CallContext;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,8 +40,8 @@ fn force_xml_pins_every_exchange_to_xml() {
         );
         app.add_execution(format!("mem-{i}"), exec);
     }
-    // The site advertises binary and its container would decode it — only
-    // the environment override keeps the exchange on XML.
+    // The site advertises the framed route and its container serves it —
+    // only the environment override keeps the exchange on XML.
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
@@ -55,52 +58,52 @@ fn force_xml_pins_every_exchange_to_xml() {
         registry.clone(),
         GatewayConfig::default()
             .with_cache(false)
-            .with_hedging(None),
+            .with_hedging(None)
+            .with_call_timeout(Duration::from_secs(10)),
     );
     let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.rows.len(), 3);
 
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.batched_calls, 1, "batching itself stays on");
-    assert_eq!(snapshot.binary_calls, 0);
-    assert_eq!(
-        snapshot.binary_fallback_calls, 0,
-        "forced XML is not a downgrade"
-    );
-    // The site also advertises the interleaved batch-stream wire; the
-    // override keeps the batch buffered without recording a fallback.
-    assert_eq!(snapshot.batch_streams, 0, "forced XML never batch-streams");
+    assert_eq!(snapshot.xml_calls, 3, "one per-call XML call per target");
+    assert_eq!(snapshot.batch_streams, 0, "forced XML never frames");
     assert_eq!(
         snapshot.batch_stream_fallback_calls, 0,
-        "a pin is not a fallback"
+        "a pin is not a fallback: nothing was probed, nothing failed"
     );
-    assert_eq!(container.batch_counters(), (1, 3));
-    assert_eq!(container.binary_counters(), (0, 0));
     assert_eq!(
         container.batch_stream_counters().0,
         0,
         "/ogsa/batch-stream never hit"
     );
 
-    // Per-call mode would normally stream (the site advertises
-    // supportsStreaming and the container serves /ogsa/stream) — the
-    // override pins those calls to buffered XML too, and the pin is not
-    // recorded as a fallback: nothing was probed, nothing failed.
-    let per_call = FederatedGateway::new(
-        Arc::clone(&client),
-        registry.clone(),
-        GatewayConfig::default()
-            .with_cache(false)
-            .with_hedging(None)
-            .with_batching(false)
-            .with_call_timeout(Duration::from_secs(10)),
+    // A direct one-target stream would normally be a one-entry framed call;
+    // the override pins it to buffered XML too, and says so.
+    let factory = FactoryStub::bind(Arc::clone(&client), &site.app_factory);
+    let app = ApplicationStub::bind(Arc::clone(&client), &factory.create_service(&[]).unwrap());
+    let execs = app.get_all_execs().unwrap();
+    let exec = ExecutionStub::bind(Arc::clone(&client), &execs[0]);
+    let query = PrQuery {
+        metric: "gflops".into(),
+        foci: vec!["/Execution".into()],
+        start: String::new(),
+        end: String::new(),
+        rtype: String::new(),
+    };
+    let ctx = CallContext::with_budget(Duration::from_secs(10));
+    let mut delivered = 0usize;
+    let outcome = exec
+        .get_pr_stream(&query, &ctx, &mut |rows| {
+            delivered += rows.len();
+            true
+        })
+        .unwrap();
+    assert_eq!(outcome.wire, StreamWire::Buffered);
+    assert_eq!(delivered, 1);
+    assert_eq!(
+        container.batch_stream_counters().0,
+        0,
+        "/ogsa/batch-stream never hit"
     );
-    let result = per_call.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
-    assert!(result.errors.is_empty(), "{:?}", result.errors);
-    assert_eq!(result.rows.len(), 3);
-    let snapshot = per_call.snapshot();
-    assert_eq!(snapshot.streams, 0, "forced XML never opens a stream");
-    assert_eq!(snapshot.stream_fallback_calls, 0, "a pin is not a fallback");
-    assert_eq!(container.stream_counters().0, 0, "/ogsa/stream never hit");
 }

@@ -1,24 +1,16 @@
-//! End-to-end streaming data-path tests: a large scan crosses the federation
-//! as incremental PPGB frames with the in-flight window bounding producer
-//! memory, a site killed mid-stream degrades to a truncated partial result,
-//! a spent budget abandons the stream at a frame boundary, and legacy peers
-//! (no advertisement, or a dead route behind a stale advertisement) fall
-//! back to the buffered wire transparently.
+//! One-target sites and the framed route's fallbacks: a site that does not
+//! advertise the framed route is served per-call over buffered SOAP/XML
+//! without a probe, and a dead route behind a stale advertisement costs one
+//! transparent fallback that the gateway then remembers. (The one-entry
+//! stream itself — window, mid-stream kill, cancel — is `batch_stream.rs`.)
 
-use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig, SiteErrorKind};
+use pperf_gateway::{FederatedGateway, FederatedQuery, GatewayConfig};
 use pperf_httpd::HttpClient;
-use pperf_ogsi::{
-    Container, ContainerConfig, FactoryStub, Gsh, RegistryService, RegistryStub, StreamWire,
-};
-use pperf_soap::DEFAULT_STREAM_FRAME_BYTES;
+use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub};
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
-use pperfgrid::{
-    ApplicationStub, ApplicationWrapper, ExecutionStub, PrQuery, Site, SiteConfig,
-    STREAM_BATCH_ROWS,
-};
-use ppg_context::CallContext;
+use pperfgrid::{ApplicationWrapper, Site, SiteConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn start_container(config: ContainerConfig) -> Arc<Container> {
     Container::start("127.0.0.1:0", config).unwrap()
@@ -30,10 +22,8 @@ fn registry_on(container: &Container) -> Gsh {
         .unwrap()
 }
 
-/// A one-execution scripted site whose rows are ~90 bytes wide, so a full
-/// scan spans many stream frames. An optional per-batch delay makes the
-/// stream last long enough for mid-flight events to land.
-fn wide_wrapper(rows: usize, delay: Option<Duration>) -> MemApplicationWrapper {
+/// A one-execution site whose rows are ~90 bytes wide.
+fn wide_wrapper(rows: usize) -> MemApplicationWrapper {
     let app = MemApplicationWrapper::new(vec![("name", "WideApp")]);
     let mut exec = MemExecution {
         info: vec![("runid".into(), "0".into())],
@@ -41,7 +31,6 @@ fn wide_wrapper(rows: usize, delay: Option<Duration>) -> MemApplicationWrapper {
         metrics: vec!["gflops".into()],
         types: vec!["MEM".into()],
         time: ("0".into(), "10".into()),
-        query_delay: delay,
         ..Default::default()
     };
     exec.results.insert(
@@ -60,212 +49,14 @@ fn publish(client: &Arc<HttpClient>, registry: &Gsh, org: &str, site: &Site) {
     site.publish(&stub, org, "wide store").unwrap();
 }
 
-/// Per-call mode (batched targets never stream), no cache/hedging/retries so
-/// every query drives exactly the streaming path under test.
-fn per_call_config() -> GatewayConfig {
+/// No cache, hedging or retries, so every query drives exactly the one
+/// target's route under test.
+fn one_target_config() -> GatewayConfig {
     GatewayConfig::default()
         .with_cache(false)
         .with_hedging(None)
         .with_retries(0, Duration::from_millis(5))
-        .with_batching(false)
         .with_call_timeout(Duration::from_secs(10))
-}
-
-#[test]
-fn large_scan_streams_with_bounded_inflight_window() {
-    let client = Arc::new(HttpClient::new());
-    let window = 4 * 1024;
-    let container = start_container(ContainerConfig {
-        stream_window_bytes: window,
-        ..ContainerConfig::default()
-    });
-    let registry = registry_on(&container);
-    let rows = 4096usize;
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(wide_wrapper(rows, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("wide"),
-    )
-    .unwrap();
-    publish(&client, &registry, "WIDE", &site);
-
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
-    let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
-    assert!(result.errors.is_empty(), "{:?}", result.errors);
-    assert_eq!(result.total_rows(), rows);
-
-    // The producer may queue at most the window plus the frame it is
-    // finishing; the scan itself is more than 8× that, so the bound is
-    // only holdable if backpressure really parks the producer.
-    let bound = (window + DEFAULT_STREAM_FRAME_BYTES + 1024) as u64;
-    let payload: u64 = result
-        .rows
-        .iter()
-        .flat_map(|r| r.rows.iter())
-        .map(|r| r.len() as u64)
-        .sum();
-    assert!(
-        payload >= 8 * bound,
-        "scan must dwarf the window: {payload}"
-    );
-    let peak = container.stream_peak_queued();
-    assert!(
-        peak > 0 && peak <= bound,
-        "in-flight window must bound producer memory: peak {peak}, bound {bound}"
-    );
-
-    let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 1, "one target, one stream");
-    assert!(snapshot.stream_frames >= 8, "{}", snapshot.stream_frames);
-    assert_eq!(snapshot.stream_rows, rows as u64);
-    assert_eq!(snapshot.stream_fallback_calls, 0);
-    assert_eq!(snapshot.stream_truncated, 0);
-}
-
-#[test]
-fn site_killed_mid_stream_yields_truncated_partial_rows() {
-    let client = Arc::new(HttpClient::new());
-    let c1 = start_container(ContainerConfig::default());
-    let c2 = start_container(ContainerConfig::default());
-    let registry = registry_on(&c1);
-
-    let fast = Site::deploy(
-        &c1,
-        Arc::clone(&client),
-        Arc::new(wide_wrapper(8, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("fast"),
-    )
-    .unwrap();
-    // The doomed scan trickles one ~23KB batch every 120ms, so frames are
-    // in flight for well over a second — the shutdown lands mid-stream.
-    let doomed_rows = 12 * STREAM_BATCH_ROWS;
-    let doomed = Site::deploy(
-        &c2,
-        Arc::clone(&client),
-        Arc::new(wide_wrapper(doomed_rows, Some(Duration::from_millis(120))))
-            as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("doomed"),
-    )
-    .unwrap();
-    publish(&client, &registry, "FAST", &fast);
-    publish(&client, &registry, "DOOMED", &doomed);
-
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
-    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
-    let gw = Arc::clone(&gateway);
-    let q = query.clone();
-    let handle = std::thread::spawn(move || gw.query(&q));
-    std::thread::sleep(Duration::from_millis(500));
-    c2.shutdown();
-    let result = handle.join().unwrap();
-
-    // The survivor's rows are intact and complete.
-    assert_eq!(
-        result
-            .rows
-            .iter()
-            .filter(|r| r.site == "FAST/fast" && !r.truncated)
-            .count(),
-        1,
-        "errors: {:?}",
-        result.errors
-    );
-    // The dead site degraded to a partial answer: the frames that arrived
-    // before the shutdown stand, flagged truncated, alongside a structured
-    // error — not a query failure and not silent row loss.
-    let partial: Vec<_> = result
-        .rows
-        .iter()
-        .filter(|r| r.site == "DOOMED/doomed")
-        .collect();
-    assert_eq!(partial.len(), 1, "rows: {:?}", result.rows.len());
-    assert!(partial[0].truncated, "partial rows must be flagged");
-    assert!(
-        !partial[0].rows.is_empty() && partial[0].rows.len() < doomed_rows,
-        "a strict prefix of the scan: {} of {doomed_rows}",
-        partial[0].rows.len()
-    );
-    assert!(
-        result
-            .errors
-            .iter()
-            .any(|e| e.site == "DOOMED/doomed" && e.kind == SiteErrorKind::Truncated),
-        "errors: {:?}",
-        result.errors
-    );
-    assert!(gateway.snapshot().stream_truncated >= 1);
-}
-
-/// Poll `predicate` for up to `timeout` — producer-side consequences of a
-/// consumer hangup are asynchronous.
-fn wait_for(timeout: Duration, mut predicate: impl FnMut() -> bool) -> bool {
-    let give_up = Instant::now() + timeout;
-    while Instant::now() < give_up {
-        if predicate() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    predicate()
-}
-
-#[test]
-fn consumer_cancel_stops_stream_at_frame_boundary() {
-    let client = Arc::new(HttpClient::new());
-    let container = start_container(ContainerConfig::default());
-    // 24 batches × 100ms ≈ 2.4s of scan — far more than the consumer will
-    // take; the per-batch delay gives the producer a chance to observe the
-    // hangup between batches rather than finish in one burst.
-    let total_rows = 24 * STREAM_BATCH_ROWS;
-    let site = Site::deploy(
-        &container,
-        Arc::clone(&client),
-        Arc::new(wide_wrapper(total_rows, Some(Duration::from_millis(100))))
-            as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("slow"),
-    )
-    .unwrap();
-
-    // Bind straight to the Execution the way the gateway's planner would.
-    let factory = FactoryStub::bind(Arc::clone(&client), &site.app_factory);
-    let app = ApplicationStub::bind(Arc::clone(&client), &factory.create_service(&[]).unwrap());
-    let execs = app.get_all_execs().unwrap();
-    assert_eq!(execs.len(), 1);
-    let exec = ExecutionStub::bind(Arc::clone(&client), &execs[0]);
-
-    let query = PrQuery {
-        metric: "gflops".into(),
-        foci: vec!["/Execution".into()],
-        start: String::new(),
-        end: String::new(),
-        rtype: String::new(),
-    };
-    let ctx = CallContext::with_budget(Duration::from_secs(10));
-    let mut delivered = 0usize;
-    let outcome = exec
-        .get_pr_stream(&query, &ctx, &mut |rows| {
-            delivered += rows.len();
-            false // stop after the very first frame
-        })
-        .unwrap();
-
-    assert!(outcome.cancelled, "sink refusal is a cancel, not an error");
-    assert_eq!(outcome.wire, StreamWire::Stream);
-    assert!(
-        delivered > 0 && delivered < total_rows,
-        "exactly the first frame's rows arrived: {delivered} of {total_rows}"
-    );
-    // The producer notices the hangup at the next frame boundary and aborts
-    // the scan — the remaining ~23 batches are never rendered or queued.
-    assert!(
-        wait_for(Duration::from_secs(5), || {
-            let (calls, _frames, rows, faults) = container.stream_counters();
-            calls == 1 && faults >= 1 && (rows as usize) < total_rows
-        }),
-        "producer must abort mid-scan: {:?}",
-        container.stream_counters()
-    );
 }
 
 #[test]
@@ -276,31 +67,39 @@ fn site_not_advertising_streams_is_served_buffered() {
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
-        Arc::new(wide_wrapper(40, None)) as Arc<dyn ApplicationWrapper>,
-        &SiteConfig::new("legacy").with_streaming_advertised(false),
+        Arc::new(wide_wrapper(40)) as Arc<dyn ApplicationWrapper>,
+        &SiteConfig::new("legacy").with_framed_advertised(false),
     )
     .unwrap();
     publish(&client, &registry, "LEGACY", &site);
 
-    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), per_call_config());
+    let gateway = FederatedGateway::new(Arc::clone(&client), registry.clone(), one_target_config());
     let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.total_rows(), 40);
 
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 0, "no advertisement, no stream attempt");
+    assert_eq!(snapshot.xml_calls, 1, "one buffered per-call answer");
     assert_eq!(
-        snapshot.stream_fallback_calls, 0,
+        snapshot.batch_streams, 0,
+        "no advertisement, no stream attempt"
+    );
+    assert_eq!(
+        snapshot.batch_stream_fallback_calls, 0,
         "and no dead probe either"
     );
-    assert_eq!(container.stream_counters().0, 0, "/ogsa/stream never hit");
+    assert_eq!(
+        container.batch_stream_counters().0,
+        0,
+        "/ogsa/batch-stream never hit"
+    );
 }
 
 #[test]
 fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     let client = Arc::new(HttpClient::new());
-    // The container's stream route is off, but the site still advertises
-    // supportsStreaming — the model of a stale capability record.
+    // The container's framed route is off, but the site still advertises
+    // it — the model of a stale capability record.
     let container = start_container(ContainerConfig {
         streaming_enabled: false,
         ..ContainerConfig::default()
@@ -309,7 +108,7 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     let site = Site::deploy(
         &container,
         Arc::clone(&client),
-        Arc::new(wide_wrapper(40, None)) as Arc<dyn ApplicationWrapper>,
+        Arc::new(wide_wrapper(40)) as Arc<dyn ApplicationWrapper>,
         &SiteConfig::new("stale"),
     )
     .unwrap();
@@ -318,7 +117,7 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     let gateway = FederatedGateway::new(
         Arc::clone(&client),
         registry.clone(),
-        per_call_config().with_per_site_concurrency(1),
+        one_target_config().with_per_site_concurrency(1),
     );
     let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
 
@@ -326,18 +125,20 @@ fn stale_streaming_advertisement_falls_back_and_is_remembered() {
     assert!(first.errors.is_empty(), "{:?}", first.errors);
     assert_eq!(first.total_rows(), 40, "fallback is transparent");
     let snapshot = gateway.snapshot();
-    assert_eq!(snapshot.streams, 0);
+    assert_eq!(snapshot.batch_streams, 0);
     assert_eq!(
-        snapshot.stream_fallback_calls, 1,
+        snapshot.batch_stream_fallback_calls, 1,
         "one dead probe, then the authority is remembered"
     );
+    assert_eq!(snapshot.xml_calls, 1, "the one target re-sent per-call");
 
     let second = gateway.query(&query);
     assert!(second.errors.is_empty(), "{:?}", second.errors);
     assert_eq!(second.total_rows(), 40);
+    let snapshot = gateway.snapshot();
     assert_eq!(
-        gateway.snapshot().stream_fallback_calls,
-        1,
+        snapshot.batch_stream_fallback_calls, 1,
         "later calls skip the probe entirely"
     );
+    assert_eq!(snapshot.xml_calls, 2);
 }

@@ -4,7 +4,7 @@ use crate::error::{HttpError, Result};
 use crate::message::{body_length_limited, Headers, Request, Response, Status, MAX_BODY};
 use crate::url::Url;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,10 +206,6 @@ pub struct HttpClient {
     /// allocation. Streamed (chunked) reads are exempt by construction —
     /// they never hold more than one read buffer.
     max_body_bytes: usize,
-    /// Authorities that answered a PPGB-negotiated request in kind — the
-    /// per-connection codec memory of the binary data plane. An entry means
-    /// "send binary first"; a decode failure or downgrade forgets it.
-    binary_peers: Mutex<HashSet<String>>,
     /// Request payload bytes flushed (bodies only, headers excluded) — the
     /// bytes-on-wire metric the codec benchmarks compare.
     bytes_sent: AtomicU64,
@@ -237,7 +233,6 @@ impl HttpClient {
             pool: Mutex::new(HashMap::new()),
             connect_timeout: timeout,
             max_body_bytes: MAX_BODY,
-            binary_peers: Mutex::new(HashSet::new()),
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
             connections_opened: AtomicU64::new(0),
@@ -248,22 +243,6 @@ impl HttpClient {
     pub fn with_max_body_bytes(mut self, bytes: usize) -> HttpClient {
         self.max_body_bytes = bytes;
         self
-    }
-
-    /// Remember that `authority` speaks the PPGB binary codec.
-    pub fn mark_binary(&self, authority: &str) {
-        self.binary_peers.lock().insert(authority.to_owned());
-    }
-
-    /// Whether `authority` previously answered in the binary codec.
-    pub fn is_binary(&self, authority: &str) -> bool {
-        self.binary_peers.lock().contains(authority)
-    }
-
-    /// Forget `authority`'s binary capability (legacy downgrade, corrupt
-    /// frame): subsequent requests go back to XML until renegotiated.
-    pub fn forget_binary(&self, authority: &str) {
-        self.binary_peers.lock().remove(authority);
     }
 
     /// `(request payload bytes sent, response payload bytes received)` over
@@ -890,19 +869,6 @@ mod tests {
             .post("http://127.0.0.1:1/x", "t", b"xx".to_vec())
             .is_err());
         assert_eq!(dead.payload_bytes(), (0, 0));
-    }
-
-    #[test]
-    fn binary_peer_memory() {
-        let client = HttpClient::new();
-        assert!(!client.is_binary("a:1"));
-        client.mark_binary("a:1");
-        assert!(client.is_binary("a:1"));
-        assert!(!client.is_binary("b:2"));
-        client.forget_binary("a:1");
-        assert!(!client.is_binary("a:1"));
-        // Forgetting an unknown authority is a no-op, not an error.
-        client.forget_binary("never-seen:9");
     }
 
     /// A server whose `/stream` path streams `parts` then closes the writer

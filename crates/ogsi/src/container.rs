@@ -24,14 +24,13 @@ use crate::gsh::Gsh;
 use crate::notification::NotificationHub;
 use crate::service::ServicePort;
 use crate::service_data::ServiceData;
+use crate::{framed_operation, FRAMED_PATH};
 use parking_lot::{Mutex, RwLock};
 use pperf_httpd::{Handler, HttpClient, HttpServer, Request, Response, ServerConfig, Status};
 use pperf_soap::{
-    decode_batch_call, decode_binary_batch_call, decode_call_with_context, encode_batch_response,
-    encode_batch_stream_head, encode_binary_batch_response, encode_binary_fault,
+    decode_binary_batch_call, decode_call_with_context, encode_batch_stream_head,
     encode_entry_fault, encode_entry_head, encode_fault, encode_response, encode_stream_fault,
-    BatchEntry, BatchOutcome, Call, Fault, FrameWriter, Value, BINARY_CONTENT_TYPE,
-    DEFAULT_STREAM_FRAME_BYTES, STREAM_CONTENT_TYPE,
+    BatchEntry, Call, Fault, FrameWriter, Value, DEFAULT_STREAM_FRAME_BYTES, STREAM_CONTENT_TYPE,
 };
 use ppg_context::CallContext;
 use ppg_notify::{
@@ -66,23 +65,17 @@ pub struct ContainerConfig {
     /// Emit one structured log line per SOAP request (request id, operation,
     /// outcome, elapsed time). Defaults to the `PPG_ACCESS_LOG=1` env var.
     pub access_log: bool,
-    /// Speak the PPGB binary batch codec: serve `POST /ogsa/binary` and
-    /// answer `Accept: application/x-ppg-binary` batch requests in kind.
-    /// `false` models a legacy site — the binary route 404s and batches are
-    /// always answered in XML, which is exactly what drives a negotiating
-    /// client's transparent fallback.
-    pub binary_enabled: bool,
     /// Speak the push notification plane: serve `POST /ogsa/subscribe` /
     /// `POST /ogsa/unsubscribe` and publish service-data deltas and
     /// result-cache invalidations to subscribers. `false` models a legacy
     /// site — subscribes 404 and clients fall back to TTL polling.
     pub notifications_enabled: bool,
-    /// Speak the incremental result-stream plane: serve `POST /ogsa/stream`,
-    /// producing PPGB stream frames as the consumer drains them. `false`
-    /// models a legacy site — the route 404s, which is the client's cue to
-    /// fall back to the buffered call.
+    /// Serve the framed PPGB route, `POST /ogsa/batch-stream`, producing
+    /// stream frames as the consumer drains them. `false` models a legacy
+    /// site — the route 404s, which is the client's cue to fall back to
+    /// per-call SOAP/XML.
     pub streaming_enabled: bool,
-    /// In-flight byte window per result stream: the producer thread parks
+    /// In-flight byte window per framed stream: the producer thread parks
     /// once this many encoded bytes are queued ahead of the socket, so a
     /// slow reader backpressures the scan instead of ballooning memory.
     /// `0` means unbounded (not recommended outside tests).
@@ -98,7 +91,6 @@ impl Default for ContainerConfig {
             sweep_interval: Duration::from_millis(250),
             max_connections: ServerConfig::default().max_connections,
             access_log: std::env::var("PPG_ACCESS_LOG").is_ok_and(|v| v == "1"),
-            binary_enabled: true,
             notifications_enabled: true,
             streaming_enabled: true,
             stream_window_bytes: 4 * DEFAULT_STREAM_FRAME_BYTES,
@@ -141,27 +133,8 @@ struct Inner {
     cancels_received: AtomicU64,
     /// Calls that completed with a cancellation fault.
     cancelled_calls: AtomicU64,
-    /// `POST /ogsa/batch` multi-call requests received.
-    batch_calls: AtomicU64,
-    /// Sub-call entries carried by those batches.
-    batch_entries: AtomicU64,
-    /// `POST /ogsa/binary` PPGB-framed multi-call requests received.
-    binary_calls: AtomicU64,
-    /// Sub-call entries carried by those binary frames.
-    binary_entries: AtomicU64,
-    /// `POST /ogsa/stream` incremental result streams started.
-    stream_calls: AtomicU64,
-    /// PPGB frames (data + trailer + fault) sent on those streams.
-    stream_frames: AtomicU64,
-    /// Rows carried by those streams' data frames.
-    stream_rows: AtomicU64,
-    /// Streams that ended in an in-band fault frame instead of a trailer.
-    stream_faults: AtomicU64,
-    /// High-water mark of encoded frame bytes queued ahead of the socket
-    /// across all streams — the proof that backpressure held: this never
-    /// exceeds `stream_window_bytes` plus one frame.
-    stream_peak_queued: AtomicU64,
-    /// `POST /ogsa/batch-stream` interleaved batch streams started.
+    /// Framed calls (`POST /ogsa/batch-stream`) received; the rest of
+    /// `requests` rode per-call SOAP/XML.
     batch_stream_calls: AtomicU64,
     /// Sub-call entries carried by those batch streams.
     batch_stream_entries: AtomicU64,
@@ -171,7 +144,7 @@ struct Inner {
     batch_stream_rows: AtomicU64,
     /// Batch-stream entries sealed by an in-band entry fault frame.
     batch_stream_faults: AtomicU64,
-    /// High-water mark of encoded bytes any one batch stream held queued
+    /// High-water mark of encoded bytes any one framed stream held queued
     /// ahead of its socket — the interleaved producers share one window, so
     /// this stays within `stream_window_bytes` plus one sealing frame.
     batch_stream_peak_queued: AtomicU64,
@@ -185,7 +158,7 @@ struct Inner {
 }
 
 impl Inner {
-    /// Producer threads for a batch of `entries`: one per entry, capped at
+    /// Producer threads for a framed call of `entries`: one per entry, capped at
     /// [`BATCH_PARALLELISM`] and at the CPUs the process may run on — a
     /// producer beyond the CPU count only adds a thread spawn and contends
     /// for a core that is already busy.
@@ -283,15 +256,6 @@ impl Container {
             deadline_exceeded: AtomicU64::new(0),
             cancels_received: AtomicU64::new(0),
             cancelled_calls: AtomicU64::new(0),
-            batch_calls: AtomicU64::new(0),
-            batch_entries: AtomicU64::new(0),
-            binary_calls: AtomicU64::new(0),
-            binary_entries: AtomicU64::new(0),
-            stream_calls: AtomicU64::new(0),
-            stream_frames: AtomicU64::new(0),
-            stream_rows: AtomicU64::new(0),
-            stream_faults: AtomicU64::new(0),
-            stream_peak_queued: AtomicU64::new(0),
             batch_stream_calls: AtomicU64::new(0),
             batch_stream_entries: AtomicU64::new(0),
             batch_stream_frames: AtomicU64::new(0),
@@ -468,51 +432,11 @@ impl Container {
         )
     }
 
-    /// Batch counters: `(batch_calls, batch_entries)` — multi-call requests
-    /// received and the sub-call entries they carried.
-    pub fn batch_counters(&self) -> (u64, u64) {
-        (
-            self.inner.batch_calls.load(Ordering::Relaxed),
-            self.inner.batch_entries.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Binary codec counters: `(binary_calls, binary_entries)` — PPGB-framed
-    /// multi-call requests received and the sub-call entries they carried.
-    /// XML batches (even ones *answered* in binary during negotiation) count
-    /// under [`Container::batch_counters`] instead.
-    pub fn binary_counters(&self) -> (u64, u64) {
-        (
-            self.inner.binary_calls.load(Ordering::Relaxed),
-            self.inner.binary_entries.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Result-stream counters: `(streams, frames, rows, faults)` — streams
-    /// started on `POST /ogsa/stream`, PPGB frames they sent, rows those
-    /// frames carried, and streams that ended in an in-band fault.
-    pub fn stream_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.inner.stream_calls.load(Ordering::Relaxed),
-            self.inner.stream_frames.load(Ordering::Relaxed),
-            self.inner.stream_rows.load(Ordering::Relaxed),
-            self.inner.stream_faults.load(Ordering::Relaxed),
-        )
-    }
-
-    /// High-water mark of encoded frame bytes any one stream held queued
-    /// ahead of its socket. Stays within `stream_window_bytes` plus one
-    /// frame — the observable proof that producers really parked instead of
-    /// buffering the scan.
-    pub fn stream_peak_queued(&self) -> u64 {
-        self.inner.stream_peak_queued.load(Ordering::Relaxed)
-    }
-
-    /// Batch-stream counters: `(calls, entries, frames, rows, faults)` —
-    /// interleaved batch streams started on `POST /ogsa/batch-stream`, the
-    /// sub-call entries they carried, PPGB frames sent (heads, data,
-    /// trailers, faults), rows those data frames carried, and entries that
-    /// sealed with an in-band fault instead of a trailer.
+    /// Framed-route counters: `(calls, entries, frames, rows, faults)` —
+    /// framed calls received on `POST /ogsa/batch-stream`, the sub-call
+    /// entries they carried, PPGB frames sent (heads, data, trailers,
+    /// faults), rows those data frames carried, and entries that sealed
+    /// with an in-band fault instead of a trailer.
     pub fn batch_stream_counters(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.inner.batch_stream_calls.load(Ordering::Relaxed),
@@ -523,7 +447,7 @@ impl Container {
         )
     }
 
-    /// High-water mark of encoded bytes any one batch stream held queued
+    /// High-water mark of encoded bytes any one framed stream held queued
     /// ahead of its socket. All interleaved entry producers share one
     /// bounded window, so this stays within `stream_window_bytes` plus one
     /// sealing frame — bounded buffering no matter how many entries the
@@ -655,21 +579,17 @@ fn dispatch_post(inner: &Arc<Inner>, request: &Request) -> Response {
     if request.path == "/ogsa/cancel" {
         return handle_cancel(inner, request);
     }
-    if request.path == "/ogsa/batch" {
-        return handle_batch(inner, request);
-    }
-    if request.path == "/ogsa/binary" {
-        return handle_binary(inner, request);
-    }
-    if request.path == "/ogsa/stream" {
-        return handle_stream(inner, request);
-    }
-    if request.path == "/ogsa/batch-stream" {
-        return handle_batch_stream(inner, request);
+    if request.path == FRAMED_PATH {
+        return handle_framed(inner, request);
     }
     let started = Instant::now();
     let (call, soap_ctx) = match decode_call_with_context(&request.body_str()) {
         Ok(parts) => parts,
+        Err(_) if inner.lookup(&request.path).is_none() => {
+            // Nothing lives here (a retired route, a destroyed instance):
+            // the 404 says so whatever the body was.
+            return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
+        }
         Err(e) => {
             let fault = Fault::client(format!("malformed SOAP request: {e}"));
             return Response::xml(Status::BAD_REQUEST, encode_fault(&fault));
@@ -780,435 +700,11 @@ fn resolve_context(request: &Request, wire_ctx: Option<CallContext>) -> CallCont
     }
 }
 
-/// Cap on concurrently executing entries within one batch: enough to cover
-/// a full per-site fan-out without letting one huge batch monopolize the
-/// host's handler threads. The CPU count caps it further
+/// Cap on concurrently executing entries within one framed call: enough to
+/// cover a full per-site fan-out without letting one huge call monopolize
+/// the host's handler threads. The CPU count caps it further
 /// ([`Inner::batch_producers`]).
 const BATCH_PARALLELISM: usize = 8;
-
-/// Longest stretch of a buffered batch's budget kept back for the reply.
-const BATCH_REPLY_HEADROOM: Duration = Duration::from_millis(50);
-
-/// A buffered batch answers in one response, after its slowest entry. Its
-/// entries therefore run against a deadline a sixteenth of the budget (at
-/// most [`BATCH_REPLY_HEADROOM`]) ahead of the caller's: an entry cut off
-/// there still leaves its finished siblings time to travel back before the
-/// caller stops waiting, instead of racing the caller's read timeout.
-fn reserve_reply_headroom(ctx: CallContext) -> CallContext {
-    match ctx.remaining() {
-        Some(rem) => {
-            let headroom = (rem / 16).min(BATCH_REPLY_HEADROOM);
-            ctx.with_remaining(rem.saturating_sub(headroom))
-        }
-        None => ctx,
-    }
-}
-
-/// `POST /ogsa/batch`: a multi-call envelope (see [`pperf_soap::batch`]).
-///
-/// All entries run under one shared [`CallContext`] — one deadline, one
-/// cancel key in the active-call registry — but each entry gets its own
-/// span and its own outcome. One entry faulting (or arriving after the
-/// budget is spent) never fails its neighbours; only a batch whose budget
-/// was already gone *on arrival* is refused wholesale.
-fn handle_batch(inner: &Arc<Inner>, request: &Request) -> Response {
-    let started = Instant::now();
-    let (entries, soap_ctx) = match decode_batch_call(&request.body_str()) {
-        Ok(parts) => parts,
-        Err(e) => {
-            let fault = Fault::client(format!("malformed batch request: {e}"));
-            return Response::xml(Status::BAD_REQUEST, encode_fault(&fault));
-        }
-    };
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    inner.batch_calls.fetch_add(1, Ordering::Relaxed);
-    inner
-        .batch_entries
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let ctx = reserve_reply_headroom(resolve_context(request, soap_ctx));
-    let site = format!("{}:{}", inner.host, inner.port_u16());
-    // Codec negotiation: a client that advertised the PPGB codec gets its
-    // successful response in kind (and learns this site speaks binary).
-    // Legacy sites (`binary_enabled: false`) ignore the advertisement.
-    let answer_binary = inner.config.binary_enabled
-        && request
-            .headers
-            .get("Accept")
-            .is_some_and(|accept| accept.contains(BINARY_CONTENT_TYPE));
-
-    let (outcome_tag, mut response) = if ctx.expired() {
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        let fault = Fault::deadline_exceeded(format!(
-            "batch {} arrived after its deadline",
-            ctx.request_id()
-        ));
-        ctx.record_span(
-            "ogsi.container",
-            "multiCall",
-            &site,
-            started,
-            "deadline-exceeded",
-        );
-        (
-            "deadline-exceeded",
-            Response::xml(Status::INTERNAL_SERVER_ERROR, encode_fault(&fault)),
-        )
-    } else {
-        let cancel_key = ctx.cancel_key();
-        inner.active.lock().insert(cancel_key.clone(), ctx.clone());
-        let outcomes = run_batch_entries(inner, &entries, &ctx);
-        inner.active.lock().remove(&cancel_key);
-        let tag = tally_batch_outcomes(inner, &outcomes);
-        ctx.record_span("ogsi.container", "multiCall", &site, started, tag);
-        let response = if answer_binary {
-            Response::ok(BINARY_CONTENT_TYPE, encode_binary_batch_response(&outcomes))
-        } else {
-            Response::xml(Status::OK, encode_batch_response(&outcomes))
-        };
-        (tag, response)
-    };
-
-    response
-        .headers
-        .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-    let spans = ctx.spans();
-    if !spans.is_empty() {
-        response
-            .headers
-            .set(ppg_context::TRACE_HEADER, ppg_context::encode_trace(&spans));
-    }
-    if inner.config.access_log {
-        eprintln!(
-            "ppg-access request_id={} leg={} op=multiCall entries={} path={} status={} outcome={} elapsed_us={} remaining_ms={}",
-            ctx.request_id(),
-            if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
-            entries.len(),
-            request.path,
-            response.status.0,
-            outcome_tag,
-            started.elapsed().as_micros(),
-            ctx.deadline_ms().map_or_else(|| "-".into(), |ms| ms.to_string()),
-        );
-    }
-    response
-}
-
-/// Bump the deadline/cancel counters for a batch's per-entry outcomes and
-/// name the overall result: `"ok"` when every entry succeeded, `"partial"`
-/// otherwise.
-fn tally_batch_outcomes(inner: &Inner, outcomes: &[BatchOutcome]) -> &'static str {
-    let mut faulted = 0usize;
-    for outcome in outcomes {
-        match outcome {
-            Ok(_) => {}
-            Err(f) if f.is_deadline_exceeded() => {
-                inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                faulted += 1;
-            }
-            Err(f) if f.is_cancelled() => {
-                inner.cancelled_calls.fetch_add(1, Ordering::Relaxed);
-                faulted += 1;
-            }
-            Err(_) => faulted += 1,
-        }
-    }
-    if faulted == 0 {
-        "ok"
-    } else {
-        "partial"
-    }
-}
-
-/// `POST /ogsa/binary`: the PPGB-framed twin of `/ogsa/batch`. Entry
-/// semantics are identical — one shared context, per-entry outcomes, a
-/// whole-batch fault only when the budget was spent on arrival — but both
-/// directions are length-prefixed binary frames instead of SOAP envelopes.
-///
-/// Error shape matters for negotiation: a site with the codec disabled
-/// answers 404 (the route "does not exist" on a legacy site) and a corrupt
-/// request frame gets a plain-text 400. Both are the stub's cue to forget
-/// the peer's binary capability and transparently re-send as XML.
-fn handle_binary(inner: &Arc<Inner>, request: &Request) -> Response {
-    if !inner.config.binary_enabled {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
-    }
-    let started = Instant::now();
-    let (entries, frame_ctx) = match decode_binary_batch_call(&request.body) {
-        Ok(parts) => parts,
-        Err(e) => {
-            return Response::text(Status::BAD_REQUEST, format!("malformed PPGB frame: {e}"));
-        }
-    };
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    inner.binary_calls.fetch_add(1, Ordering::Relaxed);
-    inner
-        .binary_entries
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let ctx = reserve_reply_headroom(resolve_context(request, frame_ctx));
-    let site = format!("{}:{}", inner.host, inner.port_u16());
-
-    let (outcome_tag, mut response) = if ctx.expired() {
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        let fault = Fault::deadline_exceeded(format!(
-            "batch {} arrived after its deadline",
-            ctx.request_id()
-        ));
-        ctx.record_span(
-            "ogsi.container",
-            "multiCall",
-            &site,
-            started,
-            "deadline-exceeded",
-        );
-        let mut response = Response::ok(BINARY_CONTENT_TYPE, encode_binary_fault(&fault));
-        response.status = Status::INTERNAL_SERVER_ERROR;
-        ("deadline-exceeded", response)
-    } else {
-        let cancel_key = ctx.cancel_key();
-        inner.active.lock().insert(cancel_key.clone(), ctx.clone());
-        let outcomes = run_batch_entries(inner, &entries, &ctx);
-        inner.active.lock().remove(&cancel_key);
-        let tag = tally_batch_outcomes(inner, &outcomes);
-        ctx.record_span("ogsi.container", "multiCall", &site, started, tag);
-        (
-            tag,
-            Response::ok(BINARY_CONTENT_TYPE, encode_binary_batch_response(&outcomes)),
-        )
-    };
-
-    response
-        .headers
-        .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-    let spans = ctx.spans();
-    if !spans.is_empty() {
-        response
-            .headers
-            .set(ppg_context::TRACE_HEADER, ppg_context::encode_trace(&spans));
-    }
-    if inner.config.access_log {
-        eprintln!(
-            "ppg-access request_id={} leg={} op=multiCallBinary entries={} path={} status={} outcome={} elapsed_us={} remaining_ms={}",
-            ctx.request_id(),
-            if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
-            entries.len(),
-            request.path,
-            response.status.0,
-            outcome_tag,
-            started.elapsed().as_micros(),
-            ctx.deadline_ms().map_or_else(|| "-".into(), |ms| ms.to_string()),
-        );
-    }
-    response
-}
-
-/// `POST /ogsa/stream`: one call whose result streams back as incremental
-/// PPGB frames instead of one buffered body. The request is a single-entry
-/// PPGB call frame (the `/ogsa/binary` envelope, arity one); the response is
-/// `application/x-ppg-stream` — length-prefixed kind-6 data frames sealed by
-/// a kind-7 trailer, or a kind-3 fault frame for in-band errors.
-///
-/// The handler returns the stream *head* immediately; a producer thread
-/// drives [`ServicePort::invoke_stream`] and parks whenever
-/// `stream_window_bytes` of encoded frames are queued ahead of the socket,
-/// so a slow consumer backpressures the scan itself. Error shape feeds
-/// negotiation: streaming disabled, an unknown target, or a non-streaming
-/// operation all answer 404 — the client's cue to fall back to the buffered
-/// call, which surfaces any real fault.
-fn handle_stream(inner: &Arc<Inner>, request: &Request) -> Response {
-    if !inner.config.streaming_enabled {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
-    }
-    let started = Instant::now();
-    let (mut entries, frame_ctx) = match decode_binary_batch_call(&request.body) {
-        Ok(parts) => parts,
-        Err(e) => {
-            return Response::text(Status::BAD_REQUEST, format!("malformed PPGB frame: {e}"));
-        }
-    };
-    if entries.len() != 1 {
-        return Response::text(
-            Status::BAD_REQUEST,
-            format!(
-                "stream frame must carry exactly one call, got {}",
-                entries.len()
-            ),
-        );
-    }
-    let entry = entries.pop().expect("one entry");
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    let ctx = resolve_context(request, frame_ctx);
-    let Some(dep) = inner.lookup(&entry.path) else {
-        return Response::text(Status::NOT_FOUND, format!("no service at {}", entry.path));
-    };
-    if !dep.port.supports_stream(&entry.method) {
-        return Response::text(
-            Status::NOT_FOUND,
-            format!("{} does not stream {:?}", entry.path, entry.method),
-        );
-    }
-    inner.stream_calls.fetch_add(1, Ordering::Relaxed);
-    let site = format!("{}:{}", inner.host, inner.port_u16());
-
-    if ctx.expired() {
-        // Doomed on arrival: a one-frame buffered stream body carrying the
-        // fault — same in-band error channel, no producer thread.
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        inner.stream_faults.fetch_add(1, Ordering::Relaxed);
-        inner.stream_frames.fetch_add(1, Ordering::Relaxed);
-        let fault = Fault::deadline_exceeded(format!(
-            "stream request {} arrived after its deadline",
-            ctx.request_id()
-        ));
-        ctx.record_span(
-            "ogsi.container",
-            &entry.method,
-            &site,
-            started,
-            "deadline-exceeded",
-        );
-        let mut response = Response::ok(STREAM_CONTENT_TYPE, encode_stream_fault(&fault));
-        response
-            .headers
-            .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-        return response;
-    }
-
-    let (mut response, writer) =
-        Response::stream_windowed(STREAM_CONTENT_TYPE, inner.config.stream_window_bytes);
-    response
-        .headers
-        .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
-
-    let cancel_key = ctx.cancel_key();
-    inner.active.lock().insert(cancel_key.clone(), ctx.clone());
-    let producer_inner = Arc::clone(inner);
-    let access_log = inner.config.access_log;
-    std::thread::Builder::new()
-        .name("ppg-stream".into())
-        .spawn(move || {
-            let _scope = ppg_context::scope(&ctx);
-            let outcome =
-                run_stream_producer(&producer_inner, &entry, &dep, &ctx, &writer, &site, started);
-            producer_inner.active.lock().remove(&cancel_key);
-            if access_log {
-                eprintln!(
-                    "ppg-access request_id={} leg={} op={} path={} status=stream outcome={} elapsed_us={} remaining_ms={}",
-                    ctx.request_id(),
-                    if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
-                    entry.method,
-                    entry.path,
-                    outcome,
-                    started.elapsed().as_micros(),
-                    ctx.deadline_ms().map_or_else(|| "-".into(), |ms| ms.to_string()),
-                );
-            }
-        })
-        .expect("spawn stream producer");
-    response
-}
-
-/// Drive one result stream to completion on the producer thread: rows from
-/// [`ServicePort::invoke_stream`] pack into bounded frames, each frame blocks
-/// on the in-flight window, the trailer (or an in-band fault frame) seals the
-/// stream. Records the `ogsi.container` span itself — on the happy path it
-/// must exist *before* the trailer is encoded, because the response headers
-/// flushed long ago and the trailer is the trace's only ride back to the
-/// consumer. Returns the span outcome tag.
-fn run_stream_producer(
-    inner: &Arc<Inner>,
-    entry: &BatchEntry,
-    dep: &Arc<Deployed>,
-    ctx: &CallContext,
-    writer: &pperf_httpd::StreamWriter,
-    site: &str,
-    started: Instant,
-) -> &'static str {
-    let call = Call {
-        method: entry.method.clone(),
-        namespace: entry.namespace.clone(),
-        params: entry.params.clone(),
-    };
-    let mut frame_writer = FrameWriter::new(DEFAULT_STREAM_FRAME_BYTES);
-    let mut frames_sent = 0u64;
-    let result = {
-        let fw = &mut frame_writer;
-        let frames = &mut frames_sent;
-        let mut sink = |rows: Vec<String>| -> std::result::Result<(), Fault> {
-            // Frame boundaries are the cancellation points: a spent budget
-            // or cancelled leg stops the scan here, between batches.
-            if ctx.expired() {
-                return Err(if ctx.cancelled() {
-                    Fault::cancelled("stream leg cancelled by caller")
-                } else {
-                    Fault::deadline_exceeded("stream deadline exceeded mid-flight")
-                });
-            }
-            // Reuse buffers the event loop already flushed: each recycled
-            // spare saves one encoder allocation per frame at steady state.
-            if let Some(spare) = writer.take_spare() {
-                fw.recycle(spare);
-            }
-            for row in rows {
-                if let Some(frame) = fw.push(row) {
-                    if !writer.send_blocking(frame) {
-                        // Consumer hung up: abort the scan, nothing to send.
-                        return Err(Fault::client("stream consumer disconnected"));
-                    }
-                    *frames += 1;
-                }
-            }
-            Ok(())
-        };
-        invoke_stream_guarded(&dep.port, &entry.method, &call, ctx, &mut sink)
-    };
-    let outcome = match result {
-        Ok(rows) => {
-            ctx.record_span("ogsi.container", &entry.method, site, started, "ok");
-            let trace = ppg_context::encode_trace(&ctx.spans());
-            let mut sealed = true;
-            for frame in frame_writer.finish_with_trace(&trace) {
-                if !writer.send_blocking(frame) {
-                    sealed = false;
-                    break;
-                }
-                frames_sent += 1;
-            }
-            if sealed {
-                inner.stream_rows.fetch_add(rows, Ordering::Relaxed);
-                "ok"
-            } else {
-                "reader-gone"
-            }
-        }
-        Err(fault) => {
-            inner.stream_faults.fetch_add(1, Ordering::Relaxed);
-            let tag = if fault.is_deadline_exceeded() {
-                inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                "deadline-exceeded"
-            } else if fault.is_cancelled() {
-                inner.cancelled_calls.fetch_add(1, Ordering::Relaxed);
-                "cancelled"
-            } else if writer.is_dead() {
-                "reader-gone"
-            } else {
-                "fault"
-            };
-            if !writer.is_dead() && writer.send_blocking(encode_stream_fault(&fault)) {
-                frames_sent += 1;
-            }
-            ctx.record_span("ogsi.container", &entry.method, site, started, tag);
-            tag
-        }
-    };
-    inner
-        .stream_frames
-        .fetch_add(frames_sent, Ordering::Relaxed);
-    inner
-        .stream_peak_queued
-        .fetch_max(writer.peak_queued_bytes() as u64, Ordering::Relaxed);
-    writer.close();
-    outcome
-}
 
 /// Run [`ServicePort::invoke_stream`] with a panic guard: a producer that
 /// dies mid-scan becomes an in-band server fault instead of an unwinding
@@ -1235,21 +731,26 @@ fn invoke_stream_guarded(
     })
 }
 
-/// `POST /ogsa/batch-stream`: the streaming twin of `/ogsa/binary` — a
-/// multi-call PPGB request whose results come back as *interleaved* stream
-/// sections instead of one buffered multi-response frame. The response body
-/// opens with a kind-8 batch head declaring the entry count; each entry then
-/// contributes a kind-9 entry head, entry-tagged kind-6 row frames, and an
-/// entry-tagged kind-7 trailer (or kind-3 fault), interleaved in whatever
-/// order the parallel producers yield. Every producer shares one bounded
-/// in-flight window, so total buffering stays within `stream_window_bytes`
-/// plus one sealing frame regardless of batch width.
+/// `POST /ogsa/batch-stream`: the framed route. The request is a kind-1
+/// PPGB call frame of one or more entries; the answer is a stream of
+/// interleaved sections. The body opens with a kind-8 head declaring the
+/// entry count; each entry then contributes a kind-9 entry head,
+/// entry-tagged kind-6 row frames, and an entry-tagged kind-7 trailer (or
+/// kind-3 fault), in whatever order the producers yield. Every producer
+/// shares one bounded in-flight window, so total buffering stays within
+/// `stream_window_bytes` plus one sealing frame regardless of width.
 ///
-/// Error shape feeds negotiation exactly like `/ogsa/stream`: streaming
-/// disabled answers 404 (the client's cue to fall back to the buffered
-/// batch); per-entry problems — unknown target, non-streaming operation, a
-/// mid-scan fault — seal only that entry and never poison its siblings.
-fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
+/// Entry trailers carry no trace — the entries share one context, so
+/// per-entry traces would replay the same spans N times — except in a
+/// one-entry call, where nothing repeats: its trailer carries the
+/// container's spans, since the response headers flushed before any
+/// existed.
+///
+/// Error shape feeds negotiation: the route disabled answers 404 (the
+/// client's cue to fall back to per-call XML); per-entry problems — unknown
+/// target, non-streaming operation, a mid-scan fault — seal only that entry
+/// and never poison its siblings.
+fn handle_framed(inner: &Arc<Inner>, request: &Request) -> Response {
     if !inner.config.streaming_enabled {
         return Response::text(Status::NOT_FOUND, format!("no service at {}", request.path));
     }
@@ -1261,24 +762,28 @@ fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
         }
     };
     if entries.is_empty() {
-        return Response::text(Status::BAD_REQUEST, "batch-stream frame carried no calls");
+        return Response::text(Status::BAD_REQUEST, "framed call carried no entries");
     }
     inner.requests.fetch_add(1, Ordering::Relaxed);
+    inner.batch_stream_calls.fetch_add(1, Ordering::Relaxed);
+    inner
+        .batch_stream_entries
+        .fetch_add(entries.len() as u64, Ordering::Relaxed);
     let ctx = resolve_context(request, frame_ctx);
     let site = format!("{}:{}", inner.host, inner.port_u16());
 
     if ctx.expired() {
-        // Doomed on arrival: a one-frame buffered stream body carrying an
-        // untagged (whole-batch) fault — no producer threads, and the stub
-        // treats it exactly like a buffered batch-level refusal.
+        // Doomed on arrival: a one-frame stream body carrying an untagged
+        // (whole-call) fault — no producer thread.
         inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         let fault = Fault::deadline_exceeded(format!(
-            "batch stream {} arrived after its deadline",
+            "framed call {} arrived after its deadline",
             ctx.request_id()
         ));
+        let operation = framed_operation(&entries);
         ctx.record_span(
             "ogsi.container",
-            "multiCallStream",
+            operation,
             &site,
             started,
             "deadline-exceeded",
@@ -1289,11 +794,6 @@ fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
             .set(ppg_context::REQUEST_ID_HEADER, ctx.request_id());
         return response;
     }
-
-    inner.batch_stream_calls.fetch_add(1, Ordering::Relaxed);
-    inner
-        .batch_stream_entries
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
 
     let (mut response, writer) =
         Response::stream_windowed(STREAM_CONTENT_TYPE, inner.config.stream_window_bytes);
@@ -1309,14 +809,14 @@ fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
         .name("ppg-batch-stream".into())
         .spawn(move || {
             let _scope = ppg_context::scope(&ctx);
-            let outcome =
-                run_batch_stream(&producer_inner, &entries, &ctx, &writer, &site, started);
+            let outcome = run_framed(&producer_inner, &entries, &ctx, &writer, &site, started);
             producer_inner.active.lock().remove(&cancel_key);
             if access_log {
                 eprintln!(
-                    "ppg-access request_id={} leg={} op=multiCallStream entries={} path=/ogsa/batch-stream status=stream outcome={} elapsed_us={} remaining_ms={}",
+                    "ppg-access request_id={} leg={} op={} entries={} path={FRAMED_PATH} status=stream outcome={} elapsed_us={} remaining_ms={}",
                     ctx.request_id(),
                     if ctx.leg_tag().is_empty() { "-" } else { ctx.leg_tag() },
+                    framed_operation(&entries),
                     entries.len(),
                     outcome,
                     started.elapsed().as_micros(),
@@ -1324,17 +824,18 @@ fn handle_batch_stream(inner: &Arc<Inner>, request: &Request) -> Response {
                 );
             }
         })
-        .expect("spawn batch stream producer");
+        .expect("spawn framed producer");
     response
 }
 
-/// Drive one batch stream to completion: the batch head goes out first, then
-/// [`Inner::batch_producers`] threads stream their entry chunks concurrently
-/// through the one shared windowed writer. Entries within a chunk run
-/// serially; sections from different chunks interleave frame by frame on the
-/// wire. With one producer (one CPU, or one entry) this thread streams every
-/// entry itself, in request order. Returns the span outcome tag.
-fn run_batch_stream(
+/// Drive one framed call to completion: [`Inner::batch_producers`] threads
+/// stream their entry chunks concurrently through the one shared windowed
+/// writer, after the head. Entries within a chunk run serially; sections
+/// from different chunks interleave frame by frame on the wire. With one
+/// producer (one CPU, or one entry) this thread streams every entry itself,
+/// in request order, and the head rides with the first entry's first send.
+/// Returns the span outcome tag.
+fn run_framed(
     inner: &Arc<Inner>,
     entries: &[BatchEntry],
     ctx: &CallContext,
@@ -1343,27 +844,27 @@ fn run_batch_stream(
     started: Instant,
 ) -> &'static str {
     use std::sync::atomic::AtomicUsize;
-    if !writer.send_blocking(encode_batch_stream_head(entries.len() as u32)) {
-        ctx.record_span(
-            "ogsi.container",
-            "multiCallStream",
-            site,
-            started,
-            "reader-gone",
-        );
-        writer.close();
-        return "reader-gone";
-    }
+    let operation = framed_operation(entries);
+    let head = encode_batch_stream_head(entries.len() as u32);
     inner.batch_stream_frames.fetch_add(1, Ordering::Relaxed);
 
+    // A one-entry call is the whole call: its entry records the container
+    // span itself and ships the trace in its trailer.
+    let whole_call = (entries.len() == 1).then_some((site, started));
     let faulted = AtomicUsize::new(0);
     let workers = inner.batch_producers(entries.len());
     if workers <= 1 {
+        let mut head = Some(head);
         for (index, entry) in entries.iter().enumerate() {
-            if !run_batch_stream_entry(inner, index as u32, entry, ctx, writer) {
+            let held = head.take().unwrap_or_default();
+            if !run_framed_entry(inner, index as u32, entry, ctx, writer, whole_call, held) {
                 faulted.fetch_add(1, Ordering::Relaxed);
             }
         }
+    } else if !writer.send_blocking(head) {
+        ctx.record_span("ogsi.container", operation, site, started, "reader-gone");
+        writer.close();
+        return "reader-gone";
     } else {
         let per = entries.len().div_ceil(workers);
         std::thread::scope(|scope| {
@@ -1373,7 +874,7 @@ fn run_batch_stream(
                     let _scope = ppg_context::scope(ctx);
                     for (offset, entry) in chunk.iter().enumerate() {
                         let index = (chunk_index * per + offset) as u32;
-                        if !run_batch_stream_entry(inner, index, entry, ctx, writer) {
+                        if !run_framed_entry(inner, index, entry, ctx, writer, None, Vec::new()) {
                             faulted.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -1392,55 +893,66 @@ fn run_batch_stream(
     } else {
         "partial"
     };
-    ctx.record_span("ogsi.container", "multiCallStream", site, started, tag);
+    if whole_call.is_none() {
+        ctx.record_span("ogsi.container", operation, site, started, tag);
+    }
     writer.close();
     tag
 }
 
-/// Stream one batch entry's section: entry head, entry-tagged row frames,
+/// Stream one entry's section: entry head, entry-tagged row frames,
 /// entry-tagged trailer — or an entry fault that seals this entry alone.
-/// Returns `true` when the entry sealed cleanly with a trailer.
-fn run_batch_stream_entry(
+/// With `whole_call` (`site`, call start) the entry is the entire call: its
+/// outcome is the `ogsi.container` span, recorded before the trailer so the
+/// trailer can carry the trace. `held` holds encoded frames not yet sent
+/// (the call's head, for the first entry of a one-producer call). Returns
+/// `true` when the entry sealed cleanly with a trailer.
+///
+/// Every send wakes the event loop, so small frames wait to share the next
+/// send: the heads ride with the entry's first frame, and the sealing frames
+/// go out together — a small answer is one send.
+fn run_framed_entry(
     inner: &Arc<Inner>,
     index: u32,
     entry: &BatchEntry,
     ctx: &CallContext,
     writer: &pperf_httpd::StreamWriter,
+    whole_call: Option<(&str, Instant)>,
+    mut held: Vec<u8>,
 ) -> bool {
     let started = Instant::now();
-    if !writer.send_blocking(encode_entry_head(index)) {
-        ctx.record_span(
+    let record = |tag: &str| match whole_call {
+        Some((site, call_started)) => {
+            ctx.record_span("ogsi.container", &entry.method, site, call_started, tag)
+        }
+        None => ctx.record_span(
             "ogsi.batch-stream",
             &entry.method,
             &entry.path,
             started,
-            "reader-gone",
-        );
-        return false;
-    }
+            tag,
+        ),
+    };
+    held.extend_from_slice(&encode_entry_head(index));
     inner.batch_stream_frames.fetch_add(1, Ordering::Relaxed);
 
-    let seal_with_fault = |fault: &Fault, tag: &'static str| {
+    let seal_with_fault = |held: Vec<u8>, fault: &Fault, tag: &'static str| {
         inner.batch_stream_faults.fetch_add(1, Ordering::Relaxed);
         if fault.is_deadline_exceeded() {
             inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         } else if fault.is_cancelled() {
             inner.cancelled_calls.fetch_add(1, Ordering::Relaxed);
         }
-        if !writer.is_dead() && writer.send_blocking(encode_entry_fault(index, fault)) {
+        let chunk = with_held(held, encode_entry_fault(index, fault));
+        if !writer.is_dead() && writer.send_blocking(chunk) {
             inner.batch_stream_frames.fetch_add(1, Ordering::Relaxed);
         }
-        ctx.record_span(
-            "ogsi.batch-stream",
-            &entry.method,
-            &entry.path,
-            started,
-            tag,
-        );
+        record(tag);
     };
 
     let Some(dep) = inner.lookup(&entry.path) else {
         seal_with_fault(
+            held,
             &Fault::client(format!("no service at {}", entry.path)),
             "not-found",
         );
@@ -1448,6 +960,7 @@ fn run_batch_stream_entry(
     };
     if !dep.port.supports_stream(&entry.method) {
         seal_with_fault(
+            held,
             &Fault::client(format!("{} does not stream {:?}", entry.path, entry.method)),
             "not-streamable",
         );
@@ -1464,20 +977,26 @@ fn run_batch_stream_entry(
     let result = {
         let fw = &mut frame_writer;
         let frames = &mut frames_sent;
+        let held = &mut held;
         let mut sink = |rows: Vec<String>| -> std::result::Result<(), Fault> {
+            // Frame boundaries are the cancellation points: a spent budget
+            // or cancelled leg stops the scan here, between batches.
             if ctx.expired() {
                 return Err(if ctx.cancelled() {
-                    Fault::cancelled("batch stream leg cancelled by caller")
+                    Fault::cancelled("framed call cancelled by caller")
                 } else {
-                    Fault::deadline_exceeded("batch stream deadline exceeded mid-flight")
+                    Fault::deadline_exceeded("framed call deadline exceeded mid-flight")
                 });
             }
+            // Reuse buffers the event loop already flushed: each recycled
+            // spare saves one encoder allocation per frame at steady state.
             if let Some(spare) = writer.take_spare() {
                 fw.recycle(spare);
             }
             for row in rows {
                 if let Some(frame) = fw.push(row) {
-                    if !writer.send_blocking(frame) {
+                    if !writer.send_blocking(with_held(std::mem::take(held), frame)) {
+                        // Consumer hung up: abort the scan, nothing to send.
                         return Err(Fault::client("stream consumer disconnected"));
                     }
                     *frames += 1;
@@ -1489,34 +1008,22 @@ fn run_batch_stream_entry(
     };
     let sealed = match result {
         Ok(rows) => {
-            // Entry trailers carry no trace: every entry shares one context,
-            // so per-entry traces would replay the same spans N times. The
-            // access log (and the caller's own spans) carry the story.
-            let mut sealed = true;
-            for frame in frame_writer.finish_with_trace("") {
-                if !writer.send_blocking(frame) {
-                    sealed = false;
-                    break;
+            let trace = match whole_call {
+                Some(_) => {
+                    record("ok");
+                    ppg_context::encode_trace(&ctx.spans())
                 }
-                frames_sent += 1;
-            }
+                None => String::new(),
+            };
+            let frames = frame_writer.finish_with_trace(&trace);
+            let sealing = frames.len() as u64;
+            let sealed = writer.send_blocking(frames.into_iter().fold(held, with_held));
             if sealed {
+                frames_sent += sealing;
                 inner.batch_stream_rows.fetch_add(rows, Ordering::Relaxed);
-                ctx.record_span(
-                    "ogsi.batch-stream",
-                    &entry.method,
-                    &entry.path,
-                    started,
-                    "ok",
-                );
-            } else {
-                ctx.record_span(
-                    "ogsi.batch-stream",
-                    &entry.method,
-                    &entry.path,
-                    started,
-                    "reader-gone",
-                );
+            }
+            if whole_call.is_none() {
+                record(if sealed { "ok" } else { "reader-gone" });
             }
             sealed
         }
@@ -1530,7 +1037,7 @@ fn run_batch_stream_entry(
             } else {
                 "fault"
             };
-            seal_with_fault(&fault, tag);
+            seal_with_fault(held, &fault, tag);
             false
         }
     };
@@ -1540,86 +1047,13 @@ fn run_batch_stream_entry(
     sealed
 }
 
-/// Execute a batch's entries, [`Inner::batch_producers`] at a time, and
-/// collect per-entry outcomes in request order.
-fn run_batch_entries(
-    inner: &Arc<Inner>,
-    entries: &[BatchEntry],
-    ctx: &CallContext,
-) -> Vec<BatchOutcome> {
-    let workers = inner.batch_producers(entries.len());
-    if workers <= 1 {
-        return entries
-            .iter()
-            .map(|entry| run_batch_entry(inner, entry, ctx))
-            .collect();
+/// `frame` with the `held` frames in front of it, as one send.
+fn with_held(mut held: Vec<u8>, frame: Vec<u8>) -> Vec<u8> {
+    if held.is_empty() {
+        return frame;
     }
-    let per = entries.len().div_ceil(workers);
-    let mut outcomes: Vec<BatchOutcome> = vec![Ok(Value::Nil); entries.len()];
-    std::thread::scope(|scope| {
-        for (entry_chunk, out_chunk) in entries.chunks(per).zip(outcomes.chunks_mut(per)) {
-            scope.spawn(move || {
-                for (entry, slot) in entry_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = run_batch_entry(inner, entry, ctx);
-                }
-            });
-        }
-    });
-    outcomes
-}
-
-/// One entry of a batch: the moral equivalent of a single `dispatch_post`,
-/// minus the envelope work the batch already paid for.
-fn run_batch_entry(inner: &Arc<Inner>, entry: &BatchEntry, ctx: &CallContext) -> BatchOutcome {
-    let started = Instant::now();
-    if ctx.expired() {
-        // Earlier entries (or the caller) spent the shared budget; this
-        // entry faults individually instead of failing the whole batch.
-        let (tag, fault) = if ctx.cancelled() {
-            (
-                "cancelled",
-                Fault::cancelled(format!(
-                    "batch {} cancelled before this entry ran",
-                    ctx.request_id()
-                )),
-            )
-        } else {
-            (
-                "deadline-exceeded",
-                Fault::deadline_exceeded(format!(
-                    "batch {} budget spent before this entry ran",
-                    ctx.request_id()
-                )),
-            )
-        };
-        ctx.record_span("ogsi.batch", &entry.method, &entry.path, started, tag);
-        return Err(fault);
-    }
-    let Some(dep) = inner.lookup(&entry.path) else {
-        ctx.record_span(
-            "ogsi.batch",
-            &entry.method,
-            &entry.path,
-            started,
-            "not-found",
-        );
-        return Err(Fault::client(format!("no service at {}", entry.path)));
-    };
-    let call = Call {
-        method: entry.method.clone(),
-        namespace: entry.namespace.clone(),
-        params: entry.params.clone(),
-    };
-    let _scope = ppg_context::scope(ctx);
-    let outcome = invoke_operation(inner, &entry.path, &dep, &call, ctx);
-    let tag = match &outcome {
-        Ok(_) => "ok",
-        Err(f) if f.is_deadline_exceeded() => "deadline-exceeded",
-        Err(f) if f.is_cancelled() => "cancelled",
-        Err(_) => "fault",
-    };
-    ctx.record_span("ogsi.batch", &call.method, &entry.path, started, tag);
-    outcome
+    held.extend_from_slice(&frame);
+    held
 }
 
 /// `POST /ogsa/cancel` with a cancel key (`request_id` or
@@ -1661,66 +1095,6 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
             inner.cancelled_calls.load(Ordering::Relaxed),
         ),
         (
-            "ppg_batch_calls_total",
-            inner.batch_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_entries_total",
-            inner.batch_entries.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_binary_calls_total",
-            inner.binary_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_binary_entries_total",
-            inner.binary_entries.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_calls_total",
-            inner.stream_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_frames_total",
-            inner.stream_frames.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_rows_total",
-            inner.stream_rows.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_faults_total",
-            inner.stream_faults.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_stream_peak_queued_bytes",
-            inner.stream_peak_queued.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_calls_total",
-            inner.batch_stream_calls.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_entries_total",
-            inner.batch_stream_entries.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_frames_total",
-            inner.batch_stream_frames.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_rows_total",
-            inner.batch_stream_rows.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_faults_total",
-            inner.batch_stream_faults.load(Ordering::Relaxed),
-        ),
-        (
-            "ppg_batch_stream_peak_queued_bytes",
-            inner.batch_stream_peak_queued.load(Ordering::Relaxed),
-        ),
-        (
             "ppg_instances_created_total",
             inner.instances_created.load(Ordering::Relaxed),
         ),
@@ -1732,6 +1106,40 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
     ];
     for (name, value) in counters {
         out.push_str(&format!("{name} {value}\n"));
+    }
+    // One counter family for both data routes, told apart by `wire=`.
+    let framed_calls = inner.batch_stream_calls.load(Ordering::Relaxed);
+    let xml_calls = inner.requests.load(Ordering::Relaxed) - framed_calls;
+    for (name, wire, value) in [
+        ("ppg_calls_total", "xml", xml_calls),
+        ("ppg_calls_total", "framed", framed_calls),
+        (
+            "ppg_entries_total",
+            "framed",
+            inner.batch_stream_entries.load(Ordering::Relaxed),
+        ),
+        (
+            "ppg_frames_total",
+            "framed",
+            inner.batch_stream_frames.load(Ordering::Relaxed),
+        ),
+        (
+            "ppg_rows_total",
+            "framed",
+            inner.batch_stream_rows.load(Ordering::Relaxed),
+        ),
+        (
+            "ppg_entry_faults_total",
+            "framed",
+            inner.batch_stream_faults.load(Ordering::Relaxed),
+        ),
+        (
+            "ppg_peak_queued_bytes",
+            "framed",
+            inner.batch_stream_peak_queued.load(Ordering::Relaxed),
+        ),
+    ] {
+        out.push_str(&format!("{name}{{wire=\"{wire}\"}} {value}\n"));
     }
     if let Some(src) = &inner.notify {
         let c = src.counters();

@@ -49,8 +49,20 @@ pub use registry::{Organization, RegistryService, RegistryStub, ServiceEntry};
 pub use service::{GridServiceStub, ServicePort};
 pub use service_data::ServiceData;
 pub use stub::{
-    BatchStreamEntryOutcome, BatchStreamResult, BatchWire, ServiceStub, StreamOutcome, StreamWire,
+    BatchStreamEntryOutcome, BatchStreamResult, ServiceStub, StreamOutcome, StreamWire,
 };
+
+/// Path of the framed PPGB route on every container.
+pub(crate) const FRAMED_PATH: &str = "/ogsa/batch-stream";
+
+/// The span operation of a framed call: the method itself for one entry,
+/// `multiCallStream` for several.
+pub(crate) fn framed_operation(entries: &[pperf_soap::BatchEntry]) -> &str {
+    match entries {
+        [entry] => &entry.method,
+        _ => "multiCallStream",
+    }
+}
 
 /// The namespace used by framework-level (OGSI) operations.
 pub const OGSI_NS: &str = "urn:ogsi:core";

@@ -62,10 +62,9 @@ pub trait ServicePort: Send + Sync {
     fn on_notification(&self, _topic: &str, _message: &str) {}
 
     /// Does `operation` have an incremental row-stream form? When true, the
-    /// container serves it at `POST /ogsa/stream` via
-    /// [`ServicePort::invoke_stream`]; when false (the default) the stream
-    /// route answers 404 for it — the client's cue to fall back to the
-    /// buffered call.
+    /// container serves it as an entry of a framed call
+    /// (`POST /ogsa/batch-stream`) via [`ServicePort::invoke_stream`]; when
+    /// false (the default) such an entry seals with a client fault.
     fn supports_stream(&self, operation: &str) -> bool {
         let _ = operation;
         false

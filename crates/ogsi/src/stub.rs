@@ -5,29 +5,19 @@
 
 use crate::error::{OgsiError, Result};
 use crate::gsh::Gsh;
-use pperf_httpd::{HttpClient, HttpError, Request, Response, Url};
+use crate::{framed_operation, FRAMED_PATH};
+use pperf_httpd::{HttpClient, HttpError, Request, Url};
 use pperf_soap::wsdl::ServiceDescription;
 use pperf_soap::{
-    decode_batch_response, decode_binary_batch_response, decode_response, encode_batch_call,
-    encode_binary_batch_call, encode_call, encode_call_with_context, BatchEntry, BatchOutcome,
-    BatchStreamEvent, BatchStreamReader, Fault, FrameReader, SoapError, StreamEvent, Value,
-    WireError, BINARY_CONTENT_TYPE, STREAM_CONTENT_TYPE,
+    decode_response, encode_binary_batch_call, encode_call, encode_call_with_context, BatchEntry,
+    BatchStreamEvent, BatchStreamReader, Fault, SoapError, Value, WireError, BINARY_CONTENT_TYPE,
+    STREAM_CONTENT_TYPE,
 };
 use ppg_context::CallContext;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Did the server answer in the PPGB binary codec? 200 carries outcomes,
-/// 500 a whole-batch fault frame; any other status is transport-level.
-fn is_binary_response(response: &Response) -> bool {
-    (response.status.is_success() || response.status.0 == 500)
-        && response
-            .headers
-            .get("Content-Type")
-            .is_some_and(|ct| ct.starts_with(BINARY_CONTENT_TYPE))
-}
-
-/// Span outcome tag for a whole-batch fault.
+/// Span outcome tag for a whole-call fault.
 fn fault_tag(fault: &Fault) -> &'static str {
     if fault.is_deadline_exceeded() {
         "deadline-exceeded"
@@ -38,44 +28,16 @@ fn fault_tag(fault: &Fault) -> &'static str {
     }
 }
 
-/// Which codec actually carried a [`ServiceStub::call_batch_auto`] exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchWire {
-    /// PPGB binary frames carried the exchange (or at least the response,
-    /// on the first negotiated contact).
-    Binary,
-    /// SOAP/XML carried both directions (legacy peer, or `PPG_FORCE_XML=1`).
-    Xml,
-    /// A binary attempt failed below the application layer (legacy site,
-    /// route gone, corrupt frame); the outcomes came from the transparent
-    /// XML re-send.
-    BinaryFallback,
-}
-
-/// How one binary `/ogsa/binary` attempt ended.
-enum BinaryAttempt {
-    /// Decoded per-entry outcomes.
-    Ok(Vec<BatchOutcome>),
-    /// The peer does not (or no longer does) speak PPGB — 404 from a legacy
-    /// site, a non-binary answer, or a corrupt frame. The caller should
-    /// forget the capability and re-send as XML.
-    Downgrade,
-    /// A real failure (transport error, deadline, whole-batch fault) that
-    /// re-sending would not cure; surfaced as-is.
-    Hard(OgsiError),
-}
-
 /// Which wire actually carried a [`ServiceStub::call_stream`] result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamWire {
-    /// Incremental PPGB frames on `POST /ogsa/stream`.
+    /// A one-entry framed PPGB call on `POST /ogsa/batch-stream`.
     Stream,
-    /// The buffered call, because `PPG_FORCE_XML=1` pinned the old path.
+    /// The buffered SOAP/XML call, because `PPG_FORCE_XML=1` pinned it.
     Buffered,
-    /// A streaming attempt failed below the application layer (legacy site,
-    /// route gone, corrupt head); the rows came from the transparent
-    /// buffered re-send. Callers use this to remember the peer as
-    /// non-streaming.
+    /// The framed attempt was turned away below the application layer
+    /// (legacy site, route gone, corrupt head); the rows came from the
+    /// transparent buffered re-send.
     StreamFallback,
 }
 
@@ -88,7 +50,7 @@ pub enum BatchStreamEntryOutcome {
         rows: u64,
     },
     /// The entry sealed with an in-band fault frame. Sibling entries are
-    /// unaffected — this is the streaming twin of a per-entry batch fault.
+    /// unaffected.
     Fault(Fault),
     /// The stream died (EOF, transport error, consumer cancel) before this
     /// entry's trailer. The `rows` delivered so far reached the sink and
@@ -101,8 +63,8 @@ pub enum BatchStreamEntryOutcome {
     },
 }
 
-/// Result of a [`ServiceStub::call_batch_stream`] that got a real batch
-/// stream (the peer spoke the codec), whatever the per-entry outcomes.
+/// Result of a [`ServiceStub::call_batch_stream`] that got a real framed
+/// answer (the peer serves the route), whatever the per-entry outcomes.
 #[derive(Debug, Clone)]
 pub struct BatchStreamResult {
     /// Per-entry outcomes, in request order.
@@ -125,7 +87,7 @@ pub struct StreamOutcome {
     pub cancelled: bool,
 }
 
-/// Fill every entry slot a dead batch stream left unsealed with a
+/// Fill every entry slot a dead framed stream left unsealed with a
 /// [`BatchStreamEntryOutcome::Truncated`] carrying the rows that did arrive.
 fn seal_unfinished(
     outcomes: Vec<Option<BatchStreamEntryOutcome>>,
@@ -346,250 +308,20 @@ impl ServiceStub {
         })
     }
 
-    /// Invoke a multi-call batch against the container hosting this stub's
-    /// service: N sub-calls (each naming its own target path) ride one HTTP
-    /// exchange to `POST /ogsa/batch`. Returns per-entry outcomes in request
-    /// order. Transport failures and whole-batch refusals are this call's
-    /// error; per-entry faults are each entry's own.
-    pub fn call_batch(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-    ) -> Result<Vec<BatchOutcome>> {
-        self.call_batch_xml(entries, ctx, false)
-            .map(|(outcomes, _)| outcomes)
-    }
-
-    /// Like [`ServiceStub::call_batch`], but codec-negotiating: binary PPGB
-    /// frames are used whenever the peer is known (or turns out) to speak
-    /// them, with transparent per-site fallback to XML.
+    /// Invoke `operation` expecting a row stream: a one-entry framed call,
+    /// each data frame's rows handed to `on_rows` as they decode — constant
+    /// memory regardless of result size. `on_rows` returning `false`
+    /// abandons the stream at that frame boundary (the connection is
+    /// dropped, which the producer observes as consumer death).
     ///
-    /// * `PPG_FORCE_XML=1` pins every exchange to XML (operational escape
-    ///   hatch, also how CI proves the two planes agree).
-    /// * A peer previously marked binary gets a PPGB frame on
-    ///   `POST /ogsa/binary`; if that site meanwhile downgraded (404, a
-    ///   non-binary answer, a corrupt frame) the capability is forgotten and
-    ///   the batch is re-sent as XML. Batch traffic is `getPR`-style reads,
-    ///   so the re-send cannot double-execute anything destructive.
-    /// * An unknown peer gets the XML batch with
-    ///   `Accept: application/x-ppg-binary`; a binary-capable container
-    ///   answers in kind and is remembered for next time.
-    ///
-    /// Returns the outcomes plus which wire actually carried them, so
-    /// callers can keep fallback counters without re-deriving the story.
-    pub fn call_batch_auto(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-    ) -> Result<(Vec<BatchOutcome>, BatchWire)> {
-        if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
-            return self
-                .call_batch_xml(entries, ctx, false)
-                .map(|(outcomes, _)| (outcomes, BatchWire::Xml));
-        }
-        let site = self.url.authority();
-        if self.client.is_binary(&site) {
-            match self.call_batch_binary(entries, ctx) {
-                BinaryAttempt::Ok(outcomes) => return Ok((outcomes, BatchWire::Binary)),
-                BinaryAttempt::Hard(e) => return Err(e),
-                BinaryAttempt::Downgrade => {
-                    self.client.forget_binary(&site);
-                    return self
-                        .call_batch_xml(entries, ctx, false)
-                        .map(|(outcomes, _)| (outcomes, BatchWire::BinaryFallback));
-                }
-            }
-        }
-        self.call_batch_xml(entries, ctx, true)
-    }
-
-    /// The XML batch exchange. With `advertise`, the request carries
-    /// `Accept: application/x-ppg-binary` and a binary answer is accepted
-    /// (and the peer remembered); without it the response must be XML.
-    fn call_batch_xml(
-        &self,
-        entries: &[BatchEntry],
-        ctx: &CallContext,
-        advertise: bool,
-    ) -> Result<(Vec<BatchOutcome>, BatchWire)> {
-        let started = Instant::now();
-        let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "multiCall on {site}: budget exhausted before send"
-            )));
-        }
-        let body = encode_batch_call(entries, Some(ctx));
-        let mut url = self.url.clone();
-        url.path = "/ogsa/batch".to_owned();
-        let mut request = Request::post(
-            url.path.clone(),
-            "text/xml; charset=utf-8",
-            body.into_bytes(),
-        );
-        if advertise {
-            request.headers.set("Accept", BINARY_CONTENT_TYPE);
-        }
-        self.set_context_headers(&mut request, ctx);
-        let response = match self
-            .client
-            .send_with_deadline(&url, &request, ctx.deadline())
-        {
-            Ok(response) => response,
-            Err(HttpError::TimedOut) => {
-                ctx.record_span(
-                    "ogsi.stub",
-                    "multiCall",
-                    &site,
-                    started,
-                    "deadline-exceeded",
-                );
-                return Err(OgsiError::DeadlineExceeded(format!(
-                    "multiCall on {site}: no response within budget"
-                )));
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "transport-error");
-                return Err(OgsiError::Transport(e));
-            }
-        };
-        if let Some(trace) = response.headers.get(ppg_context::TRACE_HEADER) {
-            ctx.extend_spans(ppg_context::decode_trace(trace));
-        }
-        if !response.status.is_success() && response.status.0 != 500 {
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, "http-error");
-            return Err(OgsiError::HttpStatus(
-                response.status.0,
-                response.body_str().into_owned(),
-            ));
-        }
-        if advertise && is_binary_response(&response) {
-            // The container took the advertisement: the response is a PPGB
-            // frame, and this site speaks binary from here on.
-            return match decode_binary_batch_response(&response.body) {
-                Ok(outcomes) => {
-                    self.client.mark_binary(&site);
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                    Ok((outcomes, BatchWire::Binary))
-                }
-                Err(WireError::Fault(f)) => {
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                    Err(OgsiError::Fault(f))
-                }
-                Err(_) => {
-                    // Corrupt negotiated answer: stay on XML and re-send.
-                    ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
-                    self.call_batch_xml(entries, ctx, false)
-                        .map(|(outcomes, _)| (outcomes, BatchWire::BinaryFallback))
-                }
-            };
-        }
-        match decode_batch_response(&response.body_str()) {
-            Ok(outcomes) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                Ok((outcomes, BatchWire::Xml))
-            }
-            Err(SoapError::Fault(f)) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                Err(OgsiError::Fault(f))
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "soap-error");
-                Err(OgsiError::Soap(e))
-            }
-        }
-    }
-
-    /// One PPGB attempt against `POST /ogsa/binary`.
-    fn call_batch_binary(&self, entries: &[BatchEntry], ctx: &CallContext) -> BinaryAttempt {
-        let started = Instant::now();
-        let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, outcome);
-            return BinaryAttempt::Hard(OgsiError::DeadlineExceeded(format!(
-                "multiCall on {site}: budget exhausted before send"
-            )));
-        }
-        let frame = encode_binary_batch_call(entries, Some(ctx));
-        let mut url = self.url.clone();
-        url.path = "/ogsa/binary".to_owned();
-        let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
-        self.set_context_headers(&mut request, ctx);
-        let response = match self
-            .client
-            .send_with_deadline(&url, &request, ctx.deadline())
-        {
-            Ok(response) => response,
-            Err(HttpError::TimedOut) => {
-                ctx.record_span(
-                    "ogsi.stub",
-                    "multiCall",
-                    &site,
-                    started,
-                    "deadline-exceeded",
-                );
-                return BinaryAttempt::Hard(OgsiError::DeadlineExceeded(format!(
-                    "multiCall on {site}: no response within budget"
-                )));
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "transport-error");
-                return BinaryAttempt::Hard(OgsiError::Transport(e));
-            }
-        };
-        if let Some(trace) = response.headers.get(ppg_context::TRACE_HEADER) {
-            ctx.extend_spans(ppg_context::decode_trace(trace));
-        }
-        if !is_binary_response(&response) {
-            // A legacy site (404), a proxy that stripped the codec, or an
-            // XML fault: whichever it is, this peer no longer answers in
-            // binary. Drop to XML, which will surface any real fault.
-            ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-downgrade");
-            return BinaryAttempt::Downgrade;
-        }
-        match decode_binary_batch_response(&response.body) {
-            Ok(outcomes) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "ok");
-                BinaryAttempt::Ok(outcomes)
-            }
-            Err(WireError::Fault(f)) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, fault_tag(&f));
-                BinaryAttempt::Hard(OgsiError::Fault(f))
-            }
-            Err(_) => {
-                ctx.record_span("ogsi.stub", "multiCall", &site, started, "binary-corrupt");
-                BinaryAttempt::Downgrade
-            }
-        }
-    }
-
-    /// Invoke `operation` expecting a row stream: the result arrives as
-    /// incremental PPGB frames from `POST /ogsa/stream`, each data frame's
-    /// rows handed to `on_rows` as they decode — constant memory regardless
-    /// of result size. `on_rows` returning `false` abandons the stream at
-    /// that frame boundary (the connection is dropped, which the producer
-    /// observes as consumer death).
-    ///
-    /// Negotiation follows the binary-codec rules: `PPG_FORCE_XML=1` pins
-    /// the buffered XML call; a peer that answers 404 (legacy site,
-    /// streaming disabled, non-streaming operation) or whose stream head is
-    /// not the stream codec gets a transparent buffered re-send, reported
-    /// as [`StreamWire::StreamFallback`] so callers can remember the peer.
+    /// `PPG_FORCE_XML=1` pins the buffered SOAP/XML call; a peer that turns
+    /// the framed route away (404 from a legacy site, a non-stream answer, a
+    /// corrupt head) gets a transparent buffered re-send, reported as
+    /// [`StreamWire::StreamFallback`].
     ///
     /// A stream that dies after delivering rows is NOT retried — the rows
     /// already reached `on_rows` — and surfaces as
-    /// [`OgsiError::StreamTruncated`]; an in-band kind-3 frame surfaces as
+    /// [`OgsiError::StreamTruncated`]; an in-band fault frame surfaces as
     /// the fault it carries.
     pub fn call_stream(
         &self,
@@ -601,10 +333,39 @@ impl ServiceStub {
         if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
             return self.call_buffered_rows(operation, params, ctx, on_rows, StreamWire::Buffered);
         }
-        match self.call_stream_once(operation, params, ctx, on_rows)? {
-            Some(outcome) => Ok(outcome),
-            None => {
-                self.call_buffered_rows(operation, params, ctx, on_rows, StreamWire::StreamFallback)
+        let entry = BatchEntry::new(
+            self.url.path.clone(),
+            operation,
+            self.namespace.clone(),
+            params,
+        );
+        let streamed =
+            self.call_batch_stream(std::slice::from_ref(&entry), ctx, &mut |_, rows| {
+                on_rows(rows)
+            })?;
+        let Some(streamed) = streamed else {
+            return self.call_buffered_rows(
+                operation,
+                params,
+                ctx,
+                on_rows,
+                StreamWire::StreamFallback,
+            );
+        };
+        let outcome = (streamed.entries.into_iter().next()).expect("one outcome per entry sent");
+        let done = |rows, cancelled| StreamOutcome {
+            rows,
+            wire: StreamWire::Stream,
+            cancelled,
+        };
+        match outcome {
+            BatchStreamEntryOutcome::Done { rows } => Ok(done(rows, false)),
+            BatchStreamEntryOutcome::Fault(fault) => Err(OgsiError::Fault(fault)),
+            BatchStreamEntryOutcome::Truncated { rows, .. } if streamed.cancelled => {
+                Ok(done(rows, true))
+            }
+            BatchStreamEntryOutcome::Truncated { rows, detail } => {
+                Err(OgsiError::StreamTruncated { rows, detail })
             }
         }
     }
@@ -632,177 +393,17 @@ impl ServiceStub {
         })
     }
 
-    /// One streaming attempt. `Ok(None)` means "this peer does not stream":
-    /// the caller should fall back to the buffered call. Failures after the
-    /// stream started delivering rows are NOT downgrades — re-sending would
-    /// duplicate rows the callback already consumed.
-    fn call_stream_once(
-        &self,
-        operation: &str,
-        params: &[(&str, Value)],
-        ctx: &CallContext,
-        on_rows: &mut dyn FnMut(Vec<String>) -> bool,
-    ) -> Result<Option<StreamOutcome>> {
-        let started = Instant::now();
-        let site = self.url.authority();
-        if ctx.expired() {
-            let outcome = if ctx.cancelled() {
-                "cancelled-before-send"
-            } else {
-                "deadline-exceeded-before-send"
-            };
-            ctx.record_span("ogsi.stub", operation, &site, started, outcome);
-            return Err(OgsiError::DeadlineExceeded(format!(
-                "{operation} on {site}: budget exhausted before send"
-            )));
-        }
-        let entry = BatchEntry {
-            path: self.url.path.clone(),
-            method: operation.to_owned(),
-            namespace: Some(self.namespace.clone()),
-            params: params
-                .iter()
-                .map(|(n, v)| ((*n).to_owned(), v.clone()))
-                .collect(),
-        };
-        let frame = encode_binary_batch_call(std::slice::from_ref(&entry), Some(ctx));
-        let mut url = self.url.clone();
-        url.path = "/ogsa/stream".to_owned();
-        let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
-        request.headers.set("Accept", STREAM_CONTENT_TYPE);
-        self.set_context_headers(&mut request, ctx);
-        let mut stream = match self.client.send_streaming(&url, &request, ctx.deadline()) {
-            Ok(stream) => stream,
-            Err(HttpError::TimedOut) => {
-                ctx.record_span("ogsi.stub", operation, &site, started, "deadline-exceeded");
-                return Err(OgsiError::DeadlineExceeded(format!(
-                    "{operation} on {site}: no stream head within budget"
-                )));
-            }
-            Err(e) => {
-                ctx.record_span("ogsi.stub", operation, &site, started, "transport-error");
-                return Err(OgsiError::Transport(e));
-            }
-        };
-        if let Some(trace) = stream.headers.get(ppg_context::TRACE_HEADER) {
-            ctx.extend_spans(ppg_context::decode_trace(trace));
-        }
-        let is_stream = stream.status.is_success()
-            && stream
-                .content_type()
-                .is_some_and(|ct| ct.starts_with(STREAM_CONTENT_TYPE));
-        if !is_stream {
-            // Legacy site (404), streaming disabled, or a proxy that
-            // stripped the codec: fall back to the buffered call, which
-            // will surface any real fault.
-            ctx.record_span("ogsi.stub", operation, &site, started, "stream-downgrade");
-            return Ok(None);
-        }
-        let mut reader = FrameReader::new();
-        let mut delivered = 0u64;
-        let mut buf = [0u8; 8192];
-        loop {
-            loop {
-                match reader.next_event() {
-                    Ok(Some(StreamEvent::Rows(rows))) => {
-                        delivered += rows.len() as u64;
-                        if !on_rows(rows) {
-                            // Frame-boundary cancel: abandon the stream.
-                            // Dropping it drops the connection, which the
-                            // producer observes as consumer death.
-                            ctx.record_span(
-                                "ogsi.stub",
-                                operation,
-                                &site,
-                                started,
-                                "stream-cancelled",
-                            );
-                            return Ok(Some(StreamOutcome {
-                                rows: delivered,
-                                wire: StreamWire::Stream,
-                                cancelled: true,
-                            }));
-                        }
-                    }
-                    Ok(Some(StreamEvent::End { rows })) => {
-                        // Drain the transport epilogue so the connection
-                        // can be checked back into the pool.
-                        while matches!(stream.read_data(&mut buf), Ok(n) if n > 0) {}
-                        // The producer's spans ride the trailer (stream
-                        // headers flushed before the handler ran); merge
-                        // them ahead of this hop's own span.
-                        if !reader.trailer_trace().is_empty() {
-                            ctx.extend_spans(ppg_context::decode_trace(reader.trailer_trace()));
-                        }
-                        ctx.record_span("ogsi.stub", operation, &site, started, "ok");
-                        return Ok(Some(StreamOutcome {
-                            rows,
-                            wire: StreamWire::Stream,
-                            cancelled: false,
-                        }));
-                    }
-                    Ok(None) => break,
-                    Err(WireError::Fault(f)) => {
-                        ctx.record_span("ogsi.stub", operation, &site, started, fault_tag(&f));
-                        return Err(OgsiError::Fault(f));
-                    }
-                    Err(_) if delivered == 0 => {
-                        // Corrupt before any rows flowed: safe to re-send
-                        // buffered, this peer's stream plane is unusable.
-                        ctx.record_span("ogsi.stub", operation, &site, started, "stream-corrupt");
-                        return Ok(None);
-                    }
-                    Err(e) => {
-                        ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                        return Err(OgsiError::StreamTruncated {
-                            rows: delivered,
-                            detail: e.to_string(),
-                        });
-                    }
-                }
-            }
-            match stream.read_data(&mut buf) {
-                Ok(0) => {
-                    // EOF before the trailer: the producer (or its site)
-                    // died mid-flight. Rows delivered so far stand.
-                    ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                    return Err(OgsiError::StreamTruncated {
-                        rows: delivered,
-                        detail: "stream ended before trailer".into(),
-                    });
-                }
-                Ok(n) => reader.feed(&buf[..n]),
-                Err(HttpError::TimedOut) => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "deadline-exceeded");
-                    return Err(OgsiError::DeadlineExceeded(format!(
-                        "{operation} on {site}: stream stalled past budget"
-                    )));
-                }
-                Err(e) if delivered == 0 => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "transport-error");
-                    return Err(OgsiError::Transport(e));
-                }
-                Err(e) => {
-                    ctx.record_span("ogsi.stub", operation, &site, started, "stream-truncated");
-                    return Err(OgsiError::StreamTruncated {
-                        rows: delivered,
-                        detail: e.to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Invoke a multi-call batch whose results stream back as *interleaved*
-    /// PPGB sections from `POST /ogsa/batch-stream`: each entry's rows are
-    /// handed to `on_rows(entry_index, rows)` as its frames decode, in
-    /// whatever order the server's parallel producers yield them — a 2-call
-    /// federated fan-out streams end to end in one exchange per site.
+    /// The framed call: `entries` (one or more, each naming its own target
+    /// path) ride one kind-1 PPGB frame to `POST /ogsa/batch-stream`, and
+    /// their results stream back as *interleaved* sections: each entry's
+    /// rows are handed to `on_rows(entry_index, rows)` as its frames decode,
+    /// in whatever order the server's producers yield them.
     ///
-    /// `Ok(None)` means "this peer does not batch-stream" (404 from a legacy
-    /// or PR-4-era site, a non-stream head, or a corrupt frame before any
-    /// rows flowed): the caller should fall back to the buffered batch and
-    /// remember the peer. After rows have been delivered the attempt is
+    /// `Ok(None)` means "this peer does not serve the framed route" (404
+    /// from a legacy site, a non-stream head, or a corrupt frame before any
+    /// rows flowed): the caller should fall back to per-call SOAP/XML and
+    /// remember the peer. The cause is the `ogsi.stub` span's outcome
+    /// (`downgrade:<cause>`). After rows have been delivered the attempt is
     /// never retried — a dead stream surfaces as per-entry
     /// [`BatchStreamEntryOutcome::Truncated`] outcomes inside `Ok(Some)`,
     /// and sibling entries that already sealed keep their real outcomes.
@@ -811,7 +412,10 @@ impl ServiceStub {
     ///
     /// `Err` is reserved for failures before any rows were delivered
     /// (budget spent before send, transport death on the request, a
-    /// whole-batch fault frame).
+    /// whole-call fault frame).
+    ///
+    /// A one-entry call's trailer carries the container's spans; they are
+    /// merged into `ctx` ahead of this hop's own span.
     pub fn call_batch_stream(
         &self,
         entries: &[BatchEntry],
@@ -820,45 +424,34 @@ impl ServiceStub {
     ) -> Result<Option<BatchStreamResult>> {
         let started = Instant::now();
         let site = self.url.authority();
+        let op = framed_operation(entries);
         if ctx.expired() {
             let outcome = if ctx.cancelled() {
                 "cancelled-before-send"
             } else {
                 "deadline-exceeded-before-send"
             };
-            ctx.record_span("ogsi.stub", "multiCallStream", &site, started, outcome);
+            ctx.record_span("ogsi.stub", op, &site, started, outcome);
             return Err(OgsiError::DeadlineExceeded(format!(
-                "multiCallStream on {site}: budget exhausted before send"
+                "{op} on {site}: budget exhausted before send"
             )));
         }
         let frame = encode_binary_batch_call(entries, Some(ctx));
         let mut url = self.url.clone();
-        url.path = "/ogsa/batch-stream".to_owned();
+        url.path = FRAMED_PATH.to_owned();
         let mut request = Request::post(url.path.clone(), BINARY_CONTENT_TYPE, frame);
         request.headers.set("Accept", STREAM_CONTENT_TYPE);
         self.set_context_headers(&mut request, ctx);
         let mut stream = match self.client.send_streaming(&url, &request, ctx.deadline()) {
             Ok(stream) => stream,
             Err(HttpError::TimedOut) => {
-                ctx.record_span(
-                    "ogsi.stub",
-                    "multiCallStream",
-                    &site,
-                    started,
-                    "deadline-exceeded",
-                );
+                ctx.record_span("ogsi.stub", op, &site, started, "deadline-exceeded");
                 return Err(OgsiError::DeadlineExceeded(format!(
-                    "multiCallStream on {site}: no stream head within budget"
+                    "{op} on {site}: no stream head within budget"
                 )));
             }
             Err(e) => {
-                ctx.record_span(
-                    "ogsi.stub",
-                    "multiCallStream",
-                    &site,
-                    started,
-                    "transport-error",
-                );
+                ctx.record_span("ogsi.stub", op, &site, started, "transport-error");
                 return Err(OgsiError::Transport(e));
             }
         };
@@ -870,16 +463,14 @@ impl ServiceStub {
                 .content_type()
                 .is_some_and(|ct| ct.starts_with(STREAM_CONTENT_TYPE));
         if !is_stream {
-            // Legacy or PR-4-era site: 404 (route absent) or a buffered
-            // answer. Fall back to the buffered batch, which will surface
-            // any real fault.
-            ctx.record_span(
-                "ogsi.stub",
-                "multiCallStream",
-                &site,
-                started,
-                "batch-stream-downgrade",
-            );
+            // Legacy site: 404 (route absent) or a buffered answer. Fall
+            // back to per-call XML, which will surface any real fault.
+            let cause = if stream.status.is_success() {
+                "downgrade:not-stream".to_owned()
+            } else {
+                format!("downgrade:http-{}", stream.status.0)
+            };
+            ctx.record_span("ogsi.stub", op, &site, started, &cause);
             return Ok(None);
         }
         let mut reader = BatchStreamReader::new();
@@ -896,13 +487,7 @@ impl ServiceStub {
                             // a broken peer. No rows flowed yet (the head is
                             // the first frame), so the buffered re-send is
                             // safe.
-                            ctx.record_span(
-                                "ogsi.stub",
-                                "multiCallStream",
-                                &site,
-                                started,
-                                "batch-stream-corrupt",
-                            );
+                            ctx.record_span("ogsi.stub", op, &site, started, "downgrade:arity");
                             return Ok(None);
                         }
                     }
@@ -915,13 +500,7 @@ impl ServiceStub {
                             // Frame-boundary cancel: abandon the stream.
                             // Dropping it drops the connection, which the
                             // producers observe as consumer death.
-                            ctx.record_span(
-                                "ogsi.stub",
-                                "multiCallStream",
-                                &site,
-                                started,
-                                "stream-cancelled",
-                            );
+                            ctx.record_span("ogsi.stub", op, &site, started, "stream-cancelled");
                             return Ok(Some(BatchStreamResult {
                                 entries: seal_unfinished(
                                     outcomes,
@@ -943,33 +522,15 @@ impl ServiceStub {
                         // An untagged kind-3 frame is a whole-batch refusal
                         // (budget spent on arrival); the server sends it
                         // before any entry opens.
-                        ctx.record_span(
-                            "ogsi.stub",
-                            "multiCallStream",
-                            &site,
-                            started,
-                            fault_tag(&f),
-                        );
+                        ctx.record_span("ogsi.stub", op, &site, started, fault_tag(&f));
                         return Err(OgsiError::Fault(f));
                     }
                     Err(_) if total_delivered == 0 => {
-                        ctx.record_span(
-                            "ogsi.stub",
-                            "multiCallStream",
-                            &site,
-                            started,
-                            "batch-stream-corrupt",
-                        );
+                        ctx.record_span("ogsi.stub", op, &site, started, "downgrade:corrupt");
                         return Ok(None);
                     }
                     Err(e) => {
-                        ctx.record_span(
-                            "ogsi.stub",
-                            "multiCallStream",
-                            &site,
-                            started,
-                            "stream-truncated",
-                        );
+                        ctx.record_span("ogsi.stub", op, &site, started, "stream-truncated");
                         return Ok(Some(BatchStreamResult {
                             entries: seal_unfinished(outcomes, &delivered, &e.to_string()),
                             cancelled: false,
@@ -981,6 +542,12 @@ impl ServiceStub {
                 // Every declared entry sealed. Drain the transport epilogue
                 // so the connection can be checked back into the pool.
                 while matches!(stream.read_data(&mut buf), Ok(n) if n > 0) {}
+                for entry in 0..entries.len() as u32 {
+                    let trace = reader.entry_trace(entry);
+                    if !trace.is_empty() {
+                        ctx.extend_spans(ppg_context::decode_trace(trace));
+                    }
+                }
                 let sealed: Vec<BatchStreamEntryOutcome> = outcomes
                     .into_iter()
                     .map(|o| o.expect("finished batch stream sealed every entry"))
@@ -993,7 +560,7 @@ impl ServiceStub {
                 } else {
                     "partial"
                 };
-                ctx.record_span("ogsi.stub", "multiCallStream", &site, started, tag);
+                ctx.record_span("ogsi.stub", op, &site, started, tag);
                 return Ok(Some(BatchStreamResult {
                     entries: sealed,
                     cancelled: false,
@@ -1004,13 +571,7 @@ impl ServiceStub {
                     // EOF before every entry sealed: the site died
                     // mid-flight. Entries that already sealed keep their
                     // outcomes; exactly the unsealed ones are truncated.
-                    ctx.record_span(
-                        "ogsi.stub",
-                        "multiCallStream",
-                        &site,
-                        started,
-                        "stream-truncated",
-                    );
+                    ctx.record_span("ogsi.stub", op, &site, started, "stream-truncated");
                     return Ok(Some(BatchStreamResult {
                         entries: seal_unfinished(
                             outcomes,
@@ -1022,16 +583,10 @@ impl ServiceStub {
                 }
                 Ok(n) => reader.feed(&buf[..n]),
                 Err(HttpError::TimedOut) => {
-                    ctx.record_span(
-                        "ogsi.stub",
-                        "multiCallStream",
-                        &site,
-                        started,
-                        "deadline-exceeded",
-                    );
+                    ctx.record_span("ogsi.stub", op, &site, started, "deadline-exceeded");
                     if total_delivered == 0 {
                         return Err(OgsiError::DeadlineExceeded(format!(
-                            "multiCallStream on {site}: stream stalled past budget"
+                            "{op} on {site}: stream stalled past budget"
                         )));
                     }
                     return Ok(Some(BatchStreamResult {
@@ -1044,23 +599,11 @@ impl ServiceStub {
                     }));
                 }
                 Err(e) if total_delivered == 0 => {
-                    ctx.record_span(
-                        "ogsi.stub",
-                        "multiCallStream",
-                        &site,
-                        started,
-                        "transport-error",
-                    );
+                    ctx.record_span("ogsi.stub", op, &site, started, "transport-error");
                     return Err(OgsiError::Transport(e));
                 }
                 Err(e) => {
-                    ctx.record_span(
-                        "ogsi.stub",
-                        "multiCallStream",
-                        &site,
-                        started,
-                        "stream-truncated",
-                    );
+                    ctx.record_span("ogsi.stub", op, &site, started, "stream-truncated");
                     return Ok(Some(BatchStreamResult {
                         entries: seal_unfinished(outcomes, &delivered, &e.to_string()),
                         cancelled: false,

@@ -4,11 +4,11 @@
 use crate::execution::{render_pairs, split_pairs};
 use crate::manager::Manager;
 use crate::wrapper::ApplicationWrapper;
-use crate::APPLICATION_NS;
+use crate::{APPLICATION_NS, FRAMED_CAPABILITY};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{Factory, Gsh, ServiceData, ServicePort, ServiceStub};
 use pperf_soap::wsdl::{Operation, PortType, ServiceDescription};
-use pperf_soap::{Call, Fault, Value, ValueType};
+use pperf_soap::{Call, Fault, Value, ValueType, PPGB_VERSION};
 use std::sync::Arc;
 
 /// The Application PortType description (thesis Table 1, verbatim
@@ -63,10 +63,7 @@ pub fn application_description() -> ServiceDescription {
 pub struct ApplicationService {
     wrapper: Arc<dyn ApplicationWrapper>,
     manager: Arc<Manager>,
-    advertise_batch: bool,
-    advertise_binary: bool,
-    advertise_streaming: bool,
-    advertise_batch_stream: bool,
+    advertise_framed: bool,
 }
 
 impl ApplicationService {
@@ -75,44 +72,15 @@ impl ApplicationService {
         ApplicationService {
             wrapper,
             manager,
-            advertise_batch: true,
-            advertise_binary: true,
-            advertise_streaming: true,
-            advertise_batch_stream: true,
+            advertise_framed: true,
         }
     }
 
-    /// Control whether instances advertise `supportsBatch` service data.
-    /// Off models a pre-batch site: its container may still answer
-    /// `/ogsa/batch`, but federation clients won't try, falling back to
-    /// per-call getPR.
-    pub fn with_batch_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsBinary` service data.
-    /// Off models a site whose container predates the PPGB frame codec:
-    /// federation clients keep speaking XML to it.
-    pub fn with_binary_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_binary = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsStreaming` service data.
-    /// Off models a site whose Execution containers predate incremental
-    /// result streams: federation clients buffer its getPR answers whole.
-    pub fn with_streaming_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_streaming = advertise;
-        self
-    }
-
-    /// Control whether instances advertise `supportsBatchStream` service
-    /// data. Off models a site whose container batches and streams but
-    /// predates the interleaved `/ogsa/batch-stream` wire: federation
-    /// clients keep its batches buffered.
-    pub fn with_batch_stream_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch_stream = advertise;
+    /// Control whether instances advertise the framed PPGB route
+    /// ([`FRAMED_CAPABILITY`]). Off models a site whose containers predate
+    /// it: federation clients send it per-call SOAP/XML.
+    pub fn with_framed_advertised(mut self, advertise: bool) -> Self {
+        self.advertise_framed = advertise;
         self
     }
 
@@ -199,33 +167,11 @@ impl ServicePort for ApplicationService {
         if let Some(gsh) = self.manager.self_gsh() {
             data = data.with("managerGsh", Value::from(gsh.as_str()));
         }
-        // Capability negotiation for the batched wire protocol: clients that
-        // see `supportsBatch = true` may fold their per-instance getPR fan-out
-        // into one `/ogsa/batch` multi-call per site; absent or false means
-        // per-call only.
-        if self.advertise_batch {
-            data = data.with("supportsBatch", Value::Bool(true));
-        }
-        // Second capability axis: `supportsBinary = true` means the hosting
-        // container decodes PPGB frames on `/ogsa/binary`, so batch-capable
-        // clients may skip the XML probe and open with binary directly.
-        if self.advertise_binary {
-            data = data.with("supportsBinary", Value::Bool(true));
-        }
-        // Third capability axis: `supportsStreaming = true` means this
-        // site's Execution containers answer `/ogsa/stream` with incremental
-        // PPGB result frames, so per-call getPR clients may consume scans
-        // frame-at-a-time instead of buffering whole bodies.
-        if self.advertise_streaming {
-            data = data.with("supportsStreaming", Value::Bool(true));
-        }
-        // Fourth capability axis: `supportsBatchStream = true` means the
-        // container interleaves a whole batch's row frames on
-        // `/ogsa/batch-stream`, so clients may stream their multi-call
-        // groups instead of buffering the mixed response. Only honored by
-        // clients alongside `supportsBatch` and `supportsStreaming`.
-        if self.advertise_batch_stream {
-            data = data.with("supportsBatchStream", Value::Bool(true));
+        // The framed route's capability: clients speaking this PPGB version
+        // fold their per-instance getPR fan-out into one framed call per
+        // host; absent means per-call SOAP/XML.
+        if self.advertise_framed {
+            data = data.with(FRAMED_CAPABILITY, Value::Int(i64::from(PPGB_VERSION)));
         }
         data
     }
@@ -235,10 +181,7 @@ impl ServicePort for ApplicationService {
 pub struct ApplicationFactory {
     wrapper: Arc<dyn ApplicationWrapper>,
     manager: Arc<Manager>,
-    advertise_batch: bool,
-    advertise_binary: bool,
-    advertise_streaming: bool,
-    advertise_batch_stream: bool,
+    advertise_framed: bool,
 }
 
 impl ApplicationFactory {
@@ -247,34 +190,13 @@ impl ApplicationFactory {
         ApplicationFactory {
             wrapper,
             manager,
-            advertise_batch: true,
-            advertise_binary: true,
-            advertise_streaming: true,
-            advertise_batch_stream: true,
+            advertise_framed: true,
         }
     }
 
-    /// Control whether created instances advertise `supportsBatch`.
-    pub fn with_batch_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsBinary`.
-    pub fn with_binary_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_binary = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsStreaming`.
-    pub fn with_streaming_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_streaming = advertise;
-        self
-    }
-
-    /// Control whether created instances advertise `supportsBatchStream`.
-    pub fn with_batch_stream_advertised(mut self, advertise: bool) -> Self {
-        self.advertise_batch_stream = advertise;
+    /// Control whether created instances advertise the framed PPGB route.
+    pub fn with_framed_advertised(mut self, advertise: bool) -> Self {
+        self.advertise_framed = advertise;
         self
     }
 }
@@ -287,10 +209,7 @@ impl Factory for ApplicationFactory {
     fn create(&self, _call: &Call) -> Result<Arc<dyn ServicePort>, Fault> {
         Ok(Arc::new(
             ApplicationService::new(Arc::clone(&self.wrapper), Arc::clone(&self.manager))
-                .with_batch_advertised(self.advertise_batch)
-                .with_binary_advertised(self.advertise_binary)
-                .with_streaming_advertised(self.advertise_streaming)
-                .with_batch_stream_advertised(self.advertise_batch_stream),
+                .with_framed_advertised(self.advertise_framed),
         ))
     }
 }

@@ -564,10 +564,10 @@ impl ServicePort for ExecutionService {
             .with("timeStart", Value::Str(start))
             .with("timeEnd", Value::Str(end))
             .with("cacheEnabled", Value::Bool(self.cache_enabled))
-            .with("supportsBatch", Value::Bool(true))
-            .with("supportsBinary", Value::Bool(true))
-            .with("supportsStreaming", Value::Bool(true))
-            .with("supportsBatchStream", Value::Bool(true))
+            .with(
+                crate::FRAMED_CAPABILITY,
+                Value::Int(i64::from(pperf_soap::PPGB_VERSION)),
+            )
             .with("cacheEntries", Value::Int(self.cache.len() as i64))
             .with("cacheHits", Value::Int(hits as i64))
             .with("cacheMisses", Value::Int(misses as i64))
@@ -700,10 +700,11 @@ impl ExecutionStub {
             .call_str_array_with_context("getPR", &Self::pr_params(query), ctx)
     }
 
-    /// `getPR` as an incremental row stream: frames decode into `on_rows`
-    /// calls as they arrive, so client memory stays bounded by one frame
-    /// regardless of result size. Negotiation and fallback (legacy peers,
-    /// `PPG_FORCE_XML=1`) follow [`ServiceStub::call_stream`]; the returned
+    /// `getPR` as an incremental row stream — a one-entry framed call whose
+    /// frames decode into `on_rows` calls as they arrive, so client memory
+    /// stays bounded by one frame regardless of result size. The buffered
+    /// fallback (legacy peers, `PPG_FORCE_XML=1`) follows
+    /// [`ServiceStub::call_stream`]; the returned
     /// outcome names the wire that carried the rows. `on_rows` returning
     /// `false` abandons the stream at that frame boundary.
     pub fn get_pr_stream(
@@ -742,7 +743,7 @@ impl ExecutionStub {
     }
 
     /// The wire parameter set for a `getPR` call. Public so batching layers
-    /// (the gateway's per-site multi-call) marshal *exactly* the parameters
+    /// (the gateway's framed calls) marshal *exactly* the parameters
     /// the per-call path uses, instead of re-deriving them.
     pub fn pr_params(query: &PrQuery) -> [(&'static str, Value); 5] {
         [

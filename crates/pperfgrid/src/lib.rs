@@ -72,3 +72,8 @@ pub const EXECUTION_NS: &str = "urn:pperfgrid:Execution";
 pub const MANAGER_NS: &str = "urn:pperfgrid:Manager";
 /// The `type` value meaning "any measurement tool" in a getPR query.
 pub const TYPE_UNDEFINED: &str = "UNDEFINED";
+/// Service-data element advertising the framed PPGB route
+/// (`POST /ogsa/batch-stream`). Its value is the `PPGB_VERSION` the site's
+/// containers speak; a client finding no element, or another version,
+/// uses per-call SOAP/XML.
+pub const FRAMED_CAPABILITY: &str = "supportsFramedWire";

@@ -24,21 +24,10 @@ pub struct SiteConfig {
     pub cache_capacity: usize,
     /// PR cache replacement policy.
     pub cache_policy: crate::prcache::CachePolicy,
-    /// Whether Application instances advertise `supportsBatch` service data
-    /// (the batched wire protocol capability). Off models a legacy site.
-    pub advertise_batch: bool,
-    /// Whether Application instances advertise `supportsBinary` service data
-    /// (the PPGB frame codec). Off models a site that batches over XML only.
-    pub advertise_binary: bool,
-    /// Whether Application instances advertise `supportsStreaming` service
-    /// data (incremental result streams on `/ogsa/stream`). Off models a
-    /// site whose getPR answers must be buffered whole.
-    pub advertise_streaming: bool,
-    /// Whether Application instances advertise `supportsBatchStream`
-    /// service data (interleaved batch streams on `/ogsa/batch-stream`).
-    /// Off models a site that batches and streams but predates the
-    /// interleaved batch wire: clients keep its batches buffered.
-    pub advertise_batch_stream: bool,
+    /// Whether Application instances advertise the framed PPGB route
+    /// ([`crate::FRAMED_CAPABILITY`]). Off models a legacy site: clients
+    /// send it per-call SOAP/XML.
+    pub advertise_framed: bool,
 }
 
 impl SiteConfig {
@@ -49,38 +38,14 @@ impl SiteConfig {
             cache_enabled: true,
             cache_capacity: 4096,
             cache_policy: crate::prcache::CachePolicy::Fifo,
-            advertise_batch: true,
-            advertise_binary: true,
-            advertise_streaming: true,
-            advertise_batch_stream: true,
+            advertise_framed: true,
         }
     }
 
-    /// Toggle `supportsBatch` advertisement (off ⇒ clients use per-call
-    /// getPR against this site).
-    pub fn with_batch_advertised(mut self, advertise: bool) -> SiteConfig {
-        self.advertise_batch = advertise;
-        self
-    }
-
-    /// Toggle `supportsBinary` advertisement (off ⇒ clients keep speaking
-    /// XML batches to this site).
-    pub fn with_binary_advertised(mut self, advertise: bool) -> SiteConfig {
-        self.advertise_binary = advertise;
-        self
-    }
-
-    /// Toggle `supportsStreaming` advertisement (off ⇒ clients buffer this
-    /// site's getPR answers whole instead of streaming frames).
-    pub fn with_streaming_advertised(mut self, advertise: bool) -> SiteConfig {
-        self.advertise_streaming = advertise;
-        self
-    }
-
-    /// Toggle `supportsBatchStream` advertisement (off ⇒ clients keep this
-    /// site's batched getPR groups on the buffered multi-call wire).
-    pub fn with_batch_stream_advertised(mut self, advertise: bool) -> SiteConfig {
-        self.advertise_batch_stream = advertise;
+    /// Toggle the framed-route advertisement (off ⇒ clients use per-call
+    /// SOAP/XML against this site).
+    pub fn with_framed_advertised(mut self, advertise: bool) -> SiteConfig {
+        self.advertise_framed = advertise;
         self
     }
 
@@ -167,10 +132,7 @@ impl Site {
             &format!("{name}-app"),
             Arc::new(
                 ApplicationFactory::new(app_wrapper, Arc::clone(&manager))
-                    .with_batch_advertised(config.advertise_batch)
-                    .with_binary_advertised(config.advertise_binary)
-                    .with_streaming_advertised(config.advertise_streaming)
-                    .with_batch_stream_advertised(config.advertise_batch_stream),
+                    .with_framed_advertised(config.advertise_framed),
             ),
         )?;
         Ok(Site {

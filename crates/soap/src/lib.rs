@@ -27,7 +27,6 @@
 //! assert_eq!(call.params[1].1.as_str().unwrap(), "8");
 //! ```
 
-pub mod batch;
 mod codec;
 pub mod context;
 mod envelope;
@@ -36,10 +35,6 @@ mod value;
 pub mod wire;
 pub mod wsdl;
 
-pub use batch::{
-    decode_batch_call, decode_batch_response, encode_batch_call, encode_batch_response, BatchEntry,
-    BatchOutcome, BATCH_NS,
-};
 pub use codec::{decode_call, decode_response, encode_call, encode_fault, encode_response, Call};
 pub use context::{
     context_from_header, context_header, decode_call_with_context, encode_call_with_context,
@@ -49,13 +44,12 @@ pub use envelope::{Envelope, SOAP_ENV_NS, XSD_NS, XSI_NS};
 pub use fault::{Fault, FaultCode, CANCELLED_DETAIL, DEADLINE_EXCEEDED_DETAIL};
 pub use value::{pack_strs, unpack_strs, Value, ValueError, ValueType, PACK_THRESHOLD};
 pub use wire::{
-    decode_binary_batch_call, decode_binary_batch_response, decode_binary_event,
-    decode_binary_segment, encode_batch_stream_head, encode_binary_batch_call,
-    encode_binary_batch_call_into, encode_binary_batch_response, encode_binary_event,
-    encode_binary_fault, encode_binary_segment, encode_entry_fault, encode_entry_head,
-    encode_stream_fault, BatchStreamEvent, BatchStreamReader, FrameReader, FrameWriter,
-    StreamEvent, WireError, WireEvent, WireSegment, BINARY_CONTENT_TYPE,
-    DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC, PPGB_VERSION, STREAM_CONTENT_TYPE,
+    decode_binary_batch_call, decode_binary_event, decode_binary_segment, encode_batch_stream_head,
+    encode_binary_batch_call, encode_binary_batch_call_into, encode_binary_event,
+    encode_binary_segment, encode_entry_fault, encode_entry_head, encode_stream_fault, BatchEntry,
+    BatchStreamEvent, BatchStreamReader, FrameReader, FrameWriter, StreamEvent, WireError,
+    WireEvent, WireSegment, BINARY_CONTENT_TYPE, DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC,
+    PPGB_VERSION, STREAM_CONTENT_TYPE,
 };
 
 /// Errors raised while encoding or decoding SOAP messages.

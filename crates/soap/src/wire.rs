@@ -1,12 +1,12 @@
-//! The PPGB binary frame format — the bulk data plane.
+//! The PPGB binary frame format — the framed data route.
 //!
 //! XML-over-SOAP pays a marshaling tax on every bulk PerformanceResult hop:
-//! the packed columns are escaped into character data, wrapped in an
-//! envelope, and re-parsed on arrival. PPGB removes the tax for peers that
-//! negotiate it: one length-prefixed binary frame carries the same batch
-//! envelope — call header from the [`CallContext`], per-entry args, per-entry
-//! fault slots mirroring [`BatchOutcome`] — with every string as a raw
-//! length-prefixed byte run, zero escaping.
+//! the rows are escaped into character data, wrapped in an envelope, and
+//! re-parsed on arrival. PPGB removes the tax for peers that advertise it:
+//! a kind-1 frame carries a batch of `n >= 1` calls — call header from the
+//! [`CallContext`], per-entry args — with every string as a raw
+//! length-prefixed byte run, zero escaping, and the answer comes back as an
+//! interleaved stream of per-entry sections (kinds 8/9/6/7/3).
 //!
 //! ## Frame layout (all integers little-endian)
 //!
@@ -15,9 +15,11 @@
 //! 0       4     magic  b"PPGB"
 //! 4       1     version (currently 2; version 1 defined the kind-7 checksum
 //!               as byte-serial FNV-1a and is refused, see below)
-//! 5       1     kind: 1 = batch call, 2 = batch response, 3 = whole fault,
-//!               4 = notification event
-//! 6       1     flags: bit 0 = call-header section present (kind 1)
+//! 5       1     kind: 1 = batch call, 3 = fault, 4 = notification event,
+//!               5 = cached segment, 6 = stream rows, 7 = stream trailer,
+//!               8 = batch-stream head, 9 = entry head; 2 is reserved
+//! 6       1     flags: bit 0 = call-header section present (kind 1),
+//!               bit 1 = entry-tagged (kinds 3/6/7)
 //! 7       1     reserved (0)
 //! 8       ...   sections, per kind (see below)
 //! ```
@@ -37,11 +39,11 @@
 //!   fanned across a host's instances), so those entries cost one path and
 //!   one byte. The encoder always dedups when the fields byte-match, which
 //!   keeps the encoding canonical; flag 1 on the first entry is malformed.
-//! * kind 2 (response): `u32` outcome count, then per outcome a 1-byte tag:
-//!   0 = value follows, 1 = per-entry fault follows (`u8` code, `str`
-//!   faultstring, `u8` detail flag + `str` detail).
-//! * kind 3 (whole-batch fault): one fault, same encoding — the container
-//!   refused the batch before dispatching any entry. Decodes to
+//! * kind 2: reserved. It once carried a buffered batch response; no
+//!   encoder emits it and every decoder rejects it as malformed.
+//! * kind 3 (fault): `u8` code, `str` faultstring, `u8` detail flag + `str`
+//!   detail. Untagged, it is a whole-batch refusal (the container refused
+//!   the batch before dispatching any entry) and decodes to
 //!   [`WireError::Fault`], which is a *semantic* outcome, not corruption:
 //!   it must never trigger the XML fallback.
 //! * kind 4 (notification event): `str` topic, `u64` per-topic sequence
@@ -124,10 +126,9 @@
 //! peer or an old spill file ([`WireError::UnsupportedVersion`]).
 //!
 //! Every other decode failure is a typed, non-panicking [`WireError`] whose
-//! [`WireError::is_corrupt`] is true — the caller's cue to forget the peer's
-//! binary capability and transparently re-send as XML.
+//! [`WireError::is_corrupt`] is true — before any row arrived, the caller's
+//! cue to forget the peer's framed capability and re-send as per-call XML.
 
-use crate::batch::{BatchEntry, BatchOutcome};
 use crate::fault::{Fault, FaultCode};
 use crate::value::Value;
 use ppg_context::CallContext;
@@ -137,7 +138,8 @@ use std::fmt;
 pub const PPGB_MAGIC: [u8; 4] = *b"PPGB";
 /// Current frame format version.
 pub const PPGB_VERSION: u8 = 2;
-/// Content type advertised and answered during codec negotiation.
+/// Content type of a PPGB request body (and of the notify plane's
+/// negotiated event stream).
 pub const BINARY_CONTENT_TYPE: &str = "application/x-ppg-binary";
 /// Content type of an incremental PPGB result stream (chunked body of
 /// length-prefixed kind-6/kind-7 frames). Advertised in `Accept` by
@@ -157,7 +159,7 @@ const COLUMNAR_EXPANSION: usize = 64;
 const MAX_COLUMNAR_DECODED_BYTES: usize = 4 * MAX_STREAM_FRAME_BYTES;
 
 const KIND_CALL: u8 = 1;
-const KIND_RESPONSE: u8 = 2;
+// Kind 2 is reserved (a retired buffered batch response); decoders reject it.
 const KIND_FAULT: u8 = 3;
 const KIND_EVENT: u8 = 4;
 const KIND_SEGMENT: u8 = 5;
@@ -207,6 +209,45 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// One sub-call of a kind-1 batch call frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchEntry {
+    /// Target service path on the receiving container
+    /// (e.g. `/ogsa/services/psu-app/instances/3`).
+    pub path: String,
+    /// Operation name.
+    pub method: String,
+    /// Call namespace, if one applies.
+    pub namespace: Option<String>,
+    /// `(name, value)` parameters in call order.
+    pub params: Vec<(String, Value)>,
+}
+
+impl BatchEntry {
+    /// Build an entry from borrowed parameter pairs.
+    pub fn new(
+        path: impl Into<String>,
+        method: impl Into<String>,
+        namespace: impl Into<String>,
+        params: &[(&str, Value)],
+    ) -> BatchEntry {
+        BatchEntry {
+            path: path.into(),
+            method: method.into(),
+            namespace: Some(namespace.into()),
+            params: params
+                .iter()
+                .map(|(n, v)| ((*n).to_owned(), v.clone()))
+                .collect(),
+        }
+    }
+
+    /// Look up a parameter by name.
+    pub fn param(&self, name: &str) -> Option<&Value> {
+        self.params.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+}
 
 // ---------------------------------------------------------------- encoding
 
@@ -525,35 +566,6 @@ pub fn encode_binary_batch_call_into(
 pub fn encode_binary_batch_call(entries: &[BatchEntry], ctx: Option<&CallContext>) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + entries.len() * 64);
     encode_binary_batch_call_into(&mut out, entries, ctx);
-    out
-}
-
-/// Encode a batch response frame: one slot per outcome, in request order.
-pub fn encode_binary_batch_response(outcomes: &[BatchOutcome]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + outcomes.len() * 32);
-    put_header(&mut out, KIND_RESPONSE, 0);
-    put_u32(&mut out, outcomes.len() as u32);
-    for outcome in outcomes {
-        match outcome {
-            Ok(value) => {
-                out.push(0);
-                put_value(&mut out, value);
-            }
-            Err(fault) => {
-                out.push(1);
-                put_fault(&mut out, fault);
-            }
-        }
-    }
-    out
-}
-
-/// Encode a whole-batch fault frame (the binary analogue of a top-level
-/// `<soap:Fault>` body).
-pub fn encode_binary_fault(fault: &Fault) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + fault.string.len());
-    put_header(&mut out, KIND_FAULT, 0);
-    put_fault(&mut out, fault);
     out
 }
 
@@ -984,24 +996,6 @@ pub fn decode_binary_batch_call(
     }
     r.done()?;
     Ok((entries, ctx))
-}
-
-/// Decode a batch response frame into per-entry outcomes. A kind-3 frame
-/// surfaces as [`WireError::Fault`], mirroring
-/// [`crate::batch::decode_batch_response`]'s whole-batch fault rule.
-pub fn decode_binary_batch_response(buf: &[u8]) -> Result<Vec<BatchOutcome>, WireError> {
-    let (mut r, _flags) = open_frame(buf, KIND_RESPONSE)?;
-    let n = r.count(2)?;
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        outcomes.push(match r.u8()? {
-            0 => Ok(r.value()?),
-            1 => Err(r.fault()?),
-            t => return Err(WireError::Malformed(format!("unknown outcome tag {t}"))),
-        });
-    }
-    r.done()?;
-    Ok(outcomes)
 }
 
 // --------------------------------------------------------------- streaming
@@ -1834,51 +1828,59 @@ mod tests {
         assert!(err.is_corrupt(), "{err}");
     }
 
+    /// A bare (unprefixed) kind-3 whole-batch fault frame.
+    fn whole_fault_frame(fault: &Fault) -> Vec<u8> {
+        encode_stream_fault(fault)[4..].to_vec()
+    }
+
     #[test]
-    fn response_roundtrip_mixed_outcomes() {
-        let outcomes = vec![
-            Ok(Value::StrArray(vec![
-                "row|with|pipes".into(),
-                "1 < 2 & 3 > 2".into(), // would need escaping in XML
-                String::new(),
-                "12:34;56".into(),
-            ])),
-            Err(Fault::client("no such metric").with_detail("metric=bogus")),
-            Ok(Value::Nil),
-            Err(Fault::deadline_exceeded("budget spent")),
-        ];
-        let frame = encode_binary_batch_response(&outcomes);
-        let decoded = decode_binary_batch_response(&frame).unwrap();
-        assert_eq!(decoded, outcomes);
-        assert!(decoded[3].as_ref().unwrap_err().is_deadline_exceeded());
+    fn kind_two_is_reserved_and_rejected_by_every_decoder() {
+        // Header of the retired buffered batch response, then an empty
+        // outcome list.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"PPGB");
+        frame.extend_from_slice(&[PPGB_VERSION, 2, 0, 0]);
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        let malformed = |e: WireError| matches!(e, WireError::Malformed(_));
+        assert!(malformed(decode_binary_batch_call(&frame).unwrap_err()));
+        assert!(malformed(decode_binary_event(&frame).unwrap_err()));
+        assert!(malformed(decode_binary_segment(&frame).unwrap_err()));
+        let mut prefixed = (frame.len() as u32).to_le_bytes().to_vec();
+        prefixed.extend_from_slice(&frame);
+        let mut stream = FrameReader::new();
+        stream.feed(&prefixed);
+        assert!(malformed(stream.next_event().unwrap_err()));
+        let mut batch = BatchStreamReader::new();
+        batch.feed(&prefixed);
+        assert!(malformed(batch.next_event().unwrap_err()));
     }
 
     #[test]
     fn packed_columns_ride_unescaped() {
-        // The raw packed block appears verbatim in the frame bytes — the
-        // whole point of the binary plane.
+        // A packed block handed over as a call parameter appears verbatim in
+        // the frame bytes — the whole point of the binary plane.
         let rows = vec!["a<b&c>d".into(), "x\"y'z".into()];
         let block = crate::value::pack_strs(&rows);
-        let frame = encode_binary_batch_response(&[Ok(Value::Str(block.clone()))]);
+        let entry = BatchEntry::new(
+            "/x",
+            "getPR",
+            "urn:x",
+            &[("rows", Value::Str(block.clone()))],
+        );
+        let frame = encode_binary_batch_call(&[entry], None);
         assert!(frame.windows(block.len()).any(|w| w == block.as_bytes()));
     }
 
     #[test]
     fn whole_batch_fault_is_semantic_not_corrupt() {
-        let frame = encode_binary_fault(&Fault::deadline_exceeded("batch refused"));
-        match decode_binary_batch_response(&frame) {
+        let frame = whole_fault_frame(&Fault::deadline_exceeded("batch refused"));
+        match decode_binary_batch_call(&frame) {
             Err(WireError::Fault(f)) => {
                 assert!(f.is_deadline_exceeded());
                 assert!(!WireError::Fault(f).is_corrupt());
             }
             other => panic!("expected fault, got {other:?}"),
         }
-        // The call decoder sees it the same way.
-        let frame = encode_binary_fault(&Fault::server("nope"));
-        assert!(matches!(
-            decode_binary_batch_call(&frame),
-            Err(WireError::Fault(_))
-        ));
     }
 
     #[test]
@@ -1909,10 +1911,10 @@ mod tests {
             decode_binary_batch_call(&padded).unwrap_err(),
             WireError::Malformed(_)
         ));
-        // A response frame fed to the call decoder is malformed.
-        let resp = encode_binary_batch_response(&[Ok(Value::Nil)]);
+        // A segment frame fed to the call decoder is malformed.
+        let other = encode_binary_segment(&segment());
         assert!(matches!(
-            decode_binary_batch_call(&resp).unwrap_err(),
+            decode_binary_batch_call(&other).unwrap_err(),
             WireError::Malformed(_)
         ));
     }
@@ -1955,12 +1957,12 @@ mod tests {
         ));
         // A batch frame fed to the event decoder is malformed, and a kind-3
         // fault frame still decodes as a semantic fault.
-        let batch = encode_binary_batch_response(&[Ok(Value::Nil)]);
+        let batch = encode_binary_batch_call(&entries(), None);
         assert!(matches!(
             decode_binary_event(&batch).unwrap_err(),
             WireError::Malformed(_)
         ));
-        let fault = encode_binary_fault(&Fault::server("refused"));
+        let fault = whole_fault_frame(&Fault::server("refused"));
         assert!(matches!(
             decode_binary_event(&fault).unwrap_err(),
             WireError::Fault(_)

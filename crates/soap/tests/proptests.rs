@@ -2,11 +2,9 @@
 //! can carry, and the decoders never panic on arbitrary input.
 
 use pperf_soap::{
-    decode_batch_call, decode_batch_response, decode_binary_batch_call,
-    decode_binary_batch_response, decode_call, decode_response, encode_batch_call,
-    encode_batch_response, encode_binary_batch_call, encode_binary_batch_response, encode_call,
-    encode_fault, encode_response, pack_strs, unpack_strs, BatchEntry, BatchOutcome, Fault,
-    SoapError, Value, WireError,
+    decode_binary_batch_call, decode_binary_event, decode_binary_segment, decode_call,
+    decode_response, encode_binary_batch_call, encode_call, encode_fault, encode_response,
+    pack_strs, unpack_strs, BatchEntry, Fault, SoapError, Value, WireError,
 };
 use proptest::prelude::*;
 
@@ -93,59 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_call_roundtrip(
-        entries in proptest::collection::vec(
-            (
-                "[a-zA-Z0-9/_-]{1,40}",
-                method_strategy(),
-                proptest::collection::vec(("[a-zA-Z][a-zA-Z0-9]{0,12}", value_strategy()), 0..4),
-            ),
-            0..6,
-        ),
-    ) {
-        let built: Vec<BatchEntry> = entries
-            .iter()
-            .map(|(path, method, params)| {
-                let borrowed: Vec<(&str, Value)> =
-                    params.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                BatchEntry::new(format!("/{path}"), method.clone(), "urn:test", &borrowed)
-            })
-            .collect();
-        let wire = encode_batch_call(&built, None);
-        let (decoded, ctx) = decode_batch_call(&wire).expect("own encoding must decode");
-        prop_assert_eq!(decoded, built);
-        prop_assert!(ctx.is_none());
-    }
-
-    #[test]
-    fn batch_response_roundtrip(
-        outcomes in proptest::collection::vec(
-            prop_oneof![
-                value_strategy().prop_map(Ok),
-                ("\\PC{0,40}", proptest::option::of("\\PC{0,40}")).prop_map(|(msg, detail)| {
-                    let mut f = Fault::server(msg);
-                    if let Some(d) = detail {
-                        f = f.with_detail(d);
-                    }
-                    Err(f)
-                }),
-            ],
-            0..8,
-        ),
-    ) {
-        let wire = encode_batch_response(&outcomes);
-        let decoded: Vec<BatchOutcome> =
-            decode_batch_response(&wire).expect("own encoding must decode");
-        prop_assert_eq!(decoded, outcomes);
-    }
-
-    #[test]
-    fn batch_decoders_never_panic(input in "\\PC{0,300}") {
-        let _ = decode_batch_call(&input);
-        let _ = decode_batch_response(&input);
-    }
-
-    #[test]
     fn ppgb_call_roundtrip_byte_identical(
         entries in proptest::collection::vec(
             (
@@ -176,35 +121,16 @@ proptest! {
     }
 
     #[test]
-    fn ppgb_response_roundtrip_byte_identical(
-        outcomes in proptest::collection::vec(
-            prop_oneof![
-                value_strategy().prop_map(Ok),
-                ("\\PC{0,40}", proptest::option::of("\\PC{0,40}")).prop_map(|(msg, detail)| {
-                    let mut f = Fault::server(msg);
-                    if let Some(d) = detail {
-                        f = f.with_detail(d);
-                    }
-                    Err(f)
-                }),
-            ],
-            0..8,
-        ),
-    ) {
-        let frame = encode_binary_batch_response(&outcomes);
-        let decoded = decode_binary_batch_response(&frame).expect("own encoding must decode");
-        prop_assert_eq!(&decoded, &outcomes);
-        prop_assert_eq!(encode_binary_batch_response(&decoded), frame);
-    }
-
-    #[test]
     fn ppgb_truncation_yields_typed_error(
-        outcomes in proptest::collection::vec(value_strategy().prop_map(Ok), 1..6),
+        params in proptest::collection::vec(("[a-z]{1,8}", value_strategy()), 1..6),
         cut_seed in any::<u64>(),
     ) {
-        let frame = encode_binary_batch_response(&outcomes);
+        let borrowed: Vec<(&str, Value)> =
+            params.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
+        let entry = BatchEntry::new("/x", "getPR", "urn:test", &borrowed);
+        let frame = encode_binary_batch_call(&[entry], None);
         let cut = (cut_seed % frame.len() as u64) as usize;
-        match decode_binary_batch_response(&frame[..cut]) {
+        match decode_binary_batch_call(&frame[..cut]) {
             Ok(_) => prop_assert!(false, "truncated frame decoded"),
             Err(e) => prop_assert!(e.is_corrupt(), "truncation must be corrupt, got {:?}", e),
         }
@@ -242,7 +168,8 @@ proptest! {
     #[test]
     fn ppgb_decoders_never_panic(input in proptest::collection::vec(any::<u8>(), 0..300)) {
         let _ = decode_binary_batch_call(&input);
-        let _ = decode_binary_batch_response(&input);
+        let _ = decode_binary_event(&input);
+        let _ = decode_binary_segment(&input);
     }
 
     #[test]

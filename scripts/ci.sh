@@ -4,8 +4,6 @@
 #   scripts/ci.sh            # fmt --check, clippy -D warnings, build, tests,
 #                            # benchmark/check.sh (the benchmark is its own
 #                            # workspace: `cargo test` never compiles it)
-#   PPG_BENCH=1 scripts/ci.sh  # additionally run the gateway fan-out bench
-#                              # (quick scale) and emit BENCH_gateway.json
 #
 # After the full suite, every stage re-runs tests under a different
 # environment (CPU placement, poller backend, codec pin, build profile,
@@ -35,11 +33,11 @@ cargo test -q -p pperf-httpd --features soak --test event_loop
 
 echo "==> httpd suite on the portable poll(2) backend"
 PPG_FORCE_POLL=1 cargo test -q -p pperf-httpd
-PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test batch
+PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test wire_equivalence
 
-echo "==> PPG_FORCE_XML=1: the XML fallback paths (batches, notify events, spill, streams pinned buffered)"
-PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test batch --test federation --test deadline \
-    --test notify --test segment_cache --test force_xml
+echo "==> PPG_FORCE_XML=1: every target per-call over SOAP/XML (the oracle, notify events, spill)"
+PPG_FORCE_XML=1 cargo test -q -p pperf-gateway --test wire_equivalence --test federation \
+    --test deadline --test notify --test segment_cache
 PPG_FORCE_XML=1 cargo test -q -p ppg-notify
 
 echo "==> substrate microbenches (segment_cache group: lookup ns per returned row, merge-insert ns per row)"
@@ -47,10 +45,5 @@ cargo bench -q -p pperf-bench --bench substrates
 
 echo "==> repo benchmark harness (own workspace: build, self-tests, 1 s smoke of all five workloads)"
 benchmark/check.sh
-
-if [[ "${PPG_BENCH:-0}" == "1" ]]; then
-    echo "==> gateway fan-out bench (quick scale)"
-    PPG_QUICK=1 cargo run --release -p pperf-bench --bin gateway_fanout
-fi
 
 echo "==> CI OK"
