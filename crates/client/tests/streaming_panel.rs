@@ -6,6 +6,7 @@
 use pperf_client::{ExecQuery, ExecutionQueryPanel};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{Container, ContainerConfig, FactoryStub, StreamWire};
+use pperf_soap::force_xml;
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationStub, ApplicationWrapper, PrQuery, Site, SiteConfig};
 use ppg_context::CallContext;
@@ -76,10 +77,6 @@ fn buffered_all(panel: &ExecutionQueryPanel) -> BTreeMap<String, Vec<String>> {
     (results.into_iter())
         .map(|r| (r.execution.as_str().to_owned(), r.rows))
         .collect()
-}
-
-fn force_xml() -> bool {
-    std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
 }
 
 #[test]

@@ -3,14 +3,16 @@
 //! When N concurrent federated queries expand to the same `getPR` tuple
 //! (same Execution instance, metric, foci, window, type), only the first
 //! caller — the *leader* — performs the upstream call; the rest become
-//! *followers* that block until the leader publishes the shared outcome.
+//! *followers* that register a delivery and return; the leader's publish
+//! hands each of them the shared outcome, so a waiting follower holds no
+//! thread.
 //! This bounds upstream load under query storms independently of the result
 //! cache (which only helps *after* a call completes).
 
 use crate::query::SiteErrorKind;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// The rows side of a successful flight. `truncated` marks a streamed call
 /// whose connection died after delivering rows but before the trailer frame:
@@ -80,30 +82,19 @@ impl FlightOutcome {
     }
 }
 
-struct Slot {
-    done: Mutex<Option<FlightOutcome>>,
-    cv: Condvar,
-}
+/// A follower's hand-off: runs once, with the leader's outcome.
+type Deliver = Box<dyn FnOnce(&FlightOutcome) + Send>;
 
 /// A single-flight group keyed by upstream-call identity.
 pub struct SingleFlight {
-    inflight: Mutex<HashMap<String, Arc<Slot>>>,
+    /// Keys in flight, each with the followers waiting on its leader.
+    inflight: Mutex<HashMap<String, Vec<Deliver>>>,
     coalesced: AtomicU64,
 }
 
-/// What [`SingleFlight::join`] decided for this caller.
-pub enum Flight {
-    /// This caller runs the upstream call and must call [`Token::publish`]
-    /// exactly once.
-    Leader(Token),
-    /// Another caller was already in flight; this is its shared outcome.
-    Follower(FlightOutcome),
-}
-
-/// The leader's obligation to publish.
+/// The leader's obligation: [`SingleFlight::publish`] it exactly once.
 pub struct Token {
     key: String,
-    slot: Arc<Slot>,
 }
 
 impl SingleFlight {
@@ -115,46 +106,40 @@ impl SingleFlight {
         })
     }
 
-    /// Join the flight for `key`: the first caller becomes the leader, later
-    /// callers block until the leader publishes.
-    pub fn join(self: &Arc<Self>, key: &str) -> Flight {
-        let slot = {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            match inflight.get(key) {
-                Some(slot) => {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(slot)
-                }
-                None => {
-                    let slot = Arc::new(Slot {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    inflight.insert(key.to_owned(), Arc::clone(&slot));
-                    return Flight::Leader(Token {
-                        key: key.to_owned(),
-                        slot,
-                    });
-                }
-            }
-        };
-        let mut done = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-        while done.is_none() {
-            done = slot.cv.wait(done).unwrap_or_else(|e| e.into_inner());
+    /// Join the flight for `key`. The first caller becomes the leader and
+    /// gets the token; a later caller registers `deliver` — run with the
+    /// leader's outcome when it publishes — and gets `None` at once, holding
+    /// no thread while it waits.
+    pub fn join(
+        &self,
+        key: &str,
+        deliver: impl FnOnce(&FlightOutcome) + Send + 'static,
+    ) -> Option<Token> {
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(followers) = inflight.get_mut(key) {
+            followers.push(Box::new(deliver));
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        Flight::Follower(done.clone().expect("outcome published"))
+        inflight.insert(key.to_owned(), Vec::new());
+        Some(Token {
+            key: key.to_owned(),
+        })
     }
 
-    /// Publish the leader's outcome, waking all followers. Consumes the
-    /// token; the flight for its key ends here.
-    pub fn publish(self: &Arc<Self>, token: Token, outcome: FlightOutcome) {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&token.key);
-        let mut done = token.slot.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = Some(outcome);
-        token.slot.cv.notify_all();
+    /// End the flight for `token`'s key and hand the leader's outcome to
+    /// every follower that joined it. `outcome` is only built when someone
+    /// is waiting.
+    pub fn publish(&self, token: Token, outcome: impl FnOnce() -> FlightOutcome) {
+        let followers = (self.inflight.lock().unwrap_or_else(|e| e.into_inner()))
+            .remove(&token.key)
+            .unwrap_or_default();
+        if !followers.is_empty() {
+            let outcome = outcome();
+            for deliver in followers {
+                deliver(&outcome);
+            }
+        }
     }
 
     /// Number of keys currently in flight.
@@ -174,23 +159,31 @@ impl SingleFlight {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
+    use std::sync::mpsc;
 
     fn outcome_of(result: FlightResult) -> FlightOutcome {
         FlightOutcome::new(result, "leader-id", Vec::new())
     }
 
+    /// Join `key` expecting to lead.
+    fn lead(sf: &SingleFlight, key: &str) -> Token {
+        (sf.join(key, |_| panic!("a leader is never delivered to")))
+            .unwrap_or_else(|| panic!("{key}: first caller must lead"))
+    }
+
+    /// Join `key` expecting to follow; the outcome arrives on the receiver.
+    fn follow(sf: &SingleFlight, key: &str) -> mpsc::Receiver<FlightOutcome> {
+        let (tx, rx) = mpsc::channel();
+        let joined = sf.join(key, move |outcome| tx.send(outcome.clone()).unwrap());
+        assert!(joined.is_none(), "{key} already led");
+        rx
+    }
+
     #[test]
     fn single_caller_is_leader() {
         let sf = SingleFlight::new();
-        match sf.join("k") {
-            Flight::Leader(token) => sf.publish(
-                token,
-                outcome_of(Ok(FlightRows::complete(Arc::new(vec!["r".into()])))),
-            ),
-            Flight::Follower(_) => panic!("first caller must lead"),
-        }
+        let token = lead(&sf, "k");
+        sf.publish(token, || panic!("no follower, no outcome"));
         assert_eq!(sf.in_flight(), 0);
         assert_eq!(sf.coalesced(), 0);
     }
@@ -198,31 +191,20 @@ mod tests {
     #[test]
     fn followers_share_the_leaders_outcome() {
         let sf = SingleFlight::new();
-        let token = match sf.join("k") {
-            Flight::Leader(t) => t,
-            Flight::Follower(_) => unreachable!(),
-        };
-        let followers: Vec<_> = (0..4)
-            .map(|_| {
-                let sf = Arc::clone(&sf);
-                thread::spawn(move || match sf.join("k") {
-                    Flight::Follower(outcome) => outcome,
-                    Flight::Leader(_) => panic!("flight already led"),
-                })
-            })
-            .collect();
-        // Give followers time to block, then publish.
-        thread::sleep(Duration::from_millis(30));
-        sf.publish(
-            token,
+        let token = lead(&sf, "k");
+        let followers: Vec<_> = (0..4).map(|_| follow(&sf, "k")).collect();
+        for rx in &followers {
+            assert!(rx.try_recv().is_err(), "nothing delivered before publish");
+        }
+        sf.publish(token, || {
             FlightOutcome::new(
                 Ok(FlightRows::complete(Arc::new(vec!["shared".into()]))),
                 "the-leader",
                 vec![ppg_context::Span::new("gateway", "getPR", "s", 7, "ok")],
-            ),
-        );
-        for f in followers {
-            let outcome = f.join().unwrap();
+            )
+        });
+        for rx in followers {
+            let outcome = rx.try_recv().expect("delivered during publish");
             assert_eq!(outcome.result.unwrap().rows[0], "shared");
             assert_eq!(outcome.leader_request_id, "the-leader");
             assert_eq!(outcome.spans.len(), 1);
@@ -234,44 +216,30 @@ mod tests {
     #[test]
     fn distinct_keys_fly_independently() {
         let sf = SingleFlight::new();
-        let ta = match sf.join("a") {
-            Flight::Leader(t) => t,
-            _ => unreachable!(),
-        };
-        let tb = match sf.join("b") {
-            Flight::Leader(t) => t,
-            Flight::Follower(_) => panic!("different key must not coalesce"),
-        };
+        let ta = lead(&sf, "a");
+        let tb = lead(&sf, "b");
         assert_eq!(sf.in_flight(), 2);
-        sf.publish(
-            ta,
-            outcome_of(Err((SiteErrorKind::Unreachable, "down".into()))),
-        );
-        sf.publish(tb, outcome_of(Ok(FlightRows::complete(Arc::new(vec![])))));
+        sf.publish(ta, || {
+            outcome_of(Err((SiteErrorKind::Unreachable, "down".into())))
+        });
+        sf.publish(tb, || {
+            outcome_of(Ok(FlightRows::complete(Arc::new(vec![]))))
+        });
         assert_eq!(sf.in_flight(), 0);
     }
 
     #[test]
     fn errors_are_shared_too() {
         let sf = SingleFlight::new();
-        let token = match sf.join("k") {
-            Flight::Leader(t) => t,
-            _ => unreachable!(),
-        };
-        let sf2 = Arc::clone(&sf);
-        let follower = thread::spawn(move || match sf2.join("k") {
-            Flight::Follower(outcome) => outcome,
-            Flight::Leader(_) => panic!(),
+        let token = lead(&sf, "k");
+        let follower = follow(&sf, "k");
+        sf.publish(token, || {
+            outcome_of(Err((SiteErrorKind::Fault, "fault".into())))
         });
-        thread::sleep(Duration::from_millis(20));
-        sf.publish(
-            token,
-            outcome_of(Err((SiteErrorKind::Fault, "fault".into()))),
-        );
-        let (kind, detail) = follower.join().unwrap().result.unwrap_err();
+        let (kind, detail) = follower.try_recv().unwrap().result.unwrap_err();
         assert_eq!(kind, SiteErrorKind::Fault);
         assert_eq!(detail, "fault");
         // A new flight can start after publication.
-        assert!(matches!(sf.join("k"), Flight::Leader(_)));
+        lead(&sf, "k");
     }
 }

@@ -1,42 +1,43 @@
 //! The federated gateway orchestrator.
 //!
-//! One [`FederatedGateway::query`] call runs the full scatter-gather:
+//! One [`FederatedGateway::query`] call plans, probes, scatters and gathers
+//! (DESIGN.md, "The gateway"):
 //!
-//! 1. **Plan** — snapshot the Registry, bind Application instances, expand
-//!    to per-Execution `getPR` targets ([`crate::plan::Planner`]); all three
-//!    are remembered, so a warm plan makes no wire call.
-//! 2. **Scatter** — submit one flight per host to the bounded worker pool:
-//!    one framed PPGB call carrying every target the host holds, or — for a
-//!    site without the framed route — one SOAP/XML `getPR` per target; under
-//!    per-site concurrency permits, with retry + exponential backoff.
-//! 3. **Coalesce** — identical in-flight `getPR` tuples share one upstream
-//!    call ([`crate::coalesce::SingleFlight`]); completed results populate a
-//!    shared semantic segment cache ([`crate::cache::SegmentCache`]) checked
-//!    before any job is submitted. A cached wider window answers a narrower
-//!    one; a partially covered window narrows the upstream fetch to just the
-//!    missing sub-range and merges it with the cached prefix.
-//! 4. **Hedge** — a target that hasn't answered by `hedge_after` (or whose
-//!    primary fails outright) is retried against a replica instance on a
-//!    different host; the first answer wins.
-//! 5. **Gather** — a per-call deadline turns a silent site into a structured
-//!    [`SiteError`] while every surviving site's rows are still returned.
+//! * **Plan** — [`crate::plan::Planner`] binds each site's Application and
+//!   expands the query to per-Execution `getPR` targets, all remembered, so
+//!   a warm plan makes no wire call.
+//! * **Probe** — each (target, tuple) pair is looked up in the segment
+//!   cache ([`crate::cache::SegmentCache`]): a hit answers at once, a
+//!   partial hit narrows the fetch to the missing sub-range. What is left
+//!   becomes the query's slot table.
+//! * **Scatter** — the slots go out as flights on the worker pool: one
+//!   framed call per host, or one per-call SOAP/XML `getPR` per slot, as
+//!   [`framed_route`] decides. A flight holds one site permit, and
+//!   identical in-flight tuples share one call
+//!   ([`crate::coalesce::SingleFlight`]).
+//! * **Gather** — each slot has legs: its primary flight and, after
+//!   `hedge_after` or a failed primary, a hedge to a replica host. The first
+//!   answer wins and the losing legs are cancelled; at the deadline every
+//!   open slot becomes a `Timeout` [`SiteError`] while every answered slot's
+//!   rows are still returned.
 
 use crate::cache::{self, Lookup, SegmentCache, SegmentCacheConfig};
-use crate::coalesce::{Flight, FlightOutcome, FlightResult, FlightRows, SingleFlight, Token};
+use crate::coalesce::{FlightOutcome, FlightResult, FlightRows, SingleFlight};
 use crate::plan::{ExecTarget, Planner, QueryPlan, SitePlan};
 use crate::pool::{SiteLimiter, WorkerPool};
 use crate::query::{FederatedQuery, FederatedResult, SiteError, SiteErrorKind, SiteRows};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use pperf_httpd::{HttpClient, Request};
 use pperf_ogsi::{BatchStreamEntryOutcome, Gsh, OgsiError, ServiceStub};
-use pperf_soap::{BatchEntry, Fault};
+use pperf_soap::{force_xml, BatchEntry, Fault};
 use pperfgrid::{row_time_span, ExecutionStub, PrQuery, EXECUTION_NS};
 use ppg_context::CallContext;
 use ppg_notify::{
     Event, NotificationSink, NotifyError, SinkConfig, SinkHandler, TOPIC_CACHE_INVALIDATE,
     TOPIC_REGISTRY_MEMBERS,
 };
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -77,24 +78,6 @@ fn cache_store(
     }
 }
 
-/// One uncached slot still awaiting a wire call after the cache probe:
-/// the target, the (possibly narrowed) getPR tuple, where to cache the
-/// fetch, and any cache-covered prefix rows to merge into the answer.
-type UncachedSlot<'a> = (
-    &'a ExecTarget,
-    Arc<PrQuery>,
-    Option<CacheFill>,
-    Option<Arc<Vec<String>>>,
-);
-
-/// One member of a flight: pending-target index, Execution instance,
-/// getPR tuple, and where to cache the fetch.
-type FlightMember = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>);
-
-/// A flight member that won its single-flight group and must ride the
-/// wire, carrying the coalescing token it will publish the outcome through.
-type FlightLeader = (usize, Gsh, Arc<PrQuery>, Option<CacheFill>, Token);
-
 /// Render one window bound back to the wire's string form (empty string
 /// for an unbounded side). `f64` Display round-trips through
 /// [`PrQuery::time_window`] exactly.
@@ -119,11 +102,12 @@ fn merge_prefix(prefix: &[String], fetched: &[String]) -> Arc<Vec<String>> {
     Arc::new(merged)
 }
 
+/// Worker threads in the scatter pool.
+const WORKERS: usize = 8;
+
 /// Tuning knobs for the gateway.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Worker threads in the scatter pool.
-    pub workers: usize,
     /// Max concurrent upstream calls per site.
     pub per_site_concurrency: usize,
     /// Default whole-query deadline budget, applied when the caller's
@@ -139,11 +123,6 @@ pub struct GatewayConfig {
     pub backoff: Duration,
     /// Shared result cache on/off.
     pub cache_enabled: bool,
-    /// Shared result cache capacity (segments; a backstop against many
-    /// tiny segments — the byte budget is the real capacity control).
-    pub cache_capacity: usize,
-    /// Shared result cache entry lifetime.
-    pub cache_ttl: Duration,
     /// Shared result cache byte budget (admission control rejects
     /// segments over a quarter of it).
     pub cache_max_bytes: usize,
@@ -151,8 +130,6 @@ pub struct GatewayConfig {
     /// frames, one per file). A gateway restarted over a populated spill
     /// directory rehydrates warm. `None` disables spill.
     pub cache_spill_dir: Option<PathBuf>,
-    /// Byte budget for the spill directory (oldest files dropped beyond).
-    pub cache_spill_max_bytes: u64,
     /// How long a registry snapshot may be reused by the planner before the
     /// two snapshot wire calls are repeated. `Duration::ZERO` disables the
     /// snapshot cache.
@@ -168,18 +145,14 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
         GatewayConfig {
-            workers: 8,
             per_site_concurrency: 4,
             call_timeout: Duration::from_secs(10),
             hedge_after: Some(Duration::from_millis(250)),
             retries: 1,
             backoff: Duration::from_millis(25),
             cache_enabled: true,
-            cache_capacity: 1024,
-            cache_ttl: Duration::from_secs(30),
-            cache_max_bytes: 32 << 20,
+            cache_max_bytes: SegmentCacheConfig::default().max_bytes,
             cache_spill_dir: None,
-            cache_spill_max_bytes: 256 << 20,
             plan_cache_ttl: Duration::from_millis(500),
             notifications_enabled: true,
         }
@@ -187,12 +160,6 @@ impl Default for GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Set the scatter pool size.
-    pub fn with_workers(mut self, workers: usize) -> GatewayConfig {
-        self.workers = workers;
-        self
-    }
-
     /// Set the per-site concurrency limit.
     pub fn with_per_site_concurrency(mut self, limit: usize) -> GatewayConfig {
         self.per_site_concurrency = limit;
@@ -221,13 +188,6 @@ impl GatewayConfig {
     /// Toggle the shared result cache.
     pub fn with_cache(mut self, enabled: bool) -> GatewayConfig {
         self.cache_enabled = enabled;
-        self
-    }
-
-    /// Set the shared result cache geometry.
-    pub fn with_cache_geometry(mut self, capacity: usize, ttl: Duration) -> GatewayConfig {
-        self.cache_capacity = capacity;
-        self.cache_ttl = ttl;
         self
     }
 
@@ -260,7 +220,9 @@ impl GatewayConfig {
 /// Rolling latency/error accounting for one site.
 #[derive(Debug, Clone, Default)]
 pub struct SiteLatency {
-    /// Completed upstream-facing calls (including coalesced waits).
+    /// Flights run against the site: one framed call, or one per-call
+    /// `getPR`, however many slots it carried. A flight whose every member
+    /// coalesced onto another caller's call is not counted.
     pub calls: u64,
     /// How many of them failed.
     pub errors: u64,
@@ -359,7 +321,7 @@ pub struct GatewaySnapshot {
     pub cache_spill_loads: u64,
     /// Callers coalesced onto another caller's in-flight call.
     pub coalesced: u64,
-    /// Target calls currently in flight.
+    /// Flights currently running on the worker pool.
     pub in_flight: i64,
     /// Hedge requests fired.
     pub hedges_fired: u64,
@@ -596,42 +558,74 @@ pub struct FederatedGateway {
     pool: WorkerPool,
 }
 
-/// One target's call state during a gather.
-struct PendingTarget {
-    site: String,
-    target: ExecTarget,
+/// One uncached slot of a query, built once by the cache probe: a
+/// (target, tuple) pair still to be fetched. Flights and legs name slots by
+/// their index in the query's [`Scatter`].
+struct Slot {
+    /// The site the target belongs to.
+    plan: Arc<SitePlan>,
+    /// The target's index in `plan.targets`.
+    target: usize,
     /// The `getPR` tuple this slot fetches (queries with `extra_metrics`
     /// expand each target to several slots, one per tuple) — already
     /// narrowed to the missing sub-range on a partial cache hit.
     pr: Arc<PrQuery>,
     /// Where the fetched rows land in the segment cache.
-    cache_fill: Option<CacheFill>,
+    fill: Option<CacheFill>,
     /// Cache-covered rows to merge in front of a narrowed fetch's answer.
-    prefix_rows: Option<Arc<Vec<String>>>,
-    deadline: Instant,
-    hedge_at: Option<Instant>,
-    hedge_fired: bool,
-    primary_failed: bool,
-    hedge_failed: bool,
-    done: bool,
-    /// The primary leg shares a framed call with sibling entries:
-    /// `primary_ctx` is that call's context, so cancelling it would kill
-    /// the siblings.
-    shared: bool,
-    /// The site takes framed calls: the hedge leg rides a one-entry framed
-    /// call too.
-    framed: bool,
-    /// The primary leg's context (cancelled if the hedge wins or the
-    /// deadline expires while it is still out).
-    primary_ctx: CallContext,
-    /// The hedge leg's context, once fired.
-    hedge_ctx: Option<CallContext>,
+    prefix: Option<Arc<Vec<String>>>,
 }
 
+impl Slot {
+    fn target(&self) -> &ExecTarget {
+        &self.plan.targets[self.target]
+    }
+
+    /// The instance leg `leg` calls: the primary (leg 0) or the replica
+    /// (leg 1, the hedge).
+    fn instance(&self, leg: usize) -> &Gsh {
+        let target = self.target();
+        match leg {
+            0 => &target.primary,
+            _ => target.hedge.as_ref().expect("a hedge leg has a replica"),
+        }
+    }
+}
+
+/// One query's scatter, shared with its flights: the slot table, the
+/// channel leg outcomes come back on, and the query's upstream-call count.
+struct Scatter {
+    slots: Vec<Slot>,
+    tx: Sender<Outcome>,
+    upstream: AtomicU64,
+}
+
+/// One leg's answer for one slot.
 struct Outcome {
-    idx: usize,
-    hedged: bool,
+    slot: usize,
+    leg: usize,
     result: FlightResult,
+}
+
+/// A slot's gather state.
+struct SlotState {
+    /// Answered, failed, or timed out: later outcomes are dropped.
+    done: bool,
+    /// When the hedge leg fires; `None` once it has fired, or when the
+    /// slot has no replica (or hedging is off).
+    hedge_at: Option<Instant>,
+    /// Leg 0 is the primary, leg 1 the hedge once fired.
+    legs: Vec<Leg>,
+}
+
+/// One leg of a slot: a call to one instance under its own context.
+struct Leg {
+    /// Cancelled when the leg loses the race or the deadline passes.
+    ctx: CallContext,
+    /// A primary sharing its framed call (and `ctx`) with sibling slots:
+    /// cancelling it would cancel them too.
+    shared: bool,
+    failed: bool,
 }
 
 fn classify(error: &OgsiError) -> (SiteErrorKind, bool) {
@@ -654,37 +648,49 @@ fn fault_kind(fault: &Fault) -> SiteErrorKind {
     }
 }
 
-/// The entries of a framed call: one `getPR` sub-call per leader.
-fn framed_entries(leaders: &[FlightLeader]) -> Vec<BatchEntry> {
-    (leaders.iter())
-        .map(|(_, exec, pr, _, _)| {
-            let params = ExecutionStub::pr_params(pr);
-            BatchEntry::new(exec.url().path, "getPR", EXECUTION_NS, &params)
-        })
-        .collect()
+/// The route decision: whether calls to `host` ride the framed PPGB route.
+/// They do when the site advertises it, `PPG_FORCE_XML=1` is not set, and
+/// the host has not turned the route away. Asked when a site's flights are
+/// formed and again when each flight — primary or hedge — starts, since a
+/// host may turn the route away in between.
+fn framed_route(inner: &Inner, advertised: bool, host: &str) -> bool {
+    advertised && !force_xml() && !inner.no_framed.lock().contains(host)
 }
 
-/// After a failed attempt: sleep out the next backoff and return `None` to
-/// try again, or the failure the leg ends with — not retryable, retries
-/// spent, or a backoff that would outlive the budget (it only shrinks).
-fn retry_or_fail(
+/// Run one leg's wire call: `attempt` is tried until it succeeds or fails
+/// for good, each try counted as an upstream call. A retryable failure
+/// sleeps out an exponential backoff first — unless retries are spent or
+/// the backoff would outlive the leg's budget (it only shrinks).
+fn retrying<T>(
     inner: &Inner,
     leg_ctx: &CallContext,
-    attempt: &mut u32,
-    e: &OgsiError,
-) -> Option<(SiteErrorKind, String)> {
-    let (kind, retryable) = classify(e);
-    if !retryable || *attempt >= inner.config.retries {
-        return Some((kind, e.to_string()));
+    query_upstream: &AtomicU64,
+    mut attempt: impl FnMut() -> Result<T, OgsiError>,
+) -> Result<T, (SiteErrorKind, String)> {
+    let mut retries = 0u32;
+    loop {
+        if leg_ctx.expired() {
+            let detail = format!("leg {} expired before attempt", leg_ctx.leg_tag());
+            return Err((SiteErrorKind::Timeout, detail));
+        }
+        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
+        query_upstream.fetch_add(1, Ordering::Relaxed);
+        let e = match attempt() {
+            Ok(answer) => return Ok(answer),
+            Err(e) => e,
+        };
+        let (kind, retryable) = classify(&e);
+        if !retryable || retries >= inner.config.retries {
+            return Err((kind, e.to_string()));
+        }
+        retries += 1;
+        let backoff = inner.config.backoff * (1 << retries.min(6));
+        if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
+            let detail = format!("{e} (budget exhausted during retry backoff)");
+            return Err((SiteErrorKind::Timeout, detail));
+        }
+        std::thread::sleep(backoff);
     }
-    *attempt += 1;
-    let backoff = inner.config.backoff * (1 << (*attempt).min(6));
-    if leg_ctx.remaining().is_some_and(|r| backoff >= r) {
-        let detail = format!("{e} (budget exhausted during retry backoff)");
-        return Some((SiteErrorKind::Timeout, detail));
-    }
-    std::thread::sleep(backoff);
-    None
 }
 
 impl FederatedGateway {
@@ -700,15 +706,13 @@ impl FederatedGateway {
             config.hedge_after.is_some(),
             config.plan_cache_ttl,
         );
-        let pool = WorkerPool::new(config.workers);
+        let pool = WorkerPool::new(WORKERS);
         let inner = Inner {
             limiter: SiteLimiter::new(config.per_site_concurrency),
             cache: SegmentCache::new(SegmentCacheConfig {
-                max_segments: config.cache_capacity,
                 max_bytes: config.cache_max_bytes,
-                ttl: config.cache_ttl,
                 spill_dir: config.cache_spill_dir.clone(),
-                spill_max_bytes: config.cache_spill_max_bytes,
+                ..SegmentCacheConfig::default()
             }),
             site_keys: Mutex::new(HashMap::new()),
             flights: SingleFlight::new(),
@@ -919,7 +923,7 @@ impl FederatedGateway {
         let started = Instant::now();
         let inner = &self.inner;
         inner.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let query_deadline = qctx.deadline().expect("normalized context has a deadline");
+        let deadline = qctx.deadline().expect("normalized context has a deadline");
         let QueryPlan {
             sites,
             mut errors,
@@ -950,31 +954,31 @@ impl FederatedGateway {
                 (Arc::new(pr), cached)
             })
             .collect();
-        let query_upstream = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = unbounded::<Outcome>();
         let targets: usize = sites.iter().map(|site| site.targets.len()).sum();
         let mut rows: Vec<SiteRows> = Vec::with_capacity(targets * prs.len());
-        let mut pending: Vec<PendingTarget> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut states: Vec<SlotState> = Vec::new();
+        // Each flight: slot indices that ride one call.
+        let mut flights: Vec<Vec<usize>> = Vec::new();
         let scatter_start = Instant::now();
         let mut series = String::new();
-        // `PPG_FORCE_XML=1` pins every target to per-call SOAP/XML.
-        let force_xml = std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1");
-        for site_plan in &sites {
-            // Probe the shared segment cache first; only misses go
-            // upstream, and a partially covered window goes upstream
-            // *narrowed* to just the missing sub-range.
-            let mut uncached: Vec<UncachedSlot<'_>> = Vec::new();
-            // Slots the cache answered: exact, range, partial.
+        for plan in sites {
+            let plan = Arc::new(plan);
+            let first = slots.len();
+            // Probe the shared segment cache first; only misses become
+            // slots, and a partially covered window's slot fetches just the
+            // missing sub-range. Pairs the cache answered: exact, range,
+            // partial.
             let mut answered = [0usize; 3];
-            for target in site_plan.targets.iter() {
+            for (t, target) in plan.targets.iter().enumerate() {
                 for (pr, cached) in &prs {
                     let mut slot_pr = Arc::clone(pr);
-                    let mut cache_fill: Option<CacheFill> = None;
-                    let mut prefix_rows: Option<Arc<Vec<String>>> = None;
+                    let mut fill: Option<CacheFill> = None;
+                    let mut prefix: Option<Arc<Vec<String>>> = None;
                     if let Some((window, tuple)) = cached {
                         cache::write_series_key(&mut series, target.primary.as_str(), tuple);
                         let epoch = inner.cache.epoch();
-                        let fill = |window| CacheFill {
+                        let fill_at = |window| CacheFill {
                             series: series.clone(),
                             window,
                             epoch,
@@ -986,7 +990,7 @@ impl FederatedGateway {
                             } => {
                                 answered[usize::from(!exact)] += 1;
                                 rows.push(SiteRows {
-                                    site: site_plan.site.clone(),
+                                    site: plan.site.clone(),
                                     execution: target.primary.clone(),
                                     rows: cached,
                                     from_cache: true,
@@ -1004,13 +1008,26 @@ impl FederatedGateway {
                                 narrowed.start = fmt_time(missing.0);
                                 narrowed.end = fmt_time(missing.1);
                                 slot_pr = Arc::new(narrowed);
-                                prefix_rows = Some(Arc::new(covered));
-                                cache_fill = Some(fill(missing));
+                                prefix = Some(Arc::new(covered));
+                                fill = Some(fill_at(missing));
                             }
-                            Lookup::Miss => cache_fill = Some(fill(*window)),
+                            Lookup::Miss => fill = Some(fill_at(*window)),
                         }
                     }
-                    uncached.push((target, slot_pr, cache_fill, prefix_rows));
+                    slots.push(Slot {
+                        plan: Arc::clone(&plan),
+                        target: t,
+                        pr: slot_pr,
+                        fill,
+                        prefix,
+                    });
+                    states.push(SlotState {
+                        done: false,
+                        hedge_at: (target.hedge.as_ref())
+                            .and(inner.config.hedge_after)
+                            .map(|delay| scatter_start + delay),
+                        legs: Vec::new(),
+                    });
                 }
             }
             if answered != [0; 3] {
@@ -1018,243 +1035,129 @@ impl FederatedGateway {
                 // answered, by kind.
                 let [exact, range, partial] = answered;
                 let outcome = format!("hit:{exact} range-hit:{range} partial-hit:{partial}");
-                qctx.record_span("gateway.cache", "getPR", &site_plan.site, started, &outcome);
+                qctx.record_span("gateway.cache", "getPR", &plan.site, started, &outcome);
             }
-            // A site advertising the framed route folds its misses into one
-            // framed call per host (a site's instances may be spread across
-            // replica containers); a lone target is a one-entry call. Every
-            // other target — the site does not advertise the route, its host
-            // already turned it away, or `PPG_FORCE_XML=1` — goes per-call
-            // over SOAP/XML.
-            let framed = site_plan.framed && !force_xml;
-            let mut flights: Vec<(bool, Vec<UncachedSlot<'_>>)> = Vec::new();
-            if framed {
-                let mut by_host: HashMap<String, Vec<UncachedSlot<'_>>> = HashMap::new();
-                for slot in uncached {
-                    (by_host.entry(slot.0.primary.url().authority()))
-                        .or_default()
-                        .push(slot);
-                }
-                let no_framed = inner.no_framed.lock();
-                for (host, group) in by_host {
-                    if no_framed.contains(&host) {
-                        flights.extend(group.into_iter().map(|slot| (false, vec![slot])));
-                    } else {
-                        flights.push((true, group));
-                    }
-                }
-            } else {
-                flights.extend(uncached.into_iter().map(|slot| (false, vec![slot])));
+            // The site's misses form one flight per host (a site's
+            // instances may be spread across replica containers) where the
+            // route to that host is framed, and one flight per slot
+            // otherwise.
+            if !plan.framed {
+                flights.extend((first..slots.len()).map(|idx| vec![idx]));
+                continue;
             }
-            for (framed_call, group) in flights {
-                // One leg context per flight; its targets keep their own
-                // pending slot (and hedge schedule).
-                let mut leg_ctx = qctx.leg(ppg_context::leg_tag(pending.len(), 0), 0);
-                let shared = group.len() > 1;
-                if shared {
-                    // A shared framed call hands its outcomes back when its
-                    // last entry seals: an entry running right up to the
-                    // deadline would hold every finished sibling past the
-                    // gather deadline. Reserve headroom so they arrive.
-                    if let Some(rem) = leg_ctx.remaining() {
-                        let margin = (rem / 8).min(Duration::from_millis(250));
-                        leg_ctx = leg_ctx.with_remaining(rem.saturating_sub(margin));
-                    }
+            let mut hosts: Vec<(String, Vec<usize>)> = Vec::new();
+            for (idx, slot) in slots.iter().enumerate().skip(first) {
+                let host = slot.target().primary.url().authority();
+                match hosts.iter_mut().find(|(h, _)| *h == host) {
+                    Some((_, members)) => members.push(idx),
+                    None => hosts.push((host, vec![idx])),
                 }
-                let mut members: Vec<FlightMember> = Vec::with_capacity(group.len());
-                for (target, pr, cache_fill, prefix_rows) in group {
-                    let idx = pending.len();
-                    pending.push(PendingTarget {
-                        site: site_plan.site.clone(),
-                        target: target.clone(),
-                        pr: Arc::clone(&pr),
-                        cache_fill: cache_fill.clone(),
-                        prefix_rows,
-                        deadline: query_deadline,
-                        hedge_at: (target.hedge.as_ref())
-                            .and(inner.config.hedge_after)
-                            .map(|delay| scatter_start + delay),
-                        hedge_fired: false,
-                        primary_failed: false,
-                        hedge_failed: false,
-                        done: false,
-                        shared,
-                        framed,
-                        primary_ctx: leg_ctx.clone(),
-                        hedge_ctx: None,
-                    });
-                    members.push((idx, target.primary.clone(), pr, cache_fill));
+            }
+            for (host, members) in hosts {
+                if framed_route(inner, plan.framed, &host) {
+                    flights.push(members);
+                } else {
+                    flights.extend(members.into_iter().map(|idx| vec![idx]));
                 }
-                self.submit(
-                    tx.clone(),
-                    site_plan.site.clone(),
-                    members,
-                    framed_call,
-                    false,
-                    leg_ctx,
-                    Arc::clone(&query_upstream),
-                );
             }
         }
-        // Send pending target `idx`'s hedge leg to its replica.
-        let fire_hedge = |idx: usize, p: &mut PendingTarget, hedge: Gsh| {
-            p.hedge_fired = true;
-            inner.stats.hedges_fired.fetch_add(1, Ordering::Relaxed);
-            let hedge_ctx = qctx.leg(ppg_context::leg_tag(idx, 1), 1);
-            p.hedge_ctx = Some(hedge_ctx.clone());
-            let member = (idx, hedge, Arc::clone(&p.pr), p.cache_fill.clone());
-            self.submit(
-                tx.clone(),
-                p.site.clone(),
-                vec![member],
-                p.framed,
-                true,
-                hedge_ctx,
-                Arc::clone(&query_upstream),
-            );
-        };
-        let mut remaining = pending.len();
-        while remaining > 0 {
-            let now = Instant::now();
-            // The gatherer wakes at the earliest pending deadline or unfired
-            // hedge time.
-            let mut wake: Option<Instant> = None;
-            for p in &pending {
-                if p.done {
-                    continue;
-                }
-                let mut candidate = p.deadline;
-                if let Some(hedge_at) = p.hedge_at {
-                    if !p.hedge_fired && hedge_at < candidate {
-                        candidate = hedge_at;
+
+        let (tx, rx) = unbounded::<Outcome>();
+        let scatter = Arc::new(Scatter {
+            slots,
+            tx,
+            upstream: AtomicU64::new(0),
+        });
+        for members in flights {
+            self.submit(&scatter, &mut states, 0, members, &qctx);
+        }
+
+        // While a slot is open, the gatherer wakes at the deadline or the
+        // earliest hedge still to fire.
+        while let Some(wake) = (states.iter().filter(|state| !state.done))
+            .map(|state| state.hedge_at.map_or(deadline, |at| at.min(deadline)))
+            .min()
+        {
+            match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+                Ok(Outcome {
+                    slot: idx,
+                    leg,
+                    result,
+                }) => {
+                    if states[idx].done {
+                        continue; // a leg that lost the race, or came too late
                     }
-                }
-                wake = Some(match wake {
-                    Some(w) if w < candidate => w,
-                    _ => candidate,
-                });
-            }
-            let timeout = wake.unwrap_or(now).saturating_duration_since(now);
-            match rx.recv_timeout(timeout) {
-                Ok(outcome) => {
-                    let idx = outcome.idx;
-                    let p = &mut pending[idx];
-                    if p.done {
-                        continue; // late duplicate (hedge raced its primary)
-                    }
-                    match outcome.result {
+                    let (slot, state) = (&scatter.slots[idx], &mut states[idx]);
+                    match result {
                         Ok(data) => {
-                            p.done = true;
-                            remaining -= 1;
-                            if outcome.hedged {
+                            state.done = true;
+                            let hedged = leg > 0;
+                            if hedged {
                                 inner.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                // The primary lost the race: cancel its leg so
-                                // its site stops burning handler time on an
-                                // answer nobody will read. A primary sharing
-                                // its framed call with sibling entries must
-                                // be left to finish.
-                                if !p.primary_failed && !p.shared {
-                                    self.cancel_leg(&p.primary_ctx, &p.target.primary);
-                                    inner.stats.hedges_cancelled.fetch_add(1, Ordering::Relaxed);
-                                }
-                            } else if p.hedge_fired && !p.hedge_failed {
-                                // The hedge lost: cancel its leg on the
-                                // replica host.
-                                if let (Some(hctx), Some(hedge)) =
-                                    (p.hedge_ctx.as_ref(), p.target.hedge.as_ref())
-                                {
-                                    self.cancel_leg(hctx, hedge);
-                                    inner.stats.hedges_cancelled.fetch_add(1, Ordering::Relaxed);
-                                }
                             }
+                            let cancelled = self.cancel_legs(slot, &state.legs, Some(leg));
+                            (inner.stats.hedges_cancelled).fetch_add(cancelled, Ordering::Relaxed);
                             // A narrowed fetch answers only the missing
                             // sub-range: put the cache-covered prefix back.
-                            let merged = match &p.prefix_rows {
+                            let merged = match &slot.prefix {
                                 Some(prefix) => merge_prefix(prefix, &data.rows),
-                                None => Arc::clone(&data.rows),
+                                None => data.rows,
                             };
                             if data.truncated {
                                 // The stream died after delivering rows: the
                                 // rows stand, and the site also carries a
                                 // structured partial-result error.
                                 errors.push(SiteError {
-                                    site: p.site.clone(),
+                                    site: slot.plan.site.clone(),
                                     kind: SiteErrorKind::Truncated,
-                                    detail: data.truncated_detail.clone(),
+                                    detail: data.truncated_detail,
                                 });
                             }
                             rows.push(SiteRows {
-                                site: p.site.clone(),
-                                execution: p.target.primary.clone(),
+                                site: slot.plan.site.clone(),
+                                execution: slot.target().primary.clone(),
                                 rows: merged,
                                 from_cache: false,
-                                hedged: outcome.hedged,
+                                hedged,
                                 truncated: data.truncated,
                             });
                         }
                         Err((kind, detail)) => {
-                            if outcome.hedged {
-                                p.hedge_failed = true;
-                            } else {
-                                p.primary_failed = true;
-                            }
-                            if p.primary_failed && !p.hedge_fired && p.target.hedge.is_some() {
+                            state.legs[leg].failed = true;
+                            if leg == 0 && state.hedge_at.is_some() {
                                 // Fail fast: don't wait for the hedge delay
                                 // once the primary has definitively failed.
-                                let hedge = p.target.hedge.clone().expect("checked");
-                                fire_hedge(idx, p, hedge);
-                            } else {
-                                let hedge_pending = p.hedge_fired && !p.hedge_failed;
-                                let primary_pending = !p.primary_failed;
-                                if !hedge_pending && !primary_pending {
-                                    p.done = true;
-                                    remaining -= 1;
-                                    errors.push(SiteError {
-                                        site: p.site.clone(),
-                                        kind,
-                                        detail,
-                                    });
-                                }
+                                self.fire_hedge(&scatter, &mut states, idx, &qctx);
+                            } else if state.hedge_at.is_none()
+                                && state.legs.iter().all(|l| l.failed)
+                            {
+                                state.done = true;
+                                errors.push(SiteError {
+                                    site: slot.plan.site.clone(),
+                                    kind,
+                                    detail,
+                                });
                             }
                         }
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
+                // Timed out (the sender lives in `scatter`, so the channel
+                // never disconnects): fire due hedges, expire the deadline.
+                Err(_) => {
                     let now = Instant::now();
-                    for (idx, p) in pending.iter_mut().enumerate() {
-                        if p.done {
+                    for (idx, slot) in scatter.slots.iter().enumerate() {
+                        if states[idx].done {
                             continue;
                         }
-                        if let (Some(hedge_at), Some(hedge)) = (p.hedge_at, p.target.hedge.clone())
-                        {
-                            if !p.hedge_fired && hedge_at <= now {
-                                fire_hedge(idx, p, hedge);
-                            }
+                        if states[idx].hedge_at.is_some_and(|at| at <= now) {
+                            self.fire_hedge(&scatter, &mut states, idx, &qctx);
                         }
-                        if p.deadline <= now {
-                            p.done = true;
-                            remaining -= 1;
-                            // Cancel whatever is still out there: the budget
-                            // is gone, so any answer would be discarded. At
-                            // the deadline every sibling of a shared framed
-                            // call is equally doomed, so cancelling it is
-                            // safe — but only once per call.
-                            if !(p.primary_failed || (p.shared && p.primary_ctx.cancelled())) {
-                                self.cancel_leg(&p.primary_ctx, &p.target.primary);
-                            }
-                            if p.hedge_fired && !p.hedge_failed {
-                                if let (Some(hctx), Some(hedge)) =
-                                    (p.hedge_ctx.as_ref(), p.target.hedge.as_ref())
-                                {
-                                    self.cancel_leg(hctx, hedge);
-                                }
-                            }
-                            inner
-                                .stats
-                                .deadline_exceeded
-                                .fetch_add(1, Ordering::Relaxed);
+                        if deadline <= now {
+                            states[idx].done = true;
+                            self.cancel_legs(slot, &states[idx].legs, None);
+                            (inner.stats.deadline_exceeded).fetch_add(1, Ordering::Relaxed);
                             errors.push(SiteError {
-                                site: p.site.clone(),
+                                site: slot.plan.site.clone(),
                                 kind: SiteErrorKind::Timeout,
                                 detail: format!(
                                     "getPR did not complete within the query budget \
@@ -1265,7 +1168,6 @@ impl FederatedGateway {
                         }
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         if !errors.is_empty() {
@@ -1295,7 +1197,7 @@ impl FederatedGateway {
             errors,
             sites_total,
             elapsed: started.elapsed(),
-            upstream_calls: query_upstream.load(Ordering::Relaxed),
+            upstream_calls: scatter.upstream.load(Ordering::Relaxed),
             request_id: qctx.request_id().to_owned(),
             trace: if own_trace {
                 qctx.take_spans()
@@ -1303,6 +1205,38 @@ impl FederatedGateway {
                 qctx.spans()
             },
         }
+    }
+
+    /// Fire slot `idx`'s hedge leg (leg 1) at its replica.
+    fn fire_hedge(
+        &self,
+        scatter: &Arc<Scatter>,
+        states: &mut [SlotState],
+        idx: usize,
+        qctx: &CallContext,
+    ) {
+        states[idx].hedge_at = None;
+        (self.inner.stats.hedges_fired).fetch_add(1, Ordering::Relaxed);
+        self.submit(scatter, states, 1, vec![idx], qctx);
+    }
+
+    /// Cancel a slot's live legs, returning how many were cancelled. With
+    /// `winner` — the slot was just answered — every other leg lost, except
+    /// a primary sharing its framed call with sibling slots, which is left
+    /// to finish for them. With `None` — the deadline passed — every leg is
+    /// doomed, siblings included, so a shared call is cancelled too, but
+    /// only once.
+    fn cancel_legs(&self, slot: &Slot, legs: &[Leg], winner: Option<usize>) -> u64 {
+        let mut cancelled = 0;
+        for (leg, state) in legs.iter().enumerate() {
+            let spared = state.shared && (winner.is_some() || state.ctx.cancelled());
+            if Some(leg) == winner || state.failed || spared {
+                continue;
+            }
+            self.cancel_leg(&state.ctx, slot.instance(leg));
+            cancelled += 1;
+        }
+        cancelled
     }
 
     /// Cancel a leg: flip its local flag (stops retry loops and pre-send
@@ -1323,333 +1257,283 @@ impl FederatedGateway {
         });
     }
 
-    /// Queue one flight: the members' single-flight joins → one site permit
-    /// → one framed call (`framed`) or per-call SOAP/XML `getPR`s → cache
-    /// fills → outcomes on `tx`.
-    #[allow(clippy::too_many_arguments)]
+    /// Queue one flight on the worker pool: leg `leg` of the slots in
+    /// `members`, under one fresh leg context that each of them records as
+    /// that leg. The leaders' outcomes come back on the scatter's channel.
     fn submit(
         &self,
-        tx: Sender<Outcome>,
-        site: String,
-        members: Vec<FlightMember>,
-        framed: bool,
-        hedged: bool,
-        leg_ctx: CallContext,
-        query_upstream: Arc<AtomicU64>,
+        scatter: &Arc<Scatter>,
+        states: &mut [SlotState],
+        leg: usize,
+        members: Vec<usize>,
+        qctx: &CallContext,
     ) {
+        let attempt = leg as u32;
+        let mut ctx = qctx.leg(ppg_context::leg_tag(members[0], attempt), attempt);
+        let shared = members.len() > 1;
+        if let Some(rem) = ctx.remaining().filter(|_| shared) {
+            // A shared framed call hands its outcomes back when its last
+            // entry seals: an entry running right up to the deadline would
+            // hold every finished sibling past the gather deadline. Reserve
+            // headroom so they arrive.
+            let margin = (rem / 8).min(Duration::from_millis(250));
+            ctx = ctx.with_remaining(rem.saturating_sub(margin));
+        }
+        for &idx in &members {
+            let ctx = ctx.clone();
+            states[idx].legs.push(Leg {
+                ctx,
+                shared,
+                failed: false,
+            });
+        }
         let inner = Arc::clone(&self.inner);
+        let scatter = Arc::clone(scatter);
         self.pool.submit(move || {
             let started = Instant::now();
             inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-            let results = run_flight(&inner, &site, &members, framed, &leg_ctx, &query_upstream);
+            let results = run_flight(&inner, &scatter, leg, &members, &ctx);
             inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            let failed = results.iter().any(|(_, r)| r.is_err());
-            inner.stats.record_site(&site, started.elapsed(), failed);
-            for (idx, result) in results {
-                let _ = tx.send(Outcome {
-                    idx,
-                    hedged,
-                    result,
-                });
+            if !results.is_empty() {
+                let site = &scatter.slots[members[0]].plan.site;
+                let failed = results.iter().any(|(_, r)| r.is_err());
+                inner.stats.record_site(site, started.elapsed(), failed);
+            }
+            for (slot, result) in results {
+                let _ = scatter.tx.send(Outcome { slot, leg, result });
             }
         });
     }
 }
 
-/// One flight, for either route. Each member joins its tuple's
-/// single-flight group first (a follower adopts the leader's published
-/// outcome and stays off the wire); the leaders then share one site permit
-/// and ride one framed call (`framed`, unless their host already turned the
-/// route away) or one per-call SOAP/XML `getPR` each. A host that turns the
-/// framed call away is remembered, and the leaders — still holding their
-/// tokens — re-send per-call without joining their flights again. Every
-/// token is published exactly once.
+/// One flight: leg `leg` of the slots in `members`. Each member first joins
+/// its tuple's single-flight group; a follower registers the delivery of
+/// its leader's outcome and is done here. The leaders then share one site
+/// permit and ride one framed call or one per-call SOAP/XML `getPR` each,
+/// as [`framed_route`] decides now. A host that turns the framed call away
+/// is remembered, and the leaders re-send per-call. Every token is
+/// published exactly once. Returns the leaders' results (every member's,
+/// if the leg expired before send).
 fn run_flight(
     inner: &Arc<Inner>,
-    site: &str,
-    members: &[FlightMember],
-    framed: bool,
-    leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
+    scatter: &Arc<Scatter>,
+    leg: usize,
+    members: &[usize],
+    ctx: &CallContext,
 ) -> Vec<(usize, FlightResult)> {
     let started = Instant::now();
-    let mut results: Vec<(usize, FlightResult)> = Vec::with_capacity(members.len());
-    if leg_ctx.expired() {
-        let outcome = if leg_ctx.cancelled() {
+    let site = &scatter.slots[members[0]].plan.site;
+    if ctx.expired() {
+        let outcome = if ctx.cancelled() {
             "cancelled-before-send"
         } else {
             "deadline-exceeded-before-send"
         };
-        leg_ctx.record_span("gateway.call", "getPR", site, started, outcome);
-        let detail = format!("leg {} abandoned before send: {outcome}", leg_ctx.leg_tag());
-        for (idx, ..) in members {
-            results.push((*idx, Err((SiteErrorKind::Timeout, detail.clone()))));
-        }
-        return results;
+        ctx.record_span("gateway.call", "getPR", site, started, outcome);
+        let detail = format!("leg {} abandoned before send: {outcome}", ctx.leg_tag());
+        return (members.iter())
+            .map(|&idx| (idx, Err((SiteErrorKind::Timeout, detail.clone()))))
+            .collect();
     }
-    let leaders = join_leaders(inner, site, members, leg_ctx, started, &mut results);
+    let mut leaders = Vec::with_capacity(members.len());
+    for &idx in members {
+        let slot = &scatter.slots[idx];
+        // The flight key is the exact upstream tuple (instance handle +
+        // PrQuery key): concurrent identical tuples share one call.
+        let key = format!("{}::{}", slot.instance(leg).as_str(), slot.pr.cache_key());
+        let (scatter, ctx) = (Arc::clone(scatter), ctx.clone());
+        let deliver = move |outcome: &FlightOutcome| {
+            if outcome.leader_request_id != ctx.request_id() {
+                // A different request did the work: adopt its spans, then
+                // record the coalescing itself so the trace shows which
+                // request actually hit the wire.
+                ctx.extend_spans(outcome.spans.clone());
+                ctx.record_span(
+                    "gateway.coalesce",
+                    "getPR",
+                    &scatter.slots[idx].plan.site,
+                    started,
+                    &format!("leader:{}", outcome.leader_request_id),
+                );
+            }
+            let result = outcome.result.clone();
+            let _ = scatter.tx.send(Outcome {
+                slot: idx,
+                leg,
+                result,
+            });
+        };
+        if let Some(token) = inner.flights.join(&key, deliver) {
+            leaders.push((idx, token));
+        }
+    }
     if leaders.is_empty() {
-        return results;
+        return Vec::new();
     }
     // Spans this flight records start here; the slice past this index is
     // what followers adopt. Sibling legs of the same request share the
     // trace, so a rare interleaved sibling span may ride along — acceptable
     // for diagnostic data.
-    let span_base = leg_ctx.span_count();
+    let span_base = ctx.span_count();
+    let wire: Vec<&Slot> = leaders
+        .iter()
+        .map(|(idx, _)| &scatter.slots[*idx])
+        .collect();
     // One permit covers the whole flight: a framed call is one upstream
     // request from the site's point of view, whatever its entry count.
-    let outcomes = match inner.limiter.acquire_until(site, leg_ctx.deadline()) {
+    let outcomes = match inner.limiter.acquire_until(site, ctx.deadline()) {
         None => {
-            leg_ctx.record_span("gateway.call", "getPR", site, started, "deadline-exceeded");
+            ctx.record_span("gateway.call", "getPR", site, started, "deadline-exceeded");
             let detail = format!("no {site} permit became free before the deadline");
-            vec![Err((SiteErrorKind::Timeout, detail)); leaders.len()]
+            vec![Err((SiteErrorKind::Timeout, detail)); wire.len()]
         }
         Some(_permit) => {
-            let authority = leaders[0].1.url().authority();
-            let probe = framed && !inner.no_framed.lock().contains(&authority);
-            match probe.then(|| run_framed_wire(inner, site, &leaders, leg_ctx, query_upstream)) {
-                Some(FramedAttempt::Done(outcomes)) => outcomes,
-                Some(FramedAttempt::Failed(kind, detail)) => {
-                    vec![Err((kind, detail)); leaders.len()]
-                }
+            let host = wire[0].instance(leg).url().authority();
+            let framed = framed_route(inner, wire[0].plan.framed, &host);
+            match framed.then(|| run_framed_wire(inner, &wire, leg, ctx, &scatter.upstream)) {
+                Some(Some(outcomes)) => outcomes,
                 turned_away => {
                     if turned_away.is_some() {
                         (inner.stats.batch_stream_fallbacks).fetch_add(1, Ordering::Relaxed);
-                        inner.no_framed.lock().insert(authority);
+                        inner.no_framed.lock().insert(host);
                     }
-                    (leaders.iter())
-                        .map(|(_, exec, pr, fill, _)| {
-                            fetch_xml(
-                                inner,
-                                site,
-                                exec,
-                                pr,
-                                fill.as_ref(),
-                                leg_ctx,
-                                query_upstream,
-                            )
-                        })
+                    (wire.iter())
+                        .map(|slot| fetch_xml(inner, slot, leg, ctx, &scatter.upstream))
                         .collect()
                 }
             }
         }
     };
-    let mut spans = leg_ctx.spans();
-    let flight_spans = spans.split_off(span_base.min(spans.len()));
-    for ((idx, _, _, _, token), result) in leaders.into_iter().zip(outcomes) {
-        inner.flights.publish(
-            token,
-            FlightOutcome::new(result.clone(), leg_ctx.request_id(), flight_spans.clone()),
-        );
+    let flight_spans = OnceCell::new();
+    let mut results = Vec::with_capacity(leaders.len());
+    for ((idx, token), result) in leaders.into_iter().zip(outcomes) {
+        inner.flights.publish(token, || {
+            let spans = flight_spans.get_or_init(|| {
+                let mut spans = ctx.spans();
+                spans.split_off(span_base.min(spans.len()))
+            });
+            FlightOutcome::new(result.clone(), ctx.request_id(), spans.clone())
+        });
         results.push((idx, result));
     }
     results
 }
 
-/// Per-member coalescing: an identical tuple already in flight (from this
-/// query or another) answers its member without a wire slot. Followers get
-/// their adopted outcome pushed into `results`; the leaders — each holding
-/// a publish token that MUST be published exactly once — come back for the
-/// wire phase.
-fn join_leaders(
-    inner: &Arc<Inner>,
-    site: &str,
-    members: &[FlightMember],
-    leg_ctx: &CallContext,
-    started: Instant,
-    results: &mut Vec<(usize, FlightResult)>,
-) -> Vec<FlightLeader> {
-    let mut leaders: Vec<FlightLeader> = Vec::new();
-    for (idx, exec, pr, cache_fill) in members {
-        // The flight key is the exact upstream tuple (instance handle +
-        // PrQuery key): concurrent identical tuples share one call.
-        let flight_key = format!("{}::{}", exec.as_str(), pr.cache_key());
-        match inner.flights.join(&flight_key) {
-            Flight::Follower(outcome) => {
-                if outcome.leader_request_id != leg_ctx.request_id() {
-                    // A different request did the work: adopt its spans,
-                    // then record the coalescing itself so the trace shows
-                    // which request actually hit the wire.
-                    leg_ctx.extend_spans(outcome.spans.clone());
-                    leg_ctx.record_span(
-                        "gateway.coalesce",
-                        "getPR",
-                        site,
-                        started,
-                        &format!("leader:{}", outcome.leader_request_id),
-                    );
-                }
-                results.push((*idx, outcome.result));
-            }
-            Flight::Leader(token) => {
-                leaders.push((
-                    *idx,
-                    exec.clone(),
-                    Arc::clone(pr),
-                    cache_fill.clone(),
-                    token,
-                ));
-            }
-        }
-    }
-    leaders
-}
-
-/// One per-call SOAP/XML `getPR`, retried with a backoff charged against
-/// the leg's budget; a complete answer is stored where `fill` says.
+/// One per-call SOAP/XML `getPR` for leg `leg` of `slot`; a complete
+/// answer is stored where the slot's cache fill says.
 fn fetch_xml(
     inner: &Inner,
-    site: &str,
-    exec: &Gsh,
-    pr: &PrQuery,
-    fill: Option<&CacheFill>,
+    slot: &Slot,
+    leg: usize,
     leg_ctx: &CallContext,
     query_upstream: &AtomicU64,
 ) -> FlightResult {
-    let stub = ExecutionStub::bind(Arc::clone(&inner.client), exec);
-    let mut attempt = 0u32;
-    loop {
-        if leg_ctx.expired() {
-            return Err((
-                SiteErrorKind::Timeout,
-                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-            ));
-        }
-        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-        query_upstream.fetch_add(1, Ordering::Relaxed);
+    let stub = ExecutionStub::bind(Arc::clone(&inner.client), slot.instance(leg));
+    let rows = retrying(inner, leg_ctx, query_upstream, || {
         inner.stats.xml_calls.fetch_add(1, Ordering::Relaxed);
-        match stub.get_pr_with_context(pr, leg_ctx) {
-            Ok(rows) => {
-                let rows = Arc::new(rows);
-                if let Some(fill) = fill {
-                    cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
-                }
-                return Ok(FlightRows::complete(rows));
-            }
-            Err(e) => {
-                if let Some(failure) = retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
-                    return Err(failure);
-                }
-            }
-        }
+        stub.get_pr_with_context(&slot.pr, leg_ctx)
+    })?;
+    let rows = Arc::new(rows);
+    if let Some(fill) = &slot.fill {
+        cache_store(inner, &slot.plan.site, fill, fill.window, Arc::clone(&rows));
     }
+    Ok(FlightRows::complete(rows))
 }
 
-/// How one framed wire attempt resolved.
-enum FramedAttempt {
-    /// Per-leader flight results, aligned with the leaders.
-    Done(Vec<FlightResult>),
-    /// The host turned the framed route away (404, a non-stream answer,
-    /// corruption before any row): re-send the leaders per-call.
-    TurnedAway,
-    /// A pre-row failure that applies to every leader alike.
-    Failed(SiteErrorKind, String),
-}
-
-/// Drive one framed exchange for the held leaders. Row frames accumulate
-/// per entry and merge into the cache as they land, behind a per-entry
-/// monotone frontier ([`FrameClaims`]): an out-of-order frame poisons only
-/// that entry's series, never its siblings. A sealed entry stores its whole
-/// window. An entry the stream died in keeps its delivered rows as a
-/// truncated partial answer — or, with no rows, fails `Timeout` when the
-/// leg had run out of budget (the deadline's doing, not the site's) and
-/// `Unreachable` otherwise.
+/// Drive one framed exchange: leg `leg` of each of `slots`, one entry
+/// each. Row frames accumulate per entry and merge into the cache as they
+/// land, behind a per-entry monotone frontier ([`FrameClaims`]): an
+/// out-of-order frame poisons only that entry's series, never its
+/// siblings. A sealed entry stores its whole window. An entry the stream
+/// died in keeps its delivered rows as a truncated partial answer — or,
+/// with no rows, fails `Timeout` when the leg had run out of budget (the
+/// deadline's doing, not the site's) and `Unreachable` otherwise. Returns
+/// one result per slot, or `None` when the host turned the framed route
+/// away (404, a non-stream answer, corruption before any row).
 fn run_framed_wire(
-    inner: &Arc<Inner>,
-    site: &str,
-    leaders: &[FlightLeader],
+    inner: &Inner,
+    slots: &[&Slot],
+    leg: usize,
     leg_ctx: &CallContext,
-    query_upstream: &Arc<AtomicU64>,
-) -> FramedAttempt {
-    let stub = ServiceStub::new(Arc::clone(&inner.client), leaders[0].1.clone());
-    let entries = framed_entries(leaders);
-    let mut attempt = 0u32;
-    loop {
-        if leg_ctx.expired() {
-            break FramedAttempt::Failed(
-                SiteErrorKind::Timeout,
-                format!("leg {} expired before attempt", leg_ctx.leg_tag()),
-            );
-        }
-        inner.stats.upstream.fetch_add(1, Ordering::Relaxed);
-        query_upstream.fetch_add(1, Ordering::Relaxed);
-        // Per-entry accumulation and incremental cache claims.
-        let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); leaders.len()];
-        let mut claims: Vec<FrameClaims> = (leaders.iter())
-            .map(|(_, _, pr, fill, _)| FrameClaims::new(fill.as_ref(), pr))
-            .collect();
-        let exchanged = stub.call_batch_stream(&entries, leg_ctx, &mut |entry, frame| {
+    query_upstream: &AtomicU64,
+) -> Option<Vec<FlightResult>> {
+    let site = &slots[0].plan.site;
+    let stub = ServiceStub::new(Arc::clone(&inner.client), slots[0].instance(leg).clone());
+    let entries: Vec<BatchEntry> = (slots.iter())
+        .map(|slot| {
+            let params = ExecutionStub::pr_params(&slot.pr);
+            BatchEntry::new(
+                slot.instance(leg).url().path,
+                "getPR",
+                EXECUTION_NS,
+                &params,
+            )
+        })
+        .collect();
+    // Per-entry accumulation and incremental cache claims. The stub only
+    // errors before any row arrived, so a retry starts from this same clean
+    // slate — no partial cache claims to unwind.
+    let mut entry_rows: Vec<Vec<String>> = vec![Vec::new(); slots.len()];
+    let mut claims: Vec<FrameClaims> = (slots.iter())
+        .map(|slot| FrameClaims::new(slot.fill.as_ref(), &slot.pr))
+        .collect();
+    let exchanged = retrying(inner, leg_ctx, query_upstream, || {
+        stub.call_batch_stream(&entries, leg_ctx, &mut |entry, frame| {
             claims[entry].claim(inner, site, &frame);
             entry_rows[entry].extend(frame);
             // Frame-boundary cancellation: a spent budget (deadline or a
             // lost hedge race) stops the pull here.
             !leg_ctx.expired()
-        });
-        match exchanged {
-            Ok(Some(streamed)) => {
-                inner.stats.batch_streams.fetch_add(1, Ordering::Relaxed);
-                (inner.stats.batch_stream_entries)
-                    .fetch_add(leaders.len() as u64, Ordering::Relaxed);
-                let mut flight_results: Vec<FlightResult> =
-                    Vec::with_capacity(streamed.entries.len());
-                for (i, outcome) in streamed.entries.iter().enumerate() {
-                    let (_, _, _, cache_fill, _) = &leaders[i];
-                    let rows = std::mem::take(&mut entry_rows[i]);
-                    flight_results.push(match outcome {
-                        BatchStreamEntryOutcome::Done { .. } => {
-                            let rows = Arc::new(rows);
-                            if let Some(fill) = cache_fill {
-                                // The sealed entry covers its whole window
-                                // even where sparse rows left gaps between
-                                // the incremental claims.
-                                cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
-                            }
-                            Ok(FlightRows::complete(rows))
-                        }
-                        BatchStreamEntryOutcome::Fault(fault) => {
-                            Err((fault_kind(fault), fault.to_string()))
-                        }
-                        BatchStreamEntryOutcome::Truncated { rows: delivered, detail } => {
-                            (inner.stats.batch_stream_truncated).fetch_add(1, Ordering::Relaxed);
-                            if streamed.cancelled {
-                                Err((
-                                    SiteErrorKind::Timeout,
-                                    format!(
-                                        "stream abandoned at a frame boundary after {} rows (leg {})",
-                                        rows.len(),
-                                        leg_ctx.leg_tag()
-                                    ),
-                                ))
-                            } else if rows.is_empty() {
-                                // A rowless truncation after the budget ran
-                                // out is the deadline's doing, not the
-                                // site's.
-                                let kind = if leg_ctx.expired() {
-                                    SiteErrorKind::Timeout
-                                } else {
-                                    SiteErrorKind::Unreachable
-                                };
-                                Err((kind, detail.clone()))
-                            } else {
-                                Ok(FlightRows::truncated(
-                                    Arc::new(rows),
-                                    format!("entry stream died after {delivered} rows: {detail}"),
-                                ))
-                            }
-                        }
-                    });
+        })
+    });
+    let streamed = match exchanged {
+        Ok(Some(streamed)) => streamed,
+        Ok(None) => return None,
+        Err(failure) => return Some(vec![Err(failure); slots.len()]),
+    };
+    inner.stats.batch_streams.fetch_add(1, Ordering::Relaxed);
+    (inner.stats.batch_stream_entries).fetch_add(slots.len() as u64, Ordering::Relaxed);
+    let results = (streamed.entries.iter().zip(entry_rows).enumerate())
+        .map(|(i, (outcome, rows))| match outcome {
+            BatchStreamEntryOutcome::Done { .. } => {
+                let rows = Arc::new(rows);
+                if let Some(fill) = &slots[i].fill {
+                    // The sealed entry covers its whole window even where
+                    // sparse rows left gaps between the incremental claims.
+                    cache_store(inner, site, fill, fill.window, Arc::clone(&rows));
                 }
-                break FramedAttempt::Done(flight_results);
+                Ok(FlightRows::complete(rows))
             }
-            Ok(None) => break FramedAttempt::TurnedAway,
-            // The stub only errors before any row arrived, so a retry starts
-            // from a clean slate — no partial cache claims to unwind.
-            Err(e) => match retry_or_fail(inner, leg_ctx, &mut attempt, &e) {
-                None => continue,
-                Some((kind, detail)) => break FramedAttempt::Failed(kind, detail),
-            },
-        }
-    }
+            BatchStreamEntryOutcome::Fault(fault) => Err((fault_kind(fault), fault.to_string())),
+            BatchStreamEntryOutcome::Truncated {
+                rows: delivered,
+                detail,
+            } => {
+                (inner.stats.batch_stream_truncated).fetch_add(1, Ordering::Relaxed);
+                if streamed.cancelled {
+                    let detail = format!(
+                        "stream abandoned at a frame boundary after {} rows (leg {})",
+                        rows.len(),
+                        leg_ctx.leg_tag()
+                    );
+                    Err((SiteErrorKind::Timeout, detail))
+                } else if rows.is_empty() {
+                    // A rowless truncation after the budget ran out is the
+                    // deadline's doing, not the site's.
+                    let kind = if leg_ctx.expired() {
+                        SiteErrorKind::Timeout
+                    } else {
+                        SiteErrorKind::Unreachable
+                    };
+                    Err((kind, detail.clone()))
+                } else {
+                    let detail = format!("entry stream died after {delivered} rows: {detail}");
+                    Ok(FlightRows::truncated(Arc::new(rows), detail))
+                }
+            }
+        })
+        .collect();
+    Some(results)
 }
 
 /// One framed entry's incremental cache claims. Per-frame merges are sound

@@ -52,7 +52,7 @@ pub mod query;
 pub mod service;
 
 pub use cache::{series_key, CacheCounters, Lookup, SegmentCache, SegmentCacheConfig};
-pub use coalesce::{Flight, FlightOutcome, FlightResult, FlightRows, SingleFlight};
+pub use coalesce::{FlightOutcome, FlightResult, FlightRows, SingleFlight};
 pub use gateway::{FederatedGateway, GatewayConfig, GatewaySnapshot, SiteLatency};
 pub use plan::{ExecTarget, Planner, QueryPlan, SitePlan};
 pub use pool::{SiteLimiter, WorkerPool};

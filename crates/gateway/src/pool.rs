@@ -58,11 +58,6 @@ impl WorkerPool {
             let _ = tx.send(Box::new(job));
         }
     }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -96,17 +91,10 @@ impl SiteLimiter {
         })
     }
 
-    /// Block until a permit for `site` is free; the permit is released when
-    /// the returned guard drops.
-    pub fn acquire(&self, site: &str) -> Permit {
-        self.acquire_until(site, None)
-            .expect("acquire without a deadline cannot time out")
-    }
-
-    /// Like [`SiteLimiter::acquire`], but give up once `deadline` passes:
-    /// a call whose budget is already gone must not queue behind a slow
-    /// site's permits only to fail after acquiring one. `None` waits
-    /// indefinitely.
+    /// Wait until a permit for `site` is free, giving up once `deadline`
+    /// passes: a call whose budget is already gone must not queue behind a
+    /// slow site's permits only to fail after acquiring one. `None` waits
+    /// indefinitely. The permit is released when the returned guard drops.
     pub fn acquire_until(&self, site: &str, deadline: Option<Instant>) -> Option<Permit> {
         let gate = {
             let mut gates = self.gates.lock();
@@ -194,7 +182,7 @@ mod tests {
             let peak = Arc::clone(&peak);
             let current = Arc::clone(&current);
             pool.submit(move || {
-                let _permit = limiter.acquire("siteA");
+                let _permit = limiter.acquire_until("siteA", None);
                 let now = current.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(5));
@@ -213,7 +201,7 @@ mod tests {
     #[test]
     fn acquire_until_gives_up_at_the_deadline() {
         let limiter = SiteLimiter::new(1);
-        let held = limiter.acquire("s");
+        let held = limiter.acquire_until("s", None);
         let started = std::time::Instant::now();
         let late = limiter.acquire_until("s", Some(started + Duration::from_millis(30)));
         assert!(late.is_none(), "saturated site must time out");
@@ -227,9 +215,9 @@ mod tests {
     #[test]
     fn limiter_is_per_site() {
         let limiter = SiteLimiter::new(1);
-        let _a = limiter.acquire("a");
+        let _a = limiter.acquire_until("a", None);
         // A different site's permit must not block even while `a` is held.
-        let _b = limiter.acquire("b");
+        let _b = limiter.acquire_until("b", None);
         assert_eq!(limiter.in_use("a"), 1);
         assert_eq!(limiter.in_use("b"), 1);
     }

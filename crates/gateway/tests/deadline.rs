@@ -696,3 +696,283 @@ fn metrics_endpoint_exposes_context_and_gateway_counters() {
         "{body}"
     );
 }
+
+/// Leg rule 1, fail-fast: a primary that fails outright fires its hedge at
+/// once instead of waiting out `hedge_after`.
+#[test]
+fn failed_primary_fires_its_hedge_at_once() {
+    let client = Arc::new(HttpClient::new());
+    let home = start_container();
+    let replica_host = start_container();
+    let registry = registry_on(&home);
+    let here: Arc<dyn ApplicationWrapper> = Arc::new(mem_wrapper(2, 1, None));
+    let there: Arc<dyn ApplicationWrapper> = Arc::new(mem_wrapper(2, 1, None));
+    let site = Site::deploy_replicated(
+        &home,
+        &[(&home, here), (&replica_host, there)],
+        Arc::clone(&client),
+        &SiteConfig::new("repl").with_cache(false),
+    )
+    .unwrap();
+    publish(&client, &registry, "REPL", "replicated store", &site);
+
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        GatewayConfig::default()
+            .with_cache(false)
+            .with_hedging(Some(Duration::from_secs(5)))
+            .with_plan_cache(Duration::from_secs(60))
+            .with_call_timeout(Duration::from_secs(10)),
+    );
+    let query = FederatedQuery::new("gflops", vec!["/Execution".into()]);
+    // Warm the plan: both primaries and their hedges are remembered.
+    let warm = gateway.query(&query);
+    assert!(warm.errors.is_empty(), "{:?}", warm.errors);
+    assert_eq!(warm.rows.len(), 2);
+    assert_eq!(gateway.snapshot().hedges_fired, 0);
+
+    // Round-robin placement put one primary on the replica host; take that
+    // host down. Its primary fails outright, and its hedge (on `home`)
+    // must answer long before the 5 s hedge delay.
+    replica_host.shutdown();
+    let result = gateway.query(&query);
+    assert!(result.errors.is_empty(), "{:?}", result.errors);
+    assert_eq!(result.rows.len(), 2);
+    assert_eq!(
+        result.rows.iter().filter(|r| r.hedged).count(),
+        1,
+        "the dead host's slot is answered by its hedge: {:?}",
+        result.rows
+    );
+    assert!(
+        result.elapsed < Duration::from_secs(2),
+        "the hedge must fire as soon as the primary fails, took {:?}",
+        result.elapsed
+    );
+    let snapshot = gateway.snapshot();
+    assert_eq!(snapshot.hedges_fired, 1);
+    assert_eq!(snapshot.hedge_wins, 1);
+}
+
+/// Leg rule 3's exception: hedges that win for every entry of a shared
+/// framed call leave that call running — cancelling it would cancel its
+/// siblings. Under `PPG_FORCE_XML=1` each primary rides its own call, so
+/// each losing primary is cancelled instead.
+#[test]
+fn hedge_wins_do_not_cancel_a_shared_primary() {
+    let client = Arc::new(HttpClient::new());
+    let slow_host = start_container();
+    let fast_host = start_container();
+    let registry = registry_on(&slow_host);
+    let completed = Arc::new(AtomicUsize::new(0));
+    let slow: Arc<dyn ApplicationWrapper> = Arc::new(CompletionCountingWrapper {
+        inner: mem_wrapper(4, 1, Some(Duration::from_millis(1500))),
+        completed: Arc::clone(&completed),
+    });
+    let fast: Arc<dyn ApplicationWrapper> = Arc::new(mem_wrapper(4, 1, None));
+    let site = Site::deploy_replicated(
+        &slow_host,
+        &[(&slow_host, slow), (&fast_host, fast)],
+        Arc::clone(&client),
+        &SiteConfig::new("repl").with_cache(false),
+    )
+    .unwrap();
+    publish(&client, &registry, "REPL", "replicated store", &site);
+
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        GatewayConfig::default()
+            .with_cache(false)
+            .with_hedging(Some(Duration::from_millis(100)))
+            .with_call_timeout(Duration::from_secs(10)),
+    );
+    let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
+    let cancels_at_return = slow_host.context_counters().2;
+
+    assert!(result.errors.is_empty(), "{:?}", result.errors);
+    assert_eq!(result.rows.len(), 4);
+    assert_eq!(
+        result.rows.iter().filter(|r| r.hedged).count(),
+        2,
+        "both slow-host slots are answered by their hedges: {:?}",
+        result.rows
+    );
+    let snapshot = gateway.snapshot();
+    assert_eq!(snapshot.hedge_wins, 2);
+    let (framed_calls, framed_entries, ..) = slow_host.batch_stream_counters();
+    if framed_calls > 0 {
+        assert_eq!(
+            (framed_calls, framed_entries),
+            (1, 2),
+            "the slow host's two entries share one framed call"
+        );
+        assert_eq!(cancels_at_return, 0);
+        assert_eq!(snapshot.hedges_cancelled, 0, "{snapshot:?}");
+        // A cancel POST is fire-and-forget: give a stray one time to land.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(
+            slow_host.context_counters().2,
+            0,
+            "the shared primary must be left to finish"
+        );
+    } else {
+        assert_eq!(snapshot.hedges_cancelled, 2, "{snapshot:?}");
+    }
+}
+
+/// Leg rule 5: two entries sharing one stalled framed call both come back
+/// `Timeout`; the stalled host is cancelled at most once for the call (once
+/// per per-call leg under `PPG_FORCE_XML=1`) and completes no work.
+#[test]
+fn shared_stalled_call_times_out_with_at_most_one_cancel() {
+    let client = Arc::new(HttpClient::new());
+    let stalled_host = start_container();
+    let registry = registry_on(&stalled_host);
+    let completed = Arc::new(AtomicUsize::new(0));
+    let stalled: Arc<dyn ApplicationWrapper> = Arc::new(CompletionCountingWrapper {
+        inner: mem_wrapper(2, 1, Some(Duration::from_secs(10))),
+        completed: Arc::clone(&completed),
+    });
+    let site = Site::deploy(
+        &stalled_host,
+        Arc::clone(&client),
+        stalled,
+        &SiteConfig::new("stall").with_cache(false),
+    )
+    .unwrap();
+    publish(&client, &registry, "STALL", "stalled store", &site);
+
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        GatewayConfig::default()
+            .with_hedging(None)
+            .with_retries(0, Duration::from_millis(5))
+            .with_call_timeout(Duration::from_millis(400)),
+    );
+    let started = Instant::now();
+    let result = gateway.query(&FederatedQuery::new("gflops", vec!["/Execution".into()]));
+    let elapsed = started.elapsed();
+
+    assert!(result.rows.is_empty(), "{:?}", result.rows);
+    assert_eq!(result.errors.len(), 1, "{:?}", result.errors);
+    assert_eq!(result.errors[0].kind, SiteErrorKind::Timeout);
+    assert!(
+        elapsed < Duration::from_millis(1000),
+        "both slots must give up near the 400 ms budget, took {elapsed:?}"
+    );
+    let (framed_calls, framed_entries, ..) = stalled_host.batch_stream_counters();
+    let legs = if framed_calls > 0 {
+        assert_eq!((framed_calls, framed_entries), (1, 2));
+        1
+    } else {
+        2
+    };
+    assert!(
+        wait_for(Duration::from_secs(3), || {
+            let (_, deadline_exceeded, _, cancelled_calls) = stalled_host.context_counters();
+            deadline_exceeded + cancelled_calls >= 1
+        }),
+        "stalled handler never observed the deadline: {:?}",
+        stalled_host.context_counters()
+    );
+    std::thread::sleep(Duration::from_millis(200));
+    let cancels = stalled_host.context_counters().2;
+    assert!(cancels <= legs, "{cancels} cancels for {legs} leg(s)");
+    assert_eq!(
+        completed.load(Ordering::SeqCst),
+        0,
+        "no stalled work may complete"
+    );
+}
+
+/// A single-flight follower never holds a gateway worker. With the default
+/// eight workers, one leader parked on a stalled site plus seven
+/// short-budget identical queries coalesced behind it must leave a worker
+/// for a query to a healthy site, which answers within its budget.
+#[test]
+fn coalesced_followers_do_not_hold_workers() {
+    let client = Arc::new(HttpClient::new());
+    let healthy_host = start_container();
+    let stalled_host = start_container();
+    let registry = registry_on(&healthy_host);
+    let healthy: Arc<dyn ApplicationWrapper> = Arc::new(mem_wrapper(1, 1, None));
+    let healthy_site = Site::deploy(
+        &healthy_host,
+        Arc::clone(&client),
+        healthy,
+        &SiteConfig::new("healthy"),
+    )
+    .unwrap();
+    let stalled: Arc<dyn ApplicationWrapper> =
+        Arc::new(mem_wrapper(1, 1, Some(Duration::from_secs(10))));
+    let stalled_site = Site::deploy(
+        &stalled_host,
+        Arc::clone(&client),
+        stalled,
+        &SiteConfig::new("stalled").with_cache(false),
+    )
+    .unwrap();
+    publish(
+        &client,
+        &registry,
+        "HEALTHY",
+        "healthy store",
+        &healthy_site,
+    );
+    publish(&client, &registry, "STALL", "stalled store", &stalled_site);
+
+    let gateway = FederatedGateway::new(
+        Arc::clone(&client),
+        registry.clone(),
+        GatewayConfig::default()
+            .with_cache(false)
+            .with_hedging(None)
+            .with_retries(0, Duration::from_millis(5))
+            .with_plan_cache(Duration::from_secs(60)),
+    );
+    let stalled_query = FederatedQuery::new("gflops", vec!["/Execution".into()]).sites("STALL");
+    let run = |budget: Duration| {
+        let gateway = Arc::clone(&gateway);
+        let query = stalled_query.clone();
+        std::thread::spawn(move || {
+            gateway.query_with_context(&query, &CallContext::with_budget(budget))
+        })
+    };
+    // The leader parks on the stalled site for its whole 2.5 s budget.
+    let leader = run(Duration::from_millis(2500));
+    assert!(
+        wait_for(Duration::from_secs(2), || gateway.snapshot().in_flight >= 1),
+        "the leader never went upstream"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    let followers: Vec<_> = (0..7).map(|_| run(Duration::from_millis(300))).collect();
+    assert!(
+        wait_for(Duration::from_secs(2), || gateway.snapshot().coalesced >= 7),
+        "the followers never coalesced: {:?}",
+        gateway.snapshot()
+    );
+    for follower in followers {
+        let result = follower.join().unwrap();
+        assert!(result.rows.is_empty());
+        assert_eq!(result.errors[0].kind, SiteErrorKind::Timeout);
+    }
+
+    let budget = Duration::from_millis(800);
+    let started = Instant::now();
+    let result = gateway.query_with_context(
+        &FederatedQuery::new("gflops", vec!["/Execution".into()]).sites("HEALTHY"),
+        &CallContext::with_budget(budget),
+    );
+    let elapsed = started.elapsed();
+    assert!(
+        result.errors.is_empty(),
+        "the healthy site must answer while the leader is parked: {:?}",
+        result.errors
+    );
+    assert_eq!(result.rows.len(), 1);
+    assert!(elapsed < budget, "took {elapsed:?}");
+    assert!(leader.join().unwrap().rows.is_empty());
+}

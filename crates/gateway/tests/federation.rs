@@ -127,7 +127,7 @@ fn federates_heterogeneous_sites_and_caches_repeats() {
     // both ways).
     assert!(first.rows.iter().all(|r| !r.from_cache));
     let snapshot = gateway.snapshot();
-    if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
+    if pperf_soap::force_xml() {
         assert_eq!(first.upstream_calls, 10);
         assert_eq!(snapshot.xml_calls, 10);
         assert_eq!(snapshot.batch_streams, 0, "the pin never frames");

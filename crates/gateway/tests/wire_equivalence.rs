@@ -18,6 +18,7 @@
 use pperf_gateway::{FederatedGateway, FederatedQuery, FederatedResult, GatewayConfig};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{Container, ContainerConfig, Gsh, RegistryService, RegistryStub};
+use pperf_soap::force_xml;
 use pperfgrid::wrappers::{MemApplicationWrapper, MemExecution};
 use pperfgrid::{ApplicationWrapper, ExecutionWrapper, PrQuery, Site, SiteConfig};
 use std::collections::BTreeMap;
@@ -37,10 +38,6 @@ enum Route {
 }
 
 const ROUTES: [Route; 3] = [Route::Framed, Route::PerCallXml, Route::StaleFramed];
-
-fn force_xml() -> bool {
-    std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
-}
 
 /// A deterministic xorshift generator (the fleets must be reproducible from
 /// the seed printed in a failure).

@@ -75,12 +75,6 @@ impl From<std::io::Error> for NotifyError {
     }
 }
 
-/// Whether `PPG_FORCE_XML=1` pins the push plane to the XML event codec
-/// (the same operational escape hatch the binary data plane honours).
-pub(crate) fn force_xml() -> bool {
-    std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
-}
-
 /// Encode an event in the XML fallback codec (one event per chunk, same
 /// framing position as a PPGB kind-4 frame).
 pub fn encode_xml_event(event: &Event) -> String {

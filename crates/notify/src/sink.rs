@@ -16,10 +16,10 @@
 //! backoff and re-subscribe flagged `resync=1`.
 
 use crate::source::{SUBSCRIBE_PATH, SUBSCRIPTION_ID_HEADER, TOPIC_SEQ_HEADER};
-use crate::{decode_xml_event, force_xml, Event, NotifyError};
+use crate::{decode_xml_event, Event, NotifyError};
 use parking_lot::Mutex;
 use pperf_httpd::Request;
-use pperf_soap::{decode_binary_event, BINARY_CONTENT_TYPE};
+use pperf_soap::{decode_binary_event, force_xml, BINARY_CONTENT_TYPE};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;

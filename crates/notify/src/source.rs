@@ -22,9 +22,9 @@
 //! sequence baseline the sink seeds its gap detector with.
 
 use crate::manager::{SubscribeSpec, SubscriptionManager};
-use crate::{force_xml, NotifyCounters};
+use crate::NotifyCounters;
 use pperf_httpd::{Request, Response, Status};
-use pperf_soap::BINARY_CONTENT_TYPE;
+use pperf_soap::{force_xml, BINARY_CONTENT_TYPE};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,7 +198,7 @@ mod tests {
         let resp = src.handle_subscribe(&subscribe_request("topics=a\n", true));
         // Under `PPG_FORCE_XML=1` the advertisement is ignored and the
         // stream stays on the XML codec.
-        let expect_binary = !crate::force_xml();
+        let expect_binary = !force_xml();
         assert_eq!(
             resp.headers.get("Content-Type") == Some(BINARY_CONTENT_TYPE),
             expect_binary

@@ -330,7 +330,7 @@ impl ServiceStub {
         ctx: &CallContext,
         on_rows: &mut dyn FnMut(Vec<String>) -> bool,
     ) -> Result<StreamOutcome> {
-        if std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1") {
+        if pperf_soap::force_xml() {
             return self.call_buffered_rows(operation, params, ctx, on_rows, StreamWire::Buffered);
         }
         let entry = BatchEntry::new(

@@ -46,9 +46,9 @@ pub use value::{pack_strs, unpack_strs, Value, ValueError, ValueType, PACK_THRES
 pub use wire::{
     decode_binary_batch_call, decode_binary_event, decode_binary_segment, encode_batch_stream_head,
     encode_binary_batch_call, encode_binary_batch_call_into, encode_binary_event,
-    encode_binary_segment, encode_entry_fault, encode_entry_head, encode_stream_fault, BatchEntry,
-    BatchStreamEvent, BatchStreamReader, FrameReader, FrameWriter, StreamEvent, WireError,
-    WireEvent, WireSegment, BINARY_CONTENT_TYPE, DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC,
+    encode_binary_segment, encode_entry_fault, encode_entry_head, encode_stream_fault, force_xml,
+    BatchEntry, BatchStreamEvent, BatchStreamReader, FrameReader, FrameWriter, StreamEvent,
+    WireError, WireEvent, WireSegment, BINARY_CONTENT_TYPE, DEFAULT_STREAM_FRAME_BYTES, PPGB_MAGIC,
     PPGB_VERSION, STREAM_CONTENT_TYPE,
 };
 

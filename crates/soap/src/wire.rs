@@ -145,6 +145,13 @@ pub const BINARY_CONTENT_TYPE: &str = "application/x-ppg-binary";
 /// length-prefixed kind-6/kind-7 frames). Advertised in `Accept` by
 /// streaming-capable consumers; answered by streaming containers.
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ppg-stream";
+/// Whether `PPG_FORCE_XML=1` pins every exchange to per-call SOAP/XML: the
+/// operational escape hatch that keeps framed routes and PPGB event frames
+/// out of play. Read afresh on every call.
+pub fn force_xml() -> bool {
+    std::env::var("PPG_FORCE_XML").is_ok_and(|v| v == "1")
+}
+
 /// Default bound on the encoded row bytes of one stream frame.
 pub const DEFAULT_STREAM_FRAME_BYTES: usize = 16 * 1024;
 /// Hard sanity cap on a single length-prefixed stream frame: a length

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # fmt --check, clippy -D warnings, build, tests,
 #                            # benchmark/check.sh (the benchmark is its own
-#                            # workspace: `cargo test` never compiles it)
+#                            # workspace: `cargo test` never compiles it),
+#                            # then scripts/loc.sh's line counts
 #
 # After the full suite, every stage re-runs tests under a different
 # environment (CPU placement, poller backend, codec pin, build profile,
@@ -45,5 +46,8 @@ cargo bench -q -p pperf-bench --bench substrates
 
 echo "==> repo benchmark harness (own workspace: build, self-tests, 1 s smoke of all five workloads)"
 benchmark/check.sh
+
+echo "==> non-blank non-test source lines per crate (information only, no threshold)"
+scripts/loc.sh
 
 echo "==> CI OK"
