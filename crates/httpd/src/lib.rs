@@ -15,8 +15,11 @@
 //!   bounded pool of `workers` handler threads. Idle keep-alive
 //!   connections cost only a parked fd, so one host can hold thousands of
 //!   them; `workers` still bounds *handler* concurrency — the Figure 12
-//!   unit of host capacity. [`HttpServer::shutdown`] is graceful and
-//!   idempotent.
+//!   unit of host capacity. A worker writes a buffered response on a
+//!   keep-alive connection itself when the socket takes it whole, and
+//!   re-arms the connection through [`poller::Rearmer`]; the poll thread
+//!   writes every other response.
+//!   [`HttpServer::shutdown`] is graceful and idempotent.
 //! * The client pools persistent connections per `host:port`, probes them
 //!   before reuse, and retries on a fresh connection only when a failure
 //!   provably preceded the first flushed request byte; an ambiguous

@@ -11,9 +11,17 @@
 //! Backend selection is automatic (epoll where available, else `poll(2)`);
 //! setting `PPG_FORCE_POLL=1` pins the fallback, which CI uses to exercise
 //! both code paths.
+//!
+//! The thread that waits owns the [`Poller`]; any other thread changes a
+//! registration's interest through a [`Rearmer`]. On epoll that is a plain
+//! `EPOLL_CTL_MOD` on the shared epoll fd, which stays open until the last
+//! rearmer is gone. On `poll(2)` the change is handed to the waiting thread
+//! and applied at the start of its next [`Poller::wait`], and the wait is
+//! woken so that happens at once.
 
 use std::io;
 use std::os::fd::RawFd;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Caller-chosen identifier attached to a registered fd and echoed back on
@@ -82,7 +90,16 @@ impl Poller {
                 }
             }
         }
-        Ok(Poller::Poll(pollfd::PollSet::new()))
+        Ok(Poller::Poll(pollfd::PollSet::new()?))
+    }
+
+    /// A handle that changes registrations of this poller from any thread.
+    pub fn rearmer(&self) -> Rearmer {
+        match self {
+            #[cfg(target_os = "linux")]
+            Poller::Epoll(ep) => Rearmer::Epoll(Arc::clone(&ep.fd)),
+            Poller::Poll(ps) => Rearmer::Poll(Arc::clone(&ps.remote)),
+        }
     }
 
     /// Name of the active backend (for logs and tests).
@@ -98,7 +115,7 @@ impl Poller {
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest),
+            Poller::Epoll(ep) => ep.fd.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest),
             Poller::Poll(ps) => ps.register(fd, token, interest),
         }
     }
@@ -107,7 +124,7 @@ impl Poller {
     pub fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest),
+            Poller::Epoll(ep) => ep.fd.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest),
             Poller::Poll(ps) => ps.register(fd, token, interest),
         }
     }
@@ -117,7 +134,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(ep) => {
-                let _ = ep.ctl(epoll::EPOLL_CTL_DEL, fd, 0, Interest::NONE);
+                let _ = ep.fd.ctl(epoll::EPOLL_CTL_DEL, fd, 0, Interest::NONE);
             }
             Poller::Poll(ps) => ps.deregister(fd),
         }
@@ -144,11 +161,40 @@ impl Poller {
     }
 }
 
+/// Changes the interest set of a registered fd from any thread; see the
+/// module docs for how each backend applies it.
+#[derive(Clone)]
+pub enum Rearmer {
+    /// The epoll fd, shared with the [`Poller`].
+    #[cfg(target_os = "linux")]
+    Epoll(Arc<epoll::EpollFd>),
+    /// The hand-off queue of the `poll(2)` set.
+    Poll(Arc<pollfd::Remote>),
+}
+
+impl Rearmer {
+    /// Set `fd`'s interest to `interest`. The fd must still be registered
+    /// under `token`: on epoll an fd the waiting thread deregistered fails
+    /// with `NotFound`; on `poll(2)` a change for an fd no longer registered
+    /// under `token` is dropped when the waiting thread applies it.
+    pub fn rearm(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        match self {
+            #[cfg(target_os = "linux")]
+            Rearmer::Epoll(epfd) => epfd.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest),
+            Rearmer::Poll(remote) => {
+                remote.push(fd, token, interest);
+                Ok(())
+            }
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
 mod epoll {
     use super::{Event, Interest, Token};
     use std::io;
     use std::os::fd::RawFd;
+    use std::sync::Arc;
 
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
@@ -176,31 +222,12 @@ mod epoll {
         fn close(fd: i32) -> i32;
     }
 
-    /// An epoll instance plus its scratch event buffer.
-    pub struct Epoll {
-        epfd: RawFd,
-        scratch: Vec<EpollEvent>,
-    }
+    /// An epoll fd, closed when the last holder drops it.
+    pub struct EpollFd(RawFd);
 
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                epfd,
-                scratch: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        pub fn ctl(
-            &mut self,
-            op: i32,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-        ) -> io::Result<()> {
+    impl EpollFd {
+        /// `epoll_ctl(2)`; safe from any thread.
+        pub fn ctl(&self, op: i32, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             let mut mask = EPOLLRDHUP;
             if interest.readable {
                 mask |= EPOLLIN;
@@ -212,16 +239,47 @@ mod epoll {
                 events: mask,
                 data: token as u64,
             };
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+            // SAFETY: `self.0` is an open epoll fd (closed only by `Drop`),
+            // and `ev` is a live, properly laid-out `epoll_event`.
+            if unsafe { epoll_ctl(self.0, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(())
         }
+    }
+
+    impl Drop for EpollFd {
+        fn drop(&mut self) {
+            // SAFETY: this is the fd's only owner, and it is dropped once.
+            unsafe { close(self.0) };
+        }
+    }
+
+    /// An epoll instance plus its scratch event buffer.
+    pub struct Epoll {
+        pub fd: Arc<EpollFd>,
+        scratch: Vec<EpollEvent>,
+    }
+
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            // SAFETY: `epoll_create1` takes a flags word and touches no memory.
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Epoll {
+                fd: Arc::new(EpollFd(epfd)),
+                scratch: vec![EpollEvent { events: 0, data: 0 }; 256],
+            })
+        }
 
         pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+            // SAFETY: the epoll fd is open while `self.fd` lives, and the
+            // kernel writes at most `scratch.len()` events into `scratch`.
             let n = unsafe {
                 epoll_wait(
-                    self.epfd,
+                    self.fd.0,
                     self.scratch.as_mut_ptr(),
                     self.scratch.len() as i32,
                     timeout_ms,
@@ -242,20 +300,17 @@ mod epoll {
             Ok(())
         }
     }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
 }
 
 mod pollfd {
     use super::{Event, Interest, Token};
+    use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::ffi::c_ulong;
-    use std::io;
-    use std::os::fd::RawFd;
+    use std::io::{self, Read, Write};
+    use std::os::fd::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -275,23 +330,52 @@ mod pollfd {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: i32) -> i32;
     }
 
+    /// Interest changes made by other threads, waiting for the next
+    /// [`PollSet::wait`], plus the write end of the pipe that wakes it.
+    pub struct Remote {
+        pending: Mutex<Vec<(RawFd, Token, Interest)>>,
+        wake_tx: UnixStream,
+    }
+
+    impl Remote {
+        pub fn push(&self, fd: RawFd, token: Token, interest: Interest) {
+            self.pending.lock().push((fd, token, interest));
+            // WouldBlock means a wake-up is already pending.
+            let _ = (&self.wake_tx).write(&[1]);
+        }
+    }
+
     /// A `poll(2)` set: the registration map plus a flat pollfd array
-    /// rebuilt lazily whenever registrations change.
+    /// rebuilt lazily whenever registrations change. Slot 0 of the array is
+    /// the read end of the [`Remote`]'s wake pipe.
     pub struct PollSet {
         registered: HashMap<RawFd, (Token, Interest)>,
         flat: Vec<PollFd>,
         tokens: Vec<Token>,
         dirty: bool,
+        pub remote: Arc<Remote>,
+        wake_rx: UnixStream,
+        /// The last poll saw the wake pipe readable.
+        woken: bool,
     }
 
     impl PollSet {
-        pub fn new() -> PollSet {
-            PollSet {
+        pub fn new() -> io::Result<PollSet> {
+            let (wake_rx, wake_tx) = UnixStream::pair()?;
+            wake_rx.set_nonblocking(true)?;
+            wake_tx.set_nonblocking(true)?;
+            Ok(PollSet {
                 registered: HashMap::new(),
                 flat: Vec::new(),
                 tokens: Vec::new(),
-                dirty: false,
-            }
+                dirty: true,
+                remote: Arc::new(Remote {
+                    pending: Mutex::new(Vec::new()),
+                    wake_tx,
+                }),
+                wake_rx,
+                woken: false,
+            })
         }
 
         pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
@@ -305,9 +389,36 @@ mod pollfd {
             self.dirty = true;
         }
 
+        /// Apply the changes other threads handed over. The wake pipe is
+        /// emptied first, so a change pushed after this point leaves a byte
+        /// behind and the coming poll returns at once.
+        fn apply_remote(&mut self) {
+            if self.woken {
+                let mut buf = [0u8; 64];
+                while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+                self.woken = false;
+            }
+            for (fd, token, interest) in self.remote.pending.lock().drain(..) {
+                // A change for an fd deregistered (and maybe reused under a
+                // new token) since it was made is stale: drop it.
+                if let Some(slot) = self.registered.get_mut(&fd) {
+                    if slot.0 == token && slot.1 != interest {
+                        slot.1 = interest;
+                        self.dirty = true;
+                    }
+                }
+            }
+        }
+
         fn rebuild(&mut self) {
             self.flat.clear();
             self.tokens.clear();
+            self.flat.push(PollFd {
+                fd: self.wake_rx.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+            self.tokens.push(0);
             for (&fd, &(token, interest)) in &self.registered {
                 let mut events = 0i16;
                 if interest.readable {
@@ -327,18 +438,11 @@ mod pollfd {
         }
 
         pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+            self.apply_remote();
             if self.dirty {
                 self.rebuild();
             }
-            if self.flat.is_empty() {
-                // Nothing registered: emulate the timeout without a syscall.
-                if timeout_ms != 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        timeout_ms.clamp(0, 100) as u64
-                    ));
-                }
-                return Ok(());
-            }
+            // SAFETY: `flat` is a live array of `flat.len()` pollfds.
             let n = unsafe {
                 poll(
                     self.flat.as_mut_ptr(),
@@ -349,7 +453,8 @@ mod pollfd {
             if n < 0 {
                 return Err(io::Error::last_os_error());
             }
-            for (slot, &token) in self.flat.iter().zip(&self.tokens) {
+            self.woken = self.flat[0].revents != 0;
+            for (slot, &token) in self.flat.iter().zip(&self.tokens).skip(1) {
                 let bits = slot.revents;
                 if bits == 0 {
                     continue;
@@ -374,7 +479,7 @@ mod tests {
     use std::os::unix::net::UnixStream;
 
     fn backends() -> Vec<Poller> {
-        let mut pollers = vec![Poller::Poll(pollfd::PollSet::new())];
+        let mut pollers = vec![Poller::Poll(pollfd::PollSet::new().unwrap())];
         #[cfg(target_os = "linux")]
         pollers.push(Poller::Epoll(epoll::Epoll::new().unwrap()));
         pollers
@@ -463,6 +568,49 @@ mod tests {
                 .wait(&mut events, Some(Duration::from_millis(10)))
                 .unwrap();
             assert!(events.is_empty(), "{}", poller.backend());
+        }
+    }
+
+    #[test]
+    fn rearm_from_another_thread_takes_effect() {
+        for mut poller in backends() {
+            let (mut a, b) = UnixStream::pair().unwrap();
+            b.set_nonblocking(true).unwrap();
+            let fd = b.as_raw_fd();
+            poller.register(fd, 5, Interest::NONE).unwrap();
+            a.write_all(b"z").unwrap();
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert!(events.is_empty(), "{}: parked fd fired", poller.backend());
+
+            let rearmer = poller.rearmer();
+            std::thread::spawn(move || rearmer.rearm(fd, 5, Interest::READABLE))
+                .join()
+                .unwrap()
+                .unwrap();
+            // On poll(2) the first wait may return for the wake-up alone.
+            let mut fired = false;
+            for _ in 0..2 {
+                poller
+                    .wait(&mut events, Some(Duration::from_millis(1000)))
+                    .unwrap();
+                fired |= events.iter().any(|e| e.token == 5 && e.readable);
+            }
+            assert!(fired, "{}: rearmed fd never fired", poller.backend());
+
+            // A rearm that races a deregistration must not resurrect the fd.
+            poller.deregister(fd);
+            let _ = poller.rearmer().rearm(fd, 5, Interest::READABLE);
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert!(
+                events.is_empty(),
+                "{}: stale rearm applied",
+                poller.backend()
+            );
         }
     }
 }

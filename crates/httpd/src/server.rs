@@ -17,14 +17,23 @@
 //! requests at any instant no matter how many connections are parked.
 //! (Queueing is unbounded, exactly like the old permit-waiter queue; it is
 //! *handler concurrency* that the knob bounds.)
+//!
+//! A worker writes a buffered response itself when it can: one vectored
+//! write of head and body on the non-blocking socket. If the socket takes
+//! every byte the worker queues a [`Completion::Written`] and re-arms the
+//! connection for reading through the poller's [`Rearmer`], without waking
+//! the poll thread; otherwise (a partial write, `EAGAIN`, a streamed
+//! response, a connection that closes after this response, pipelined bytes
+//! waiting behind the request) it hands the response to the poll thread,
+//! which writes the rest. DESIGN.md §8 states the invariants this relies on.
 
 use crate::error::Result;
 use crate::message::{Request, RequestParser, Response, Status};
 use crate::outbuf::OutBuf;
-use crate::poller::{Event, Interest, Poller, Token};
+use crate::poller::{Event, Interest, Poller, Rearmer, Token};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -86,11 +95,25 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 struct Job {
     token: Token,
     request: Request,
+    /// Set when the worker may write a buffered response itself: the
+    /// connection stays open after it and nothing is buffered behind the
+    /// request. Holding the stream keeps its fd open, so the fd the worker
+    /// writes to and re-arms cannot be reused by another connection.
+    direct: Option<Arc<TcpStream>>,
 }
 
-struct Completion {
-    token: Token,
-    response: Response,
+/// What a worker hands back to the poll thread for one request.
+enum Completion {
+    /// The worker wrote the whole response and re-armed the connection for
+    /// reading; the poll thread only marks it released.
+    Written(Token),
+    /// The poll thread writes `response`, of which the worker already wrote
+    /// the first `sent` bytes.
+    Respond {
+        token: Token,
+        response: Response,
+        sent: usize,
+    },
 }
 
 struct Shared {
@@ -102,6 +125,9 @@ struct Shared {
     /// Write end of the event loop's waker; any thread can nudge the poll
     /// thread by writing a byte.
     waker: UnixStream,
+    /// Re-arms a connection whose response a worker wrote. It keeps the
+    /// poller's epoll fd open for as long as any worker can use it.
+    rearmer: Rearmer,
 }
 
 impl Shared {
@@ -113,7 +139,8 @@ impl Shared {
 
 /// Per-connection state machine owned by the poll thread.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with a worker that writes this connection's response itself.
+    stream: Arc<TcpStream>,
     parser: RequestParser,
     /// Serialized response bytes not yet written — segmented so streamed
     /// payloads move in without a copy and flush via vectored writes.
@@ -134,7 +161,7 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
-            stream,
+            stream: Arc::new(stream),
             parser: RequestParser::new(),
             out: OutBuf::new(),
             interest: Interest::READABLE,
@@ -197,14 +224,27 @@ impl EventLoop {
                 // Transient poll failure; retry (the timeout bounds spinning).
                 continue;
             }
+            // Empty the waker before draining completions: a completion sent
+            // after the drain then leaves a byte that ends the next wait.
+            if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                self.drain_waker();
+            }
+            // Completions before readiness: a worker queues `Written` before
+            // it re-arms the fd, so a readable event on a connection always
+            // finds the connection already released.
+            self.drain_completions();
+            if self.shared.stop.load(Ordering::Acquire) {
+                // A stopping server serves nothing more on a connection a
+                // worker just released, even if its next request is here.
+                self.reap_idle();
+            }
             for &ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.drain_waker(),
+                    WAKER_TOKEN => {}
                     token => self.conn_ready(token, ev),
                 }
             }
-            self.drain_completions();
             self.pump_streams();
         }
     }
@@ -296,7 +336,7 @@ impl EventLoop {
                 // detect death. Discard stray bytes, close on EOF/error.
                 let mut chunk = [0u8; 1024];
                 let dead = loop {
-                    match (&conn.stream).read(&mut chunk) {
+                    match (&*conn.stream).read(&mut chunk) {
                         Ok(0) => break true,
                         Ok(_) => continue,
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
@@ -317,7 +357,7 @@ impl EventLoop {
             // Bound per-event work so one firehose connection cannot starve
             // the rest of the loop; level-triggering re-delivers the rest.
             for _ in 0..64 {
-                match (&conn.stream).read(&mut chunk) {
+                match (&*conn.stream).read(&mut chunk) {
                     Ok(0) => {
                         conn.eof = true;
                         outcome = IoOutcome::Progress;
@@ -361,8 +401,14 @@ impl EventLoop {
                 if request.wants_close() || conn.eof {
                     conn.close_after_flush = true;
                 }
+                let direct = (!conn.close_after_flush && conn.parser.buffered() == 0)
+                    .then(|| Arc::clone(&conn.stream));
                 self.set_interest(token, Interest::NONE);
-                let _ = self.jobs_tx.send(Job { token, request });
+                let _ = self.jobs_tx.send(Job {
+                    token,
+                    request,
+                    direct,
+                });
             }
             Ok(None) => {
                 if conn.eof {
@@ -377,6 +423,7 @@ impl EventLoop {
                 self.queue_response(
                     token,
                     Response::text(Status::PAYLOAD_TOO_LARGE, "body too large"),
+                    0,
                     true,
                 );
             }
@@ -384,6 +431,7 @@ impl EventLoop {
                 self.queue_response(
                     token,
                     Response::text(Status::BAD_REQUEST, "malformed request"),
+                    0,
                     true,
                 );
             }
@@ -391,16 +439,29 @@ impl EventLoop {
     }
 
     fn drain_completions(&mut self) {
+        // The connection may have died while its request was handled; a
+        // response still owed to it is then undeliverable and dropped.
         while let Ok(done) = self.done_rx.try_recv() {
-            // The connection may have died while its request was handled;
-            // the response is then undeliverable and simply dropped.
-            if self.conns.contains_key(&done.token) {
-                self.queue_response(done.token, done.response, false);
+            match done {
+                Completion::Written(token) => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.handling = false;
+                        // What the worker's re-arm set in the poller.
+                        conn.interest = Interest::READABLE;
+                    }
+                }
+                Completion::Respond {
+                    token,
+                    response,
+                    sent,
+                } => self.queue_response(token, response, sent, false),
             }
         }
     }
 
-    fn queue_response(&mut self, token: Token, response: Response, close: bool) {
+    /// Queue `response` on the connection, minus the first `sent` bytes a
+    /// worker already wrote, and flush.
+    fn queue_response(&mut self, token: Token, response: Response, sent: usize, close: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -430,6 +491,7 @@ impl EventLoop {
         response.write_head(&mut head);
         conn.out.push_seg(head);
         conn.out.push_seg(response.body);
+        conn.out.consume(sent);
         self.flush(token);
     }
 
@@ -498,7 +560,7 @@ impl EventLoop {
             };
             let mut outcome = IoOutcome::Progress;
             while !conn.flushed() {
-                match conn.out.write_to(&mut (&conn.stream)) {
+                match conn.out.write_to(&mut &*conn.stream) {
                     Ok(0) => {
                         outcome = IoOutcome::Dead;
                         break;
@@ -593,16 +655,50 @@ fn worker_loop(jobs: Receiver<Job>, done: Sender<Completion>, shared: Arc<Shared
         }
         let response = shared.handler.handle(&job.request);
         shared.requests_served.fetch_add(1, Ordering::Relaxed);
-        if done
-            .send(Completion {
-                token: job.token,
-                response,
-            })
-            .is_err()
-        {
+        let token = job.token;
+        let mut sent = 0;
+        if let Some(stream) = job.direct.filter(|_| response.stream.is_none()) {
+            let mut head = Vec::new();
+            response.write_head(&mut head);
+            sent = write_once(&stream, &head, &response.body);
+            if sent == head.len() + response.body.len() {
+                // Queued before the re-arm, so the poll thread drains it
+                // before it can see the connection's next request.
+                if done.send(Completion::Written(token)).is_err() {
+                    break;
+                }
+                // Fails only if the poll thread closed the connection
+                // meanwhile; then there is nothing to re-arm.
+                let _ = shared
+                    .rearmer
+                    .rearm(stream.as_raw_fd(), token, Interest::READABLE);
+                continue;
+            }
+        }
+        let completion = Completion::Respond {
+            token,
+            response,
+            sent,
+        };
+        if done.send(completion).is_err() {
             break;
         }
         shared.wake();
+    }
+}
+
+/// One vectored write of `head` and `body` on a non-blocking socket. Returns
+/// the bytes it took: everything, a prefix when the send buffer filled, or
+/// zero on `EAGAIN` or an error (the poll thread's own write then meets the
+/// error and closes the connection).
+fn write_once(stream: &TcpStream, head: &[u8], body: &[u8]) -> usize {
+    let bufs = [IoSlice::new(head), IoSlice::new(body)];
+    loop {
+        match (&*stream).write_vectored(&bufs) {
+            Ok(n) => return n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return 0,
+        }
     }
 }
 
@@ -627,6 +723,10 @@ impl HttpServer {
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
 
+        let mut poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        poller.register(waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)?;
+
         let shared = Arc::new(Shared {
             handler,
             stop: AtomicBool::new(false),
@@ -634,6 +734,7 @@ impl HttpServer {
             open_connections: AtomicUsize::new(0),
             latency: config.injected_latency,
             waker: waker_tx,
+            rearmer: poller.rearmer(),
         });
 
         let (jobs_tx, jobs_rx) = unbounded::<Job>();
@@ -650,9 +751,6 @@ impl HttpServer {
             })
             .collect();
 
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-        poller.register(waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)?;
         let event_loop = EventLoop {
             poller,
             listener,

@@ -8,7 +8,7 @@ use pperf_httpd::{HttpClient, HttpError, HttpServer, Request, Response, ServerCo
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn echo_server(workers: usize) -> HttpServer {
@@ -276,4 +276,181 @@ fn hundreds_of_parked_connections_make_progress() {
 #[test]
 fn soak_1000_idle_connections_one_host() {
     parked_connections_roundtrip(1100, 4);
+}
+
+/// A buffered body far larger than the socket buffers: the worker's one
+/// write takes only a prefix, and the poll thread must finish the response
+/// byte-exact and then return the connection to keep-alive.
+#[test]
+fn partial_worker_write_is_finished_by_the_loop() {
+    const BIG: usize = 16 * 1024 * 1024;
+    let handler = Arc::new(|req: &Request| {
+        if req.path == "/big" {
+            let body = (0..BIG).map(|i| (i % 251) as u8).collect();
+            Response::ok("application/octet-stream", body)
+        } else {
+            Response::ok("text/plain", req.body.clone())
+        }
+    });
+    let server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    Request::get("/big").write_to(&mut sock, "h:1").unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    let resp = Response::read_from(&mut reader).unwrap();
+    assert_eq!(resp.status, Status::OK);
+    assert_eq!(resp.body.len(), BIG);
+    assert!(
+        resp.body
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == (i % 251) as u8),
+        "body bytes out of order"
+    );
+    Request::post("/echo", "text/plain", b"after".to_vec())
+        .write_to(&mut sock, "h:1")
+        .unwrap();
+    assert_eq!(Response::read_from(&mut reader).unwrap().body, b"after");
+    assert_eq!(server.requests_served(), 2);
+}
+
+/// Holds handlers until the test opens it, counting those waiting.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    /// Called by a handler: count in, then wait until opened.
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Wait until `n` handlers are held.
+    fn wait_held(&self, n: usize) {
+        let mut state = self.state.lock().unwrap();
+        while state.0 < n {
+            let (next, timeout) = self
+                .changed
+                .wait_timeout(state, Duration::from_secs(10))
+                .unwrap();
+            assert!(!timeout.timed_out(), "only {} handlers arrived", next.0);
+            state = next;
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Peers that hang up while their request is on a worker: the response is
+/// undeliverable, nothing panics, every connection is reaped, and the
+/// workers go on serving.
+#[test]
+fn peer_closing_mid_handle_is_reaped() {
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let handler = Arc::new(move |req: &Request| {
+        if req.path == "/held" {
+            held.pass();
+        }
+        Response::ok("text/plain", req.body.clone())
+    });
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 4,
+            ..Default::default()
+        },
+        handler,
+    )
+    .unwrap();
+    let mut socks = Vec::new();
+    for i in 0..4 {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        Request::post("/held", "text/plain", format!("gone-{i}").into_bytes())
+            .write_to(&mut sock, "h:1")
+            .unwrap();
+        socks.push(sock);
+    }
+    gate.wait_held(4);
+    for (i, sock) in socks.into_iter().enumerate() {
+        if i % 2 == 1 {
+            // Half-close first: the server sees EOF before the reset.
+            sock.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        drop(sock);
+    }
+    gate.open();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (server.requests_served() < 4 || server.open_connections() > 0)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.requests_served(), 4);
+    assert_eq!(server.open_connections(), 0, "closed peers must be reaped");
+    let client = HttpClient::new();
+    let url = format!("{}/echo", server.base_url());
+    assert_eq!(
+        client
+            .post(&url, "text/plain", b"alive".to_vec())
+            .unwrap()
+            .body,
+        b"alive"
+    );
+}
+
+/// A request written only after the previous one reached a worker (so the
+/// worker writes the first response itself and re-arms the connection) is
+/// read, served and answered in order on the same connection.
+#[test]
+fn request_sent_after_dispatch_is_answered_in_order() {
+    let gates: Arc<Mutex<Vec<Arc<Gate>>>> = Arc::default();
+    let current = Arc::clone(&gates);
+    let handler = Arc::new(move |req: &Request| {
+        if req.path == "/held" {
+            let gate = Arc::clone(current.lock().unwrap().last().expect("gate set"));
+            gate.pass();
+        }
+        Response::ok("text/plain", req.body.clone())
+    });
+    let server = HttpServer::bind("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    for round in 0..3 {
+        let gate = Arc::new(Gate::default());
+        gates.lock().unwrap().push(Arc::clone(&gate));
+        Request::post("/held", "text/plain", format!("first-{round}").into_bytes())
+            .write_to(&mut sock, "h:1")
+            .unwrap();
+        // The first request is on a worker; the second arrives while the
+        // connection is parked.
+        gate.wait_held(1);
+        Request::post(
+            "/next",
+            "text/plain",
+            format!("second-{round}").into_bytes(),
+        )
+        .write_to(&mut sock, "h:1")
+        .unwrap();
+        gate.open();
+        for want in [format!("first-{round}"), format!("second-{round}")] {
+            let resp = Response::read_from(&mut reader).unwrap();
+            assert_eq!(resp.body, want.into_bytes(), "round {round}");
+        }
+    }
+    assert_eq!(server.requests_served(), 6);
+    assert_eq!(server.open_connections(), 1);
 }

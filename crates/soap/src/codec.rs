@@ -16,11 +16,11 @@
 //! Responses wrap a single `<return>` element in `<{method}Response>`; errors
 //! travel as `<soap:Fault>`.
 
-use crate::envelope::Envelope;
+use crate::envelope::{write_document, Envelope};
 use crate::fault::Fault;
 use crate::value::Value;
 use crate::{Result, SoapError};
-use pperf_xml::Element;
+use pperf_xml::escape_attr_into;
 
 /// A decoded RPC request: method name, namespace URI, and named parameters in
 /// call order.
@@ -48,12 +48,43 @@ impl Call {
 
 /// Encode an RPC request document.
 pub fn encode_call(method: &str, namespace: &str, params: &[(&str, Value)]) -> String {
-    let mut call = Element::new(format!("m:{method}"));
-    call.set_attr("xmlns:m", namespace);
-    for (name, value) in params {
-        call.push_child(value.to_element(name));
+    write_document(call_len_hint(params), None, |out| {
+        write_call(out, method, namespace, params)
+    })
+}
+
+/// Expected size of a call element carrying `params`.
+pub(crate) fn call_len_hint(params: &[(&str, Value)]) -> usize {
+    params
+        .iter()
+        .map(|(name, value)| 2 * name.len() + value.xml_len_hint())
+        .sum()
+}
+
+/// Write the call element `<m:{method} xmlns:m="{namespace}">` with one
+/// child per parameter onto `out`.
+pub(crate) fn write_call(
+    out: &mut String,
+    method: &str,
+    namespace: &str,
+    params: &[(&str, Value)],
+) {
+    out.push_str("<m:");
+    out.push_str(method);
+    out.push_str(" xmlns:m=\"");
+    escape_attr_into(namespace, out);
+    out.push('"');
+    if params.is_empty() {
+        out.push_str("/>");
+        return;
     }
-    Envelope::wrap(call).to_document()
+    out.push('>');
+    for (name, value) in params {
+        value.write_xml(name, out);
+    }
+    out.push_str("</m:");
+    out.push_str(method);
+    out.push('>');
 }
 
 /// Decode an RPC request document into a [`Call`].
@@ -61,7 +92,11 @@ pub fn encode_call(method: &str, namespace: &str, params: &[(&str, Value)]) -> S
 /// A `<Fault>` body is reported as [`SoapError::Fault`]; requests should not
 /// carry faults, so surfacing it as an error is the safe interpretation.
 pub fn decode_call(text: &str) -> Result<Call> {
-    let env = Envelope::parse(text)?;
+    call_from_envelope(&Envelope::parse(text)?)
+}
+
+/// The [`Call`] in a parsed request envelope.
+pub(crate) fn call_from_envelope(env: &Envelope) -> Result<Call> {
     if let Some(f) = Fault::from_element(&env.body) {
         return Err(SoapError::Fault(f));
     }
@@ -81,14 +116,23 @@ pub fn decode_call(text: &str) -> Result<Call> {
 
 /// Encode a successful RPC response carrying one return value.
 pub fn encode_response(method: &str, ret: &Value) -> String {
-    let mut resp = Element::new(format!("m:{method}Response"));
-    resp.push_child(ret.to_element("return"));
-    Envelope::wrap(resp).to_document()
+    write_document(2 * method.len() + ret.xml_len_hint(), None, |out| {
+        out.push_str("<m:");
+        out.push_str(method);
+        out.push_str("Response>");
+        ret.write_xml("return", out);
+        out.push_str("</m:");
+        out.push_str(method);
+        out.push_str("Response>");
+    })
 }
 
 /// Encode a fault response.
 pub fn encode_fault(fault: &Fault) -> String {
-    Envelope::wrap(fault.to_element()).to_document()
+    let detail = fault.detail.as_ref().map_or(0, String::len);
+    write_document(fault.string.len() + detail + 96, None, |out| {
+        fault.write_xml(out)
+    })
 }
 
 /// Decode an RPC response: the return value on success, or the fault as a
@@ -187,6 +231,30 @@ mod tests {
             decode_response(&wire),
             Err(SoapError::Envelope(_))
         ));
+    }
+
+    #[test]
+    fn infinities_travel_as_xsd_double() {
+        let wire = encode_response("getMax", &Value::Double(f64::INFINITY));
+        assert!(
+            wire.contains(r#"<return xsi:type="xsd:double">INF</return>"#),
+            "{wire}"
+        );
+        assert_eq!(
+            decode_response(&wire).unwrap(),
+            Value::Double(f64::INFINITY)
+        );
+        let wire = encode_call(
+            "setMin",
+            "urn:x",
+            &[("v", Value::Double(f64::NEG_INFINITY))],
+        );
+        assert!(
+            wire.contains(r#"<v xsi:type="xsd:double">-INF</v>"#),
+            "{wire}"
+        );
+        let call = decode_call(&wire).unwrap();
+        assert_eq!(call.param("v"), Some(&Value::Double(f64::NEG_INFINITY)));
     }
 
     #[test]

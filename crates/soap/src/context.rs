@@ -16,28 +16,33 @@
 //! </soap:Header>
 //! ```
 
-use crate::codec::{decode_call, Call};
-use crate::envelope::Envelope;
+use crate::codec::{call_from_envelope, call_len_hint, write_call, Call};
+use crate::envelope::{write_document, Envelope};
 use crate::value::Value;
 use crate::Result;
-use pperf_xml::Element;
+use pperf_xml::{escape_text_into, Element};
 use ppg_context::CallContext;
+use std::fmt::Write as _;
 
 /// Namespace of the `<CallContext>` header block.
 pub const CONTEXT_NS: &str = "urn:ppg:context";
 
-/// Build the `<ppg:CallContext>` header entry for `ctx`.
-pub fn context_header(ctx: &CallContext) -> Element {
-    let mut block = Element::new("ppg:CallContext");
-    block.set_attr("xmlns:ppg", CONTEXT_NS);
-    block.push_child(Element::with_text("requestId", ctx.request_id()));
+/// Write the `<ppg:CallContext>` header entry for `ctx` onto `out`.
+fn write_context_header(ctx: &CallContext, out: &mut String) {
+    out.push_str("<ppg:CallContext xmlns:ppg=\"");
+    out.push_str(CONTEXT_NS);
+    out.push_str("\"><requestId>");
+    escape_text_into(ctx.request_id(), out);
+    out.push_str("</requestId>");
     if let Some(ms) = ctx.deadline_ms() {
-        block.push_child(Element::with_text("deadlineMs", ms.to_string()));
+        let _ = write!(out, "<deadlineMs>{ms}</deadlineMs>");
     }
     if !ctx.leg_tag().is_empty() {
-        block.push_child(Element::with_text("leg", ctx.leg_tag()));
+        out.push_str("<leg>");
+        escape_text_into(ctx.leg_tag(), out);
+        out.push_str("</leg>");
     }
-    block
+    out.push_str("</ppg:CallContext>");
 }
 
 /// Reconstruct a [`CallContext`] from a parsed `<Header>` element, if it
@@ -61,20 +66,21 @@ pub fn encode_call_with_context(
     params: &[(&str, Value)],
     ctx: &CallContext,
 ) -> String {
-    let mut call = Element::new(format!("m:{method}"));
-    call.set_attr("xmlns:m", namespace);
-    for (name, value) in params {
-        call.push_child(value.to_element(name));
-    }
-    Envelope::wrap_with_header(call, Some(context_header(ctx))).to_document()
+    let header = |out: &mut String| write_context_header(ctx, out);
+    write_document(call_len_hint(params) + 192, Some(&header), |out| {
+        write_call(out, method, namespace, params)
+    })
 }
 
 /// Decode an RPC request along with its call context, when the envelope
-/// carries one. The [`Call`] itself is identical to [`decode_call`]'s.
+/// carries one. The [`Call`] itself is identical to [`decode_call`]'s, and
+/// both come from one parse of `text`.
+///
+/// [`decode_call`]: crate::decode_call
 pub fn decode_call_with_context(text: &str) -> Result<(Call, Option<CallContext>)> {
     let env = Envelope::parse(text)?;
+    let call = call_from_envelope(&env)?;
     let ctx = env.header.as_ref().and_then(context_from_header);
-    let call = decode_call(text)?;
     Ok((call, ctx))
 }
 

@@ -1,7 +1,7 @@
 //! SOAP envelope construction and validation.
 
 use crate::{Result, SoapError};
-use pperf_xml::Element;
+use pperf_xml::{Element, Node};
 
 /// The SOAP 1.1 envelope namespace.
 pub const SOAP_ENV_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -22,32 +22,40 @@ pub struct Envelope {
     pub body: Element,
 }
 
+/// Write a whole envelope document: the XML declaration, `<soap:Envelope>`
+/// declaring the four namespaces above, a `<soap:Header>` holding what
+/// `header_entry` writes (when given), and `<soap:Body>` holding what
+/// `payload` writes. `len_hint` is the payload's expected size.
+pub(crate) fn write_document(
+    len_hint: usize,
+    header_entry: Option<&dyn Fn(&mut String)>,
+    payload: impl FnOnce(&mut String),
+) -> String {
+    let mut out = String::with_capacity(len_hint + 320);
+    out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+    out.push_str("<soap:Envelope xmlns:soap=\"");
+    out.push_str(SOAP_ENV_NS);
+    out.push_str("\" xmlns:xsd=\"");
+    out.push_str(XSD_NS);
+    out.push_str("\" xmlns:xsi=\"");
+    out.push_str(XSI_NS);
+    out.push_str("\" xmlns:soapenc=\"");
+    out.push_str(SOAP_ENC_NS);
+    out.push_str("\">");
+    if let Some(entry) = header_entry {
+        out.push_str("<soap:Header>");
+        entry(&mut out);
+        out.push_str("</soap:Header>");
+    }
+    out.push_str("<soap:Body>");
+    payload(&mut out);
+    out.push_str("</soap:Body></soap:Envelope>");
+    out
+}
+
 impl Envelope {
-    /// Wrap a payload element in a full envelope document.
-    pub fn wrap(payload: Element) -> Element {
-        Self::wrap_with_header(payload, None)
-    }
-
-    /// Wrap a payload element, optionally preceding the `<Body>` with a
-    /// `<Header>` holding `header_entry` (e.g. the call-context block).
-    pub fn wrap_with_header(payload: Element, header_entry: Option<Element>) -> Element {
-        let mut env = Element::new("soap:Envelope");
-        env.set_attr("xmlns:soap", SOAP_ENV_NS);
-        env.set_attr("xmlns:xsd", XSD_NS);
-        env.set_attr("xmlns:xsi", XSI_NS);
-        env.set_attr("xmlns:soapenc", SOAP_ENC_NS);
-        if let Some(entry) = header_entry {
-            let mut header = Element::new("soap:Header");
-            header.push_child(entry);
-            env.push_child(header);
-        }
-        let mut body = Element::new("soap:Body");
-        body.push_child(payload);
-        env.push_child(body);
-        env
-    }
-
-    /// Parse and validate an envelope from wire text.
+    /// Parse and validate an envelope from wire text. The header and the
+    /// payload move out of the parsed tree; nothing is copied.
     pub fn parse(text: &str) -> Result<Envelope> {
         let root = pperf_xml::parse(text)?;
         if root.local_name() != "Envelope" {
@@ -56,15 +64,19 @@ impl Envelope {
                 root.name
             )));
         }
-        let header = root.child("Header").cloned();
-        let body = root
-            .child("Body")
-            .ok_or_else(|| SoapError::Envelope("missing <Body>".into()))?;
-        let mut elems = body.child_elements();
+        let (mut header, mut body) = (None, None);
+        for el in into_elements(root.children) {
+            match el.local_name() {
+                "Header" if header.is_none() => header = Some(el),
+                "Body" if body.is_none() => body = Some(el),
+                _ => {}
+            }
+        }
+        let body = body.ok_or_else(|| SoapError::Envelope("missing <Body>".into()))?;
+        let mut elems = into_elements(body.children);
         let payload = elems
             .next()
-            .ok_or_else(|| SoapError::Envelope("empty <Body>".into()))?
-            .clone();
+            .ok_or_else(|| SoapError::Envelope("empty <Body>".into()))?;
         if elems.next().is_some() {
             return Err(SoapError::Envelope("multiple elements in <Body>".into()));
         }
@@ -75,6 +87,14 @@ impl Envelope {
     }
 }
 
+/// The element children of `nodes`, by value.
+fn into_elements(nodes: Vec<Node>) -> impl Iterator<Item = Element> {
+    nodes.into_iter().filter_map(|n| match n {
+        Node::Element(e) => Some(e),
+        Node::Text(_) | Node::RawText(_) => None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,10 +102,16 @@ mod tests {
     #[test]
     fn wrap_then_parse() {
         let payload = Element::with_text("ping", "1");
-        let doc = Envelope::wrap(payload.clone()).to_document();
+        let doc = write_document(0, None, |out| out.push_str(&payload.to_xml()));
         let env = Envelope::parse(&doc).unwrap();
         assert_eq!(env.body, payload);
         assert!(env.header.is_none());
+        let with_header =
+            write_document(0, Some(&|out: &mut String| out.push_str("<h/>")), |out| {
+                out.push_str("<ping/>")
+            });
+        let env = Envelope::parse(&with_header).unwrap();
+        assert_eq!(env.header.unwrap().child("h"), Some(&Element::new("h")));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! SOAP faults — the error half of the RPC conversation.
 
-use pperf_xml::Element;
+use pperf_xml::{escape_text_into, Element};
 use std::fmt;
 
 /// Standard SOAP 1.1 fault code classes.
@@ -102,15 +102,19 @@ impl Fault {
         matches!(&self.detail, Some(d) if d.starts_with(CANCELLED_DETAIL))
     }
 
-    /// Encode as the `<soap:Fault>` body payload.
-    pub fn to_element(&self) -> Element {
-        let mut f = Element::new("soap:Fault");
-        f.push_child(Element::with_text("faultcode", self.code.as_str()));
-        f.push_child(Element::with_text("faultstring", self.string.clone()));
+    /// Write the `<soap:Fault>` body payload onto `out`.
+    pub(crate) fn write_xml(&self, out: &mut String) {
+        out.push_str("<soap:Fault><faultcode>");
+        out.push_str(self.code.as_str());
+        out.push_str("</faultcode><faultstring>");
+        escape_text_into(&self.string, out);
+        out.push_str("</faultstring>");
         if let Some(d) = &self.detail {
-            f.push_child(Element::with_text("detail", d.clone()));
+            out.push_str("<detail>");
+            escape_text_into(d, out);
+            out.push_str("</detail>");
         }
-        f
+        out.push_str("</soap:Fault>");
     }
 
     /// Decode from a `<Fault>` payload element. Returns `None` if the element
@@ -152,11 +156,17 @@ impl std::error::Error for Fault {}
 mod tests {
     use super::*;
 
+    /// `f` written and parsed back into a tree.
+    fn written(f: &Fault) -> Element {
+        let mut out = String::new();
+        f.write_xml(&mut out);
+        pperf_xml::parse(&out).expect("written fault parses")
+    }
+
     #[test]
     fn roundtrip() {
-        let f = Fault::server("boom").with_detail("stack");
-        let el = f.to_element();
-        assert_eq!(Fault::from_element(&el).unwrap(), f);
+        let f = Fault::server("boom & <bust>").with_detail("stack");
+        assert_eq!(Fault::from_element(&written(&f)).unwrap(), f);
     }
 
     #[test]
@@ -172,7 +182,7 @@ mod tests {
                 string: "x".into(),
                 detail: None,
             };
-            assert_eq!(Fault::from_element(&f.to_element()).unwrap().code, code);
+            assert_eq!(Fault::from_element(&written(&f)).unwrap().code, code);
         }
     }
 

@@ -37,8 +37,7 @@ pub mod wsdl;
 
 pub use codec::{decode_call, decode_response, encode_call, encode_fault, encode_response, Call};
 pub use context::{
-    context_from_header, context_header, decode_call_with_context, encode_call_with_context,
-    CONTEXT_NS,
+    context_from_header, decode_call_with_context, encode_call_with_context, CONTEXT_NS,
 };
 pub use envelope::{Envelope, SOAP_ENV_NS, XSD_NS, XSI_NS};
 pub use fault::{Fault, FaultCode, CANCELLED_DETAIL, DEADLINE_EXCEEDED_DETAIL};

@@ -5,10 +5,10 @@
 //! payloads. Each value is encoded as an element carrying an `xsi:type`
 //! attribute, SOAP section-5 style.
 
-use pperf_xml::Element;
-use std::fmt;
+use pperf_xml::{escape_text_into, Element};
+use std::fmt::{self, Write as _};
 
-/// Item count at which [`Value::to_element`] switches a `StrArray` to the
+/// Item count at which [`Value::write_xml`] switches a `StrArray` to the
 /// packed length-prefixed block (one text node) instead of one `<item>`
 /// element per row. Small arrays keep the classic Section-5 shape so
 /// foreign decoders and existing fixtures still read them.
@@ -218,50 +218,89 @@ impl Value {
         }
     }
 
-    /// Encode as an element with tag `name`.
-    pub fn to_element(&self, name: &str) -> Element {
-        let mut el = Element::new(name);
-        el.set_attr("xsi:type", self.value_type().xsi_type());
+    /// Rough byte count of this value written by [`Value::write_xml`], so
+    /// a document can be allocated once instead of growing as it is written.
+    pub(crate) fn xml_len_hint(&self) -> usize {
+        const TAGS: usize = 96;
+        match self {
+            Value::StrArray(items) if items.len() >= PACK_THRESHOLD => {
+                TAGS + items.iter().map(|s| s.len() + 4).sum::<usize>()
+            }
+            Value::StrArray(items) => TAGS + items.iter().map(|s| s.len() + 36).sum::<usize>(),
+            Value::Str(s) => TAGS + s.len(),
+            _ => TAGS + 24,
+        }
+    }
+
+    /// Write this value as the element `<name xsi:type="…">…</name>` onto
+    /// `out`. The text is what the value's decoder reads back:
+    /// [`Value::from_element`] turns every value written here into an
+    /// equal one (NaN into a NaN).
+    pub(crate) fn write_xml(&self, name: &str, out: &mut String) {
+        out.push('<');
+        out.push_str(name);
+        out.push_str(" xsi:type=\"");
         match self {
             Value::Str(s) => {
-                el.push_text(s.clone());
+                open_typed(out, ValueType::Str);
+                escape_text_into(s, out);
             }
             Value::Int(i) => {
-                el.push_text(i.to_string());
+                open_typed(out, ValueType::Int);
+                let _ = write!(out, "{i}");
             }
             Value::Double(d) => {
-                // `{:?}` prints enough digits for exact f64 roundtrip.
-                el.push_text(format!("{d:?}"));
+                open_typed(out, ValueType::Double);
+                if d.is_infinite() {
+                    // `xsd:double` spells the infinities `INF` / `-INF`.
+                    out.push_str(if *d > 0.0 { "INF" } else { "-INF" });
+                } else {
+                    // `{:?}` prints enough digits for exact f64 roundtrip,
+                    // and `NaN` for NaN, which is also the `xsd:double` form.
+                    let _ = write!(out, "{d:?}");
+                }
             }
             Value::Bool(b) => {
-                el.push_text(if *b { "true" } else { "false" });
+                open_typed(out, ValueType::Bool);
+                out.push_str(if *b { "true" } else { "false" });
             }
             Value::StrArray(items) if items.len() >= PACK_THRESHOLD => {
-                // Compact columnar form: one text node for the whole array.
-                el.set_attr("xsi:type", format!("ppg:{PACKED_TYPE}"));
-                el.set_attr("count", items.len().to_string());
-                // The packed block is usually markup-free; `push_raw_text`
-                // proves it once at build time and the serializer then skips
-                // the escape scan on every emit.
-                el.push_raw_text(pack_strs(items));
+                // Compact columnar form: one text node for the whole array,
+                // the block of [`pack_strs`] escaped item by item (its
+                // lengths and separators are never markup).
+                let _ = write!(out, "ppg:{PACKED_TYPE}\" count=\"{}\">", items.len());
+                for item in items {
+                    let _ = write!(out, "{}:", item.len());
+                    escape_text_into(item, out);
+                    out.push(';');
+                }
             }
             Value::StrArray(items) => {
-                el.set_attr("soapenc:arrayType", format!("xsd:string[{}]", items.len()));
+                out.push_str(ValueType::StrArray.xsi_type());
+                let _ = write!(out, "\" soapenc:arrayType=\"xsd:string[{}]\"", items.len());
+                if items.is_empty() {
+                    out.push_str("/>");
+                    return;
+                }
+                out.push('>');
                 for item in items {
-                    let mut it = Element::new("item");
-                    it.set_attr("xsi:type", "xsd:string");
-                    it.push_text(item.clone());
-                    el.push_child(it);
+                    out.push_str("<item xsi:type=\"xsd:string\">");
+                    escape_text_into(item, out);
+                    out.push_str("</item>");
                 }
             }
             Value::Nil => {
-                el.set_attr("xsi:nil", "true");
+                out.push_str(ValueType::Nil.xsi_type());
+                out.push_str("\" xsi:nil=\"true\"/>");
+                return;
             }
         }
-        el
+        out.push_str("</");
+        out.push_str(name);
+        out.push('>');
     }
 
-    /// Decode from an element produced by [`Value::to_element`] (or a
+    /// Decode from an element written by [`Value::write_xml`] (or a
     /// compatible foreign encoding).
     pub fn from_element(el: &Element) -> Result<Value, ValueError> {
         if el.attr("xsi:nil") == Some("true") {
@@ -335,6 +374,12 @@ impl Value {
     }
 }
 
+/// Finish `xsi:type="` with `ty`'s wire name and close the open tag.
+fn open_typed(out: &mut String, ty: ValueType) {
+    out.push_str(ty.xsi_type());
+    out.push_str("\">");
+}
+
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
         Value::Str(s.to_owned())
@@ -387,8 +432,15 @@ impl From<&[&str]> for Value {
 mod tests {
     use super::*;
 
+    /// `v` written as `<name>` and parsed back into a tree.
+    fn written(v: &Value, name: &str) -> Element {
+        let mut out = String::new();
+        v.write_xml(name, &mut out);
+        pperf_xml::parse(&out).expect("written value parses")
+    }
+
     fn roundtrip(v: Value) {
-        let el = v.to_element("param");
+        let el = written(&v, "param");
         let back = Value::from_element(&el).unwrap();
         match (&v, &back) {
             (Value::Double(a), Value::Double(b)) if a.is_nan() => assert!(b.is_nan()),
@@ -407,6 +459,7 @@ mod tests {
         roundtrip(Value::Double(-0.0));
         roundtrip(Value::Double(f64::NAN));
         roundtrip(Value::Double(f64::INFINITY));
+        roundtrip(Value::Double(f64::NEG_INFINITY));
         roundtrip(Value::Bool(true));
         roundtrip(Value::Bool(false));
         roundtrip(Value::StrArray(vec![]));
@@ -467,7 +520,7 @@ mod tests {
 
     #[test]
     fn array_type_attribute_present() {
-        let el = Value::StrArray(vec!["a".into(), "b".into()]).to_element("r");
+        let el = written(&Value::StrArray(vec!["a".into(), "b".into()]), "r");
         assert_eq!(el.attr("soapenc:arrayType"), Some("xsd:string[2]"));
     }
 
@@ -475,7 +528,7 @@ mod tests {
     fn large_arrays_use_the_packed_form() {
         let rows: Vec<String> = (0..PACK_THRESHOLD).map(|i| format!("gflops|{i}")).collect();
         let v = Value::StrArray(rows);
-        let el = v.to_element("return");
+        let el = written(&v, "return");
         assert_eq!(el.attr("xsi:type"), Some("ppg:packedStrings"));
         assert_eq!(el.attr("count"), Some(PACK_THRESHOLD.to_string().as_str()));
         assert_eq!(el.element_count(), 0, "packed form has no <item> children");
@@ -514,7 +567,7 @@ mod tests {
 
     #[test]
     fn packed_count_mismatch_rejected() {
-        let mut el = Value::StrArray(vec!["a".into(); PACK_THRESHOLD]).to_element("r");
+        let mut el = written(&Value::StrArray(vec!["a".into(); PACK_THRESHOLD]), "r");
         el.set_attr("count", "3");
         assert!(Value::from_element(&el).is_err());
     }

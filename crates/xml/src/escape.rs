@@ -57,14 +57,14 @@ fn escape_into(s: &str, attr: bool, out: &mut String) {
 
 /// Append the escaped form of `s` (text-content rules) to `out`.
 ///
-/// Used by the serializer to avoid intermediate allocations on the hot
-/// marshalling path.
-pub(crate) fn escape_text_into(s: &str, out: &mut String) {
+/// The tree serializer and the SOAP envelope writer both escape through
+/// this, so a document reads the same whichever of them wrote it.
+pub fn escape_text_into(s: &str, out: &mut String) {
     escape_into(s, false, out);
 }
 
 /// Append the escaped form of `s` (attribute-value rules) to `out`.
-pub(crate) fn escape_attr_into(s: &str, out: &mut String) {
+pub fn escape_attr_into(s: &str, out: &mut String) {
     escape_into(s, true, out);
 }
 

@@ -36,7 +36,7 @@ mod writer;
 pub mod xpath;
 
 pub use error::{Error, Result};
-pub use escape::{escape_attr, escape_text, unescape};
+pub use escape::{escape_attr, escape_attr_into, escape_text, escape_text_into, unescape};
 pub use node::{Element, Node};
 pub use parser::{parse, parse_bytes};
 

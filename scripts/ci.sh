@@ -32,8 +32,8 @@ cargo test -q --release -p pperf-minidb
 echo "==> httpd event-loop soak (1000+ parked keep-alive connections)"
 cargo test -q -p pperf-httpd --features soak --test event_loop
 
-echo "==> httpd suite on the portable poll(2) backend"
-PPG_FORCE_POLL=1 cargo test -q -p pperf-httpd
+echo "==> httpd and container suites on the portable poll(2) backend (worker re-arms go through the loop)"
+PPG_FORCE_POLL=1 cargo test -q -p pperf-httpd -p pperf-ogsi
 PPG_FORCE_POLL=1 cargo test -q -p pperf-gateway --test wire_equivalence
 
 echo "==> PPG_FORCE_XML=1: every target per-call over SOAP/XML (the oracle, notify events, spill)"
