@@ -74,15 +74,6 @@ impl ServicePort for FederatedQueryService {
         self.run(operation, call, ppg_context::current().as_ref())
     }
 
-    fn invoke_ctx(
-        &self,
-        operation: &str,
-        call: &Call,
-        ctx: &ppg_context::CallContext,
-    ) -> Result<Value, Fault> {
-        self.run(operation, call, Some(ctx))
-    }
-
     fn service_data(&self) -> ServiceData {
         let snapshot = self.gateway.snapshot();
         let per_site: Vec<String> = snapshot

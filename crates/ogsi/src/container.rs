@@ -623,7 +623,7 @@ fn dispatch_post(inner: &Arc<Inner>, request: &Request) -> Response {
             let cancel_key = ctx.cancel_key();
             inner.active.lock().insert(cancel_key.clone(), ctx.clone());
             let _scope = ppg_context::scope(&ctx);
-            let outcome = invoke_operation(inner, &request.path, &dep, &call, &ctx);
+            let outcome = invoke_operation(inner, &request.path, &dep, &call);
             inner.active.lock().remove(&cancel_key);
             let tag = match &outcome {
                 Ok(_) => "ok",
@@ -958,15 +958,6 @@ fn run_framed_entry(
         );
         return false;
     };
-    if !dep.port.supports_stream(&entry.method) {
-        seal_with_fault(
-            held,
-            &Fault::client(format!("{} does not stream {:?}", entry.path, entry.method)),
-            "not-streamable",
-        );
-        return false;
-    }
-
     let call = Call {
         method: entry.method.clone(),
         namespace: entry.namespace.clone(),
@@ -1181,12 +1172,14 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
     Response::ok("text/plain; version=0.0.4; charset=utf-8", out.into_bytes())
 }
 
+/// Run one per-call operation: the standard OGSI operations (Table 3)
+/// here, application operations through the port. The caller has refused
+/// an expired context and scoped the live one on this thread.
 fn invoke_operation(
     inner: &Arc<Inner>,
     path: &str,
     dep: &Arc<Deployed>,
     call: &Call,
-    ctx: &CallContext,
 ) -> std::result::Result<Value, Fault> {
     match call.method.as_str() {
         "findServiceData" => {
@@ -1281,7 +1274,7 @@ fn invoke_operation(
             dep.port.on_notification(&topic, &message);
             Ok(Value::Nil)
         }
-        _ => dep.port.invoke_ctx(&call.method, call, ctx),
+        _ => dep.port.invoke(&call.method, call),
     }
 }
 

@@ -20,24 +20,12 @@ pub trait ServicePort: Send + Sync {
     /// `GET <service-url>?wsdl`.
     fn description(&self) -> ServiceDescription;
 
-    /// Execute one application-level operation.
+    /// Execute one application-level operation. The container refuses a
+    /// request whose [`CallContext`](ppg_context::CallContext) arrived
+    /// expired and scopes the rest on the handler thread for the call, so
+    /// a port that checks the budget, records spans or types its deadline
+    /// faults reads [`ppg_context::current`].
     fn invoke(&self, operation: &str, call: &Call) -> std::result::Result<Value, Fault>;
-
-    /// Execute one application-level operation with the request's
-    /// [`CallContext`](ppg_context::CallContext). The default forwards to
-    /// [`ServicePort::invoke`] (the context is also scoped on the handler
-    /// thread, so implementations that only need expiry checks can keep the
-    /// plain signature); services that record spans or type their
-    /// deadline faults override this.
-    fn invoke_ctx(
-        &self,
-        operation: &str,
-        call: &Call,
-        ctx: &ppg_context::CallContext,
-    ) -> std::result::Result<Value, Fault> {
-        let _ = ctx;
-        self.invoke(operation, call)
-    }
 
     /// Service Data Elements exposed through `findServiceData`, beyond the
     /// introspection data the container contributes automatically.
@@ -61,23 +49,17 @@ pub trait ServicePort: Send + Sync {
     /// (the NotificationSink PortType). Default: drop the notification.
     fn on_notification(&self, _topic: &str, _message: &str) {}
 
-    /// Does `operation` have an incremental row-stream form? When true, the
-    /// container serves it as an entry of a framed call
-    /// (`POST /ogsa/batch-stream`) via [`ServicePort::invoke_stream`]; when
-    /// false (the default) such an entry seals with a client fault.
-    fn supports_stream(&self, operation: &str) -> bool {
-        let _ = operation;
-        false
-    }
-
     /// Execute `operation` producing rows incrementally: each `sink` call
     /// hands off one bounded batch, and the sink blocks while the consumer's
     /// in-flight window is full — backpressure reaches the producer here.
     /// Returns the total row count on success. A sink error (consumer gone,
     /// deadline spent) must abort production and be returned as the fault.
     ///
-    /// Only called for operations where [`ServicePort::supports_stream`]
-    /// returned true; the default fails loudly to catch mismatches.
+    /// The container serves every entry of a framed call
+    /// (`POST /ogsa/batch-stream`) through here. The default is a client
+    /// fault naming the operation, which seals that entry alone: a port
+    /// overrides it for the operations that have a streaming form and
+    /// answers the same fault for the rest.
     fn invoke_stream(
         &self,
         operation: &str,

@@ -142,23 +142,6 @@ impl ServicePort for ApplicationService {
         }
     }
 
-    fn invoke_ctx(
-        &self,
-        operation: &str,
-        call: &Call,
-        ctx: &ppg_context::CallContext,
-    ) -> Result<Value, Fault> {
-        // getExecs/getAllExecs create Execution instances via the Manager —
-        // skip that work outright when the caller's budget is already gone.
-        if ctx.expired() {
-            return Err(crate::context_fault(
-                ctx,
-                &format!("Application {operation}"),
-            ));
-        }
-        self.invoke(operation, call)
-    }
-
     fn service_data(&self) -> ServiceData {
         let mut data =
             ServiceData::new().with("numExecs", Value::Int(self.wrapper.num_execs() as i64));

@@ -52,9 +52,7 @@ pub mod wrappers;
 
 pub use access::{ExecutionAccess, LocalSites};
 pub use application::{ApplicationFactory, ApplicationService, ApplicationStub};
-pub use execution::{
-    decode_pr_tuple, encode_pr_tuple, ExecutionFactory, ExecutionService, ExecutionStub,
-};
+pub use execution::{ExecutionFactory, ExecutionService, ExecutionStub};
 pub use manager::{Manager, ManagerService, ManagerStub, Placement};
 pub use prcache::{CachePolicy, PrCache};
 pub use site::{Site, SiteConfig};

@@ -337,21 +337,6 @@ impl ServicePort for ManagerService {
         }
     }
 
-    fn invoke_ctx(
-        &self,
-        operation: &str,
-        call: &Call,
-        ctx: &ppg_context::CallContext,
-    ) -> Result<Value, Fault> {
-        // getExecs creates instances across replica hosts and getHedges
-        // fans out discovery calls — both too expensive to run for a caller
-        // that already gave up.
-        if ctx.expired() {
-            return Err(crate::context_fault(ctx, &format!("Manager {operation}")));
-        }
-        self.invoke(operation, call)
-    }
-
     fn service_data(&self) -> ServiceData {
         let (hits, creations) = self.manager.stats();
         ServiceData::new()

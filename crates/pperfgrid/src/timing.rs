@@ -130,18 +130,6 @@ impl ExecutionWrapper for TimedExecutionWrapper {
         }
         result
     }
-
-    fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
-        // Forward to the inner wrapper (it may collapse the group into one
-        // scan); one duration sample covers the whole Mapping Layer call.
-        let start = Instant::now();
-        let results = self.inner.get_pr_batch(queries);
-        self.log.record(start.elapsed());
-        for rows in results.iter().flatten() {
-            self.log.record_bytes(rows.iter().map(String::len).sum());
-        }
-        results
-    }
 }
 
 /// An [`ApplicationWrapper`] decorator whose executions are all

@@ -74,10 +74,10 @@ fn escape_key_component(out: &mut String, component: &str) {
 /// rendering, with separator characters escaped.
 ///
 /// Every layer that needs a key for a `(metric, foci, type, window)` tuple —
-/// the per-instance [`crate::PrCache`], the gateway's result cache and
-/// coalescing flight keys, and the batch wire grouping — derives it from
-/// this one function, so the layers cannot drift apart and alias two
-/// different queries onto one cached row set.
+/// the per-instance [`crate::PrCache`], and the gateway's result cache and
+/// coalescing flight keys — derives it from this one function, so the
+/// layers cannot drift apart and alias two different queries onto one
+/// cached row set.
 pub fn pr_cache_key(metric: &str, foci: &[String], start: &str, end: &str, rtype: &str) -> String {
     let mut key = String::with_capacity(
         metric.len()
@@ -176,33 +176,6 @@ pub fn row_time_span(row: &str) -> Option<(f64, f64)> {
     None
 }
 
-/// Process-wide counters proving the bulk-scan collapse: SQL-backed
-/// wrappers record every set-oriented (`IN`-list / whole-row) scan they
-/// issue in place of per-query point lookups. Tests and benchmarks read
-/// the totals to assert that a miss group of N queries really cost one
-/// data-layer round trip, not N.
-pub mod bulk_stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static BULK_SCANS: AtomicU64 = AtomicU64::new(0);
-    static COLLAPSED_POINT_QUERIES: AtomicU64 = AtomicU64::new(0);
-
-    /// Record one bulk answer: `scans` statements issued where
-    /// `scans + collapsed` point queries would otherwise have run.
-    pub(crate) fn record(scans: u64, collapsed: u64) {
-        BULK_SCANS.fetch_add(scans, Ordering::Relaxed);
-        COLLAPSED_POINT_QUERIES.fetch_add(collapsed, Ordering::Relaxed);
-    }
-
-    /// `(bulk scans issued, point queries avoided)` since process start.
-    pub fn snapshot() -> (u64, u64) {
-        (
-            BULK_SCANS.load(Ordering::Relaxed),
-            COLLAPSED_POINT_QUERIES.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// The Application side of the Mapping Layer (thesis Table 1 semantics).
 pub trait ApplicationWrapper: Send + Sync {
     /// General information about the application as `(name, value)` pairs —
@@ -237,12 +210,19 @@ pub const STREAM_BATCH_ROWS: usize = 256;
 /// [`STREAM_BATCH_ROWS`]-sized batches — the adapter behind the default
 /// [`ExecutionWrapper::get_pr_stream`], shared with wrappers that stream
 /// natively for some query shapes and fall back to buffered production for
-/// the rest.
+/// the rest. An answer that fits one batch reaches the sink in its own
+/// buffer.
 pub fn stream_rows_buffered(
     rows: Vec<String>,
     sink: &mut dyn FnMut(Vec<String>) -> Result<(), WrapperError>,
 ) -> Result<u64, WrapperError> {
     let total = rows.len() as u64;
+    if rows.len() <= STREAM_BATCH_ROWS {
+        if !rows.is_empty() {
+            sink(rows)?;
+        }
+        return Ok(total);
+    }
     let mut it = rows.into_iter();
     loop {
         let batch: Vec<String> = it.by_ref().take(STREAM_BATCH_ROWS).collect();
@@ -274,13 +254,12 @@ pub trait ExecutionWrapper: Send + Sync {
     fn get_pr(&self, query: &PrQuery) -> Result<Vec<String>, WrapperError>;
 
     /// Performance Results for many queries at once — one outcome per query,
-    /// in order.
+    /// in order: a loop over [`ExecutionWrapper::get_pr`].
     ///
-    /// `ExecutionService::getPRBatch` funnels every cache *miss* of a batch
-    /// through a single call here, so a wrapper backed by a real database can
-    /// answer the whole miss group with one data-layer round trip. The
-    /// default loops over [`ExecutionWrapper::get_pr`], which is correct for
-    /// every wrapper and merely forfeits that amortization.
+    /// Nothing in the Services Layer calls it; the Execution PortType has no
+    /// batch operation. It stays only because the repository's benchmark
+    /// package overrides it in its tracing decorator, and goes when that
+    /// override does (ROADMAP item 15(vi)).
     fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
         queries.iter().map(|q| self.get_pr(q)).collect()
     }
@@ -426,6 +405,38 @@ mod tests {
         assert_eq!(batch[0], Ok(vec!["gflops|1.0".into()]));
         assert!(batch[1].is_err());
         assert_eq!(batch[2], Ok(vec!["walltime|1.0".into()]));
+    }
+
+    #[test]
+    fn buffered_stream_hands_a_small_answer_over_in_its_own_buffer() {
+        let rows: Vec<String> = (0..4).map(|i| format!("r{i}")).collect();
+        let buffer = rows.as_ptr();
+        let mut batches = Vec::new();
+        let total = stream_rows_buffered(rows, &mut |batch| {
+            batches.push((batch.as_ptr(), batch.len()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(total, 4);
+        assert_eq!(batches, [(buffer, 4)], "the answer's buffer, uncopied");
+
+        // A larger answer still leaves in STREAM_BATCH_ROWS-row batches, and
+        // an empty one never reaches the sink.
+        let rows: Vec<String> = (0..2 * STREAM_BATCH_ROWS + 3)
+            .map(|i| i.to_string())
+            .collect();
+        let mut sizes = Vec::new();
+        let total = stream_rows_buffered(rows, &mut |batch| {
+            sizes.push(batch.len());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(total, 2 * STREAM_BATCH_ROWS as u64 + 3);
+        assert_eq!(sizes, [STREAM_BATCH_ROWS, STREAM_BATCH_ROWS, 3]);
+        assert_eq!(
+            stream_rows_buffered(Vec::new(), &mut |_| panic!("no rows, no batch")),
+            Ok(0)
+        );
     }
 
     #[test]

@@ -129,36 +129,6 @@ struct HplSqlExecution {
 }
 
 impl HplSqlExecution {
-    /// Answer one query of a batch from the already-fetched whole row,
-    /// mirroring [`ExecutionWrapper::get_pr`]'s validation exactly.
-    fn answer_from_row(
-        &self,
-        rs: &pperf_minidb::ResultSet,
-        query: &PrQuery,
-    ) -> Result<Vec<String>, WrapperError> {
-        let metric = query.metric.to_ascii_lowercase();
-        if !METRICS.contains(&metric.as_str()) {
-            return Err(WrapperError(format!(
-                "unknown HPL metric {:?}",
-                query.metric
-            )));
-        }
-        if query.rtype != TYPE_UNDEFINED && !query.rtype.eq_ignore_ascii_case("hpl") {
-            return Ok(vec![]);
-        }
-        if !query.foci.is_empty() && !query.foci.iter().any(|f| f == "/Execution") {
-            return Ok(vec![]);
-        }
-        let (t0, t1) = query.time_window()?;
-        if rs.is_empty() {
-            return Ok(vec![]);
-        }
-        if rs.get_f64(0, "endtime")? < t0 || rs.get_f64(0, "starttime")? > t1 {
-            return Ok(vec![]);
-        }
-        Ok(vec![rs.get(0, &metric)?.render()])
-    }
-
     fn field(&self, column: &str) -> Result<String, WrapperError> {
         let rs = self.db.connect().query(&format!(
             "SELECT {column} FROM hpl_runs WHERE runid = {}",
@@ -246,30 +216,6 @@ impl ExecutionWrapper for HplSqlExecution {
         }
         // The thesis's HPL payload: a single ~8-byte value (Table 4).
         Ok(vec![row[0].render()])
-    }
-
-    fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
-        if queries.len() < 2 {
-            return queries.iter().map(|q| self.get_pr(q)).collect();
-        }
-        // The whole miss group targets this one run, so a single whole-row
-        // scan answers every metric in it — one data-layer round trip
-        // instead of one SELECT per query.
-        let rs = match self.db.connect().query(&format!(
-            "SELECT gflops, runtimesec, starttime, endtime FROM hpl_runs WHERE runid = {}",
-            self.runid
-        )) {
-            Ok(rs) => rs,
-            Err(e) => {
-                let err = WrapperError::from(e);
-                return queries.iter().map(|_| Err(err.clone())).collect();
-            }
-        };
-        crate::wrapper::bulk_stats::record(1, queries.len() as u64 - 1);
-        queries
-            .iter()
-            .map(|q| self.answer_from_row(&rs, q))
-            .collect()
     }
 }
 
@@ -409,41 +355,6 @@ mod tests {
             rtype: TYPE_UNDEFINED.into(),
         };
         assert_eq!(e.get_pr(&overlap).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn batch_collapses_to_one_scan_and_agrees_with_loop() {
-        let w = wrapper();
-        let e = w.execution("100").unwrap();
-        let queries = [
-            pr("gflops", vec!["/Execution".into()], TYPE_UNDEFINED),
-            pr("runtimesec", vec![], "hpl"),
-            pr("watts", vec![], TYPE_UNDEFINED), // unknown metric
-            pr("gflops", vec![], "vampir"),      // foreign type
-            pr("gflops", vec!["/Process/3".into()], TYPE_UNDEFINED), // foreign focus
-        ];
-        let before = crate::wrapper::bulk_stats::snapshot();
-        let batch = e.get_pr_batch(&queries);
-        let after = crate::wrapper::bulk_stats::snapshot();
-        assert_eq!(batch.len(), queries.len());
-        for (got, q) in batch.iter().zip(&queries) {
-            assert_eq!(got, &e.get_pr(q), "{q:?}");
-        }
-        assert!(after.0 > before.0, "a bulk scan was recorded");
-        assert!(
-            after.1 >= before.1 + queries.len() as u64 - 1,
-            "point queries collapsed: {before:?} -> {after:?}"
-        );
-        // A window query answered from the same row.
-        let mut windowed = pr("gflops", vec![], TYPE_UNDEFINED);
-        windowed.start = "1e9".into();
-        windowed.end = "2e9".into();
-        let batch = e.get_pr_batch(&[windowed.clone(), pr("gflops", vec![], TYPE_UNDEFINED)]);
-        assert_eq!(batch[0], Ok(vec![]), "out-of-window via bulk path");
-        assert_eq!(batch[1].as_ref().unwrap().len(), 1);
-        // Singleton groups keep the plain path.
-        let single = e.get_pr_batch(&[pr("gflops", vec![], TYPE_UNDEFINED)]);
-        assert_eq!(single[0].as_ref().unwrap().len(), 1);
     }
 
     #[test]

@@ -9,12 +9,8 @@
 use super::cell;
 use crate::wrapper::{ApplicationWrapper, ExecutionWrapper, PrQuery, WrapperError};
 use crate::TYPE_UNDEFINED;
-use pperf_minidb::{sql_quote, Database, DbValue};
+use pperf_minidb::{sql_quote, Database};
 use std::sync::Arc;
-
-/// `(calls, total)` aggregates keyed by focus key, plus the number of SQL
-/// statements a grouped scan actually issued.
-type GroupAggregates = (std::collections::HashMap<String, (i64, f64)>, u64);
 
 const METRICS: &[&str] = &[
     "func_time",
@@ -32,19 +28,6 @@ enum Focus {
     Function { module: String, name: String },
     /// `/Code/<module>` — every function in a module
     Module(String),
-}
-
-impl Focus {
-    /// Lookup key into [`SmgSqlExecution::aggregate_group`] answers. The
-    /// shape prefix plus a NUL joiner keeps process/function/module keys
-    /// from aliasing whatever characters the names contain.
-    fn key(&self) -> String {
-        match self {
-            Focus::Process(pid) => format!("p{pid}"),
-            Focus::Function { module, name } => format!("f{module}\0{name}"),
-            Focus::Module(module) => format!("m{module}"),
-        }
-    }
 }
 
 fn parse_focus(focus: &str) -> Result<Focus, WrapperError> {
@@ -274,119 +257,6 @@ impl SmgSqlExecution {
         Ok((calls, total))
     }
 
-    /// Run the set-oriented form of [`Self::aggregate_for_focus`] for a
-    /// whole group of aggregate-metric foci sharing one time window: at most
-    /// one `IN`-list + `GROUP BY` statement per focus shape (process,
-    /// function, module) instead of one statement per focus. Returns
-    /// `(answers keyed by focus key, statements issued)`.
-    fn aggregate_group(
-        &self,
-        pids: &std::collections::BTreeSet<i64>,
-        funcs: &std::collections::BTreeSet<(String, String)>,
-        modules: &std::collections::BTreeSet<String>,
-        t0: f64,
-        t1: f64,
-    ) -> Result<GroupAggregates, WrapperError> {
-        let time = Self::time_predicate(t0, t1);
-        let mut answers = std::collections::HashMap::new();
-        let mut scans = 0u64;
-        // `(calls, total)` of one answer row; SUM over zero rows is NULL.
-        let aggregates = |row: &[DbValue], calls: usize, total: usize| {
-            let calls = cell::int(&row[calls], "calls")?;
-            let total = if calls == 0 {
-                0.0
-            } else {
-                cell::float(&row[total], "total")?
-            };
-            Ok::<_, WrapperError>((calls, total))
-        };
-        if !pids.is_empty() {
-            let list: Vec<String> = pids.iter().map(|p| p.to_string()).collect();
-            let rs = self.db.connect().query(&format!(
-                "SELECT e.procid AS pid, COUNT(*) AS calls, \
-                 SUM(e.endtime - e.starttime) AS total \
-                 FROM events e WHERE e.execid = {} AND e.procid IN ({}){time} \
-                 GROUP BY e.procid",
-                self.execid,
-                list.join(", ")
-            ))?;
-            scans += 1;
-            let (pid, calls, total) = (
-                rs.column_index("pid")?,
-                rs.column_index("calls")?,
-                rs.column_index("total")?,
-            );
-            for row in rs.rows() {
-                answers.insert(
-                    format!("p{}", cell::int(&row[pid], "pid")?),
-                    aggregates(row, calls, total)?,
-                );
-            }
-        }
-        if !funcs.is_empty() {
-            // `f.name IN (...)` over-selects when two modules share a
-            // function name; the exact `(module, name)` key selects the
-            // right group afterwards.
-            let list: Vec<String> = funcs
-                .iter()
-                .map(|(_, name)| sql_quote(name))
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let rs = self.db.connect().query(&format!(
-                "SELECT f.module AS module, f.name AS name, COUNT(*) AS calls, \
-                 SUM(e.endtime - e.starttime) AS total \
-                 FROM events e, functions f \
-                 WHERE e.execid = {} AND e.funcid = f.funcid AND f.name IN ({}){time} \
-                 GROUP BY f.module, f.name",
-                self.execid,
-                list.join(", ")
-            ))?;
-            scans += 1;
-            let (module, name, calls, total) = (
-                rs.column_index("module")?,
-                rs.column_index("name")?,
-                rs.column_index("calls")?,
-                rs.column_index("total")?,
-            );
-            for row in rs.rows() {
-                answers.insert(
-                    format!(
-                        "f{}\0{}",
-                        cell::text(&row[module], "module")?,
-                        cell::text(&row[name], "name")?
-                    ),
-                    aggregates(row, calls, total)?,
-                );
-            }
-        }
-        if !modules.is_empty() {
-            let list: Vec<String> = modules.iter().map(|m| sql_quote(m)).collect();
-            let rs = self.db.connect().query(&format!(
-                "SELECT f.module AS module, COUNT(*) AS calls, \
-                 SUM(e.endtime - e.starttime) AS total \
-                 FROM events e, functions f \
-                 WHERE e.execid = {} AND e.funcid = f.funcid AND f.module IN ({}){time} \
-                 GROUP BY f.module",
-                self.execid,
-                list.join(", ")
-            ))?;
-            scans += 1;
-            let (module, calls, total) = (
-                rs.column_index("module")?,
-                rs.column_index("calls")?,
-                rs.column_index("total")?,
-            );
-            for row in rs.rows() {
-                answers.insert(
-                    format!("m{}", cell::text(&row[module], "module")?),
-                    aggregates(row, calls, total)?,
-                );
-            }
-        }
-        Ok((answers, scans))
-    }
-
     /// Fetch `(bytes,)` message rows for a process focus.
     fn messages_for_process(&self, pid: i64, t0: f64, t1: f64) -> Result<Vec<i64>, WrapperError> {
         let mut sql = format!(
@@ -545,145 +415,6 @@ impl ExecutionWrapper for SmgSqlExecution {
             }
         }
         Ok(rows)
-    }
-
-    fn get_pr_batch(&self, queries: &[PrQuery]) -> Vec<Result<Vec<String>, WrapperError>> {
-        use std::collections::{BTreeMap, BTreeSet};
-
-        // Classify each query: aggregate metrics (func_time / func_calls)
-        // whose validation passes join a set-oriented plan, grouped by time
-        // window; everything else (raw dumps, message metrics, validation
-        // failures) keeps the exact per-query `get_pr` behaviour.
-        enum Slot {
-            Done(Result<Vec<String>, WrapperError>),
-            Loop,
-            Bulk {
-                metric: String,
-                foci: Vec<(String, Focus)>,
-                window: (f64, f64),
-            },
-        }
-        let mut slots: Vec<Slot> = queries
-            .iter()
-            .map(|q| {
-                let metric = q.metric.to_ascii_lowercase();
-                if !matches!(metric.as_str(), "func_time" | "func_calls") {
-                    return Slot::Loop;
-                }
-                if !METRICS.iter().any(|m| *m == metric) {
-                    return Slot::Loop;
-                }
-                if q.rtype != TYPE_UNDEFINED && !q.rtype.eq_ignore_ascii_case("vampir") {
-                    return Slot::Done(Ok(vec![]));
-                }
-                if q.foci.is_empty() {
-                    return Slot::Done(Err(WrapperError(
-                        "SMG queries need at least one focus (/Process/N or /Code/...)".into(),
-                    )));
-                }
-                let window = match q.time_window() {
-                    Ok(w) => w,
-                    Err(e) => return Slot::Done(Err(e)),
-                };
-                let mut foci = Vec::with_capacity(q.foci.len());
-                for focus_str in &q.foci {
-                    match parse_focus(focus_str) {
-                        Ok(f) => foci.push((focus_str.clone(), f)),
-                        // `get_pr` fails the query at the first bad focus.
-                        Err(e) => return Slot::Done(Err(e)),
-                    }
-                }
-                Slot::Bulk {
-                    metric,
-                    foci,
-                    window,
-                }
-            })
-            .collect();
-
-        // Only engage the bulk plan when it actually collapses something.
-        let bulk_foci: usize = slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Bulk { foci, .. } => Some(foci.len()),
-                _ => None,
-            })
-            .sum();
-        if bulk_foci >= 2 {
-            // One group per distinct time window.
-            let mut groups: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-            for (i, slot) in slots.iter().enumerate() {
-                if let Slot::Bulk { window, .. } = slot {
-                    groups
-                        .entry((window.0.to_bits(), window.1.to_bits()))
-                        .or_default()
-                        .push(i);
-                }
-            }
-            let mut scans = 0u64;
-            for members in groups.values() {
-                let mut pids = BTreeSet::new();
-                let mut funcs = BTreeSet::new();
-                let mut modules = BTreeSet::new();
-                let (t0, t1) = match &slots[members[0]] {
-                    Slot::Bulk { window, .. } => *window,
-                    _ => unreachable!("groups hold only bulk slots"),
-                };
-                for &i in members {
-                    if let Slot::Bulk { foci, .. } = &slots[i] {
-                        for (_, focus) in foci {
-                            match focus {
-                                Focus::Process(pid) => {
-                                    pids.insert(*pid);
-                                }
-                                Focus::Function { module, name } => {
-                                    funcs.insert((module.clone(), name.clone()));
-                                }
-                                Focus::Module(module) => {
-                                    modules.insert(module.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                match self.aggregate_group(&pids, &funcs, &modules, t0, t1) {
-                    Ok((answers, n)) => {
-                        scans += n;
-                        for &i in members {
-                            let Slot::Bulk { metric, foci, .. } = &slots[i] else {
-                                continue;
-                            };
-                            let mut rows = Vec::with_capacity(foci.len());
-                            for (focus_str, focus) in foci {
-                                let (calls, total) =
-                                    answers.get(&focus.key()).copied().unwrap_or((0, 0.0));
-                                if metric == "func_time" {
-                                    rows.push(format!("{focus_str}|func_time|{total:.6}"));
-                                } else {
-                                    rows.push(format!("{focus_str}|func_calls|{calls}"));
-                                }
-                            }
-                            slots[i] = Slot::Done(Ok(rows));
-                        }
-                    }
-                    Err(e) => {
-                        for &i in members {
-                            slots[i] = Slot::Done(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-            crate::wrapper::bulk_stats::record(scans, (bulk_foci as u64).saturating_sub(scans));
-        }
-
-        slots
-            .iter()
-            .zip(queries)
-            .map(|(slot, q)| match slot {
-                Slot::Done(r) => r.clone(),
-                _ => self.get_pr(q),
-            })
-            .collect()
     }
 
     /// Native streaming for the raw-dump metric: `event_intervals` rows
@@ -856,68 +587,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_in_list_collapse_agrees_with_loop() {
+    fn unmatched_focus_yields_zero_row() {
         let w = wrapper();
         let e = w.execution("0").unwrap();
-        // A mixed miss group: aggregate metrics over process, function, and
-        // module foci (bulk-eligible), plus shapes that must keep the loop
-        // or fail exactly like `get_pr`.
-        let mut windowed = pr("func_calls", vec!["/Process/1".into()]);
-        windowed.start = "0.0".into();
-        windowed.end = "0.5".into();
-        let queries = [
-            pr("func_calls", vec!["/Process/0".into(), "/Process/2".into()]),
-            pr(
-                "func_time",
-                vec!["/Code/MPI/MPI_Allgather".into(), "/Process/0".into()],
-            ),
-            pr("func_time", vec!["/Code/MPI".into()]),
-            windowed,
-            pr("event_intervals", vec!["/Process/0".into()]),
-            pr("msg_count", vec!["/Process/0".into()]),
-            pr("func_calls", vec![]),                  // foci required
-            pr("func_calls", vec!["/Bogus/x".into()]), // bad focus
-            pr("nonsense", vec!["/Process/0".into()]), // unknown metric
-        ];
-        let before = crate::wrapper::bulk_stats::snapshot();
-        let batch = e.get_pr_batch(&queries);
-        let after = crate::wrapper::bulk_stats::snapshot();
-        assert_eq!(batch.len(), queries.len());
-        for (got, q) in batch.iter().zip(&queries) {
-            assert_eq!(got, &e.get_pr(q), "{q:?}");
-        }
-        // 6 aggregate foci were answered by ≤3 grouped statements (one per
-        // focus shape) for the unbounded window plus ≤1 for the narrow one.
-        assert!(after.0 > before.0, "bulk scans recorded");
-        assert!(
-            after.1 >= before.1 + 2,
-            "point queries collapsed: {before:?} -> {after:?}"
-        );
-    }
-
-    #[test]
-    fn batch_unmatched_focus_yields_zero_row() {
-        let w = wrapper();
-        let e = w.execution("0").unwrap();
-        // A process with no events still gets its zero row, same as the
-        // aggregate point query (COUNT over zero rows).
-        let queries = [
-            pr(
+        // A process with no events still gets its zero row: the aggregate
+        // counts zero rows and sums none.
+        let rows = e
+            .get_pr(&pr(
                 "func_calls",
                 vec!["/Process/0".into(), "/Process/99".into()],
-            ),
-            pr("func_time", vec!["/Process/99".into()]),
-        ];
-        let batch = e.get_pr_batch(&queries);
-        for (got, q) in batch.iter().zip(&queries) {
-            assert_eq!(got, &e.get_pr(q), "{q:?}");
-        }
-        let rows = batch[0].as_ref().unwrap();
+            ))
+            .unwrap();
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], "/Process/99|func_calls|0");
-        assert_eq!(
-            batch[1].as_ref().unwrap()[0],
-            "/Process/99|func_time|0.000000"
-        );
+        let rows = e
+            .get_pr(&pr("func_time", vec!["/Process/99".into()]))
+            .unwrap();
+        assert_eq!(rows, ["/Process/99|func_time|0.000000"]);
     }
 
     #[test]

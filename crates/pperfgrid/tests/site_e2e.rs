@@ -5,11 +5,15 @@
 use pperf_datastore::{HplSpec, HplStore, SmgSpec, SmgStore};
 use pperf_httpd::HttpClient;
 use pperf_ogsi::{
-    Container, ContainerConfig, FactoryStub, GridServiceStub, RegistryService, RegistryStub,
+    BatchStreamEntryOutcome, Container, ContainerConfig, FactoryStub, GridServiceStub,
+    RegistryService, RegistryStub, ServiceStub,
 };
+use pperf_soap::{BatchEntry, FaultCode};
 use pperfgrid::wrappers::{HplSqlWrapper, SmgSqlWrapper};
 use pperfgrid::{ApplicationStub, ExecutionStub, PrQuery, Site, SiteConfig, TYPE_UNDEFINED};
+use ppg_context::CallContext;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn container() -> Arc<Container> {
     Container::start("127.0.0.1:0", ContainerConfig::default()).unwrap()
@@ -530,4 +534,107 @@ fn least_loaded_placement_balances_toward_idle_host() {
     assert_eq!(more_on_a, 2, "balanced hosts alternate");
     assert_eq!(host_a.live_instances(), 6);
     assert_eq!(host_b.live_instances(), 6);
+}
+
+/// Bind one Execution instance of a fresh HPL site on `node`.
+fn hpl_execution(node: &Container, client: &Arc<HttpClient>) -> pperf_ogsi::Gsh {
+    let site = Site::deploy(
+        node,
+        Arc::clone(client),
+        hpl_wrapper(),
+        &SiteConfig::new("hpl"),
+    )
+    .unwrap();
+    let factory = FactoryStub::bind(Arc::clone(client), &site.app_factory);
+    let app = ApplicationStub::bind(Arc::clone(client), &factory.create_service(&[]).unwrap());
+    app.get_all_execs().unwrap().remove(0)
+}
+
+/// The Execution PortType is thesis Table 2's six operations, in the
+/// table's order — in the description the factory and its instances
+/// share, and in what a live instance publishes at `?wsdl`.
+#[test]
+fn execution_port_type_is_table2() {
+    const TABLE2: [&str; 6] = [
+        "getInfo",
+        "getFoci",
+        "getMetrics",
+        "getTypes",
+        "getTimeStartEnd",
+        "getPR",
+    ];
+    let names = |desc: &pperf_soap::wsdl::ServiceDescription| -> Vec<String> {
+        assert_eq!(desc.port_types.len(), 1, "one PortType: Execution");
+        assert_eq!(desc.port_types[0].name, "Execution");
+        (desc.port_types[0].operations.iter())
+            .map(|op| op.name.clone())
+            .collect()
+    };
+    assert_eq!(
+        names(&pperfgrid::execution::execution_description()),
+        TABLE2
+    );
+
+    let node = container();
+    let client = Arc::new(HttpClient::new());
+    let exec = hpl_execution(&node, &client);
+    let published = ServiceStub::new(Arc::clone(&client), exec)
+        .fetch_description()
+        .unwrap();
+    assert_eq!(names(&published), TABLE2);
+}
+
+/// A framed call whose entries name a streamed operation (`getPR`) and one
+/// with no streaming form (`getInfo`): the second seals alone with a client
+/// fault naming the operation, the first completes with trailer-verified
+/// rows, and the container counts one entry fault.
+#[test]
+fn framed_entry_without_a_streaming_form_seals_alone() {
+    let node = container();
+    let client = Arc::new(HttpClient::new());
+    let exec = hpl_execution(&node, &client);
+    let query = pr_query("gflops");
+    let expected = ExecutionStub::bind(Arc::clone(&client), &exec)
+        .get_pr(&query)
+        .unwrap();
+    let path = exec.url().path;
+    let entries = [
+        BatchEntry::new(
+            path.clone(),
+            "getPR",
+            pperfgrid::EXECUTION_NS,
+            &ExecutionStub::pr_params(&query),
+        ),
+        BatchEntry::new(path, "getInfo", pperfgrid::EXECUTION_NS, &[]),
+    ];
+    let faults_before = node.batch_stream_counters().4;
+
+    let mut rows: Vec<Vec<String>> = vec![Vec::new(); entries.len()];
+    let answer = ServiceStub::new(Arc::clone(&client), exec)
+        .call_batch_stream(
+            &entries,
+            &CallContext::with_budget(Duration::from_secs(10)),
+            &mut |entry, got| {
+                rows[entry].extend(got);
+                true
+            },
+        )
+        .unwrap()
+        .expect("the container serves the framed route");
+
+    assert!(!answer.cancelled);
+    match &answer.entries[0] {
+        BatchStreamEntryOutcome::Done { rows: n } => assert_eq!(*n as usize, expected.len()),
+        other => panic!("getPR entry must seal with its trailer: {other:?}"),
+    }
+    assert_eq!(rows[0], expected);
+    match &answer.entries[1] {
+        BatchStreamEntryOutcome::Fault(fault) => {
+            assert_eq!(fault.code, FaultCode::Client);
+            assert!(fault.string.contains("getInfo"), "{}", fault.string);
+        }
+        other => panic!("getInfo entry must seal with a fault: {other:?}"),
+    }
+    assert!(rows[1].is_empty());
+    assert_eq!(node.batch_stream_counters().4, faults_before + 1);
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, and the tier-1 verify (see ROADMAP.md).
 #
-#   scripts/ci.sh            # fmt --check, clippy -D warnings, build, tests,
-#                            # benchmark/check.sh (the benchmark is its own
-#                            # workspace: `cargo test` never compiles it),
+#   scripts/ci.sh            # fmt --check, clippy -D warnings, rustdoc links,
+#                            # build, tests, benchmark/check.sh (the benchmark
+#                            # is its own workspace: `cargo test` never
+#                            # compiles it),
 #                            # then scripts/loc.sh's line counts
 #
 # After the full suite, every stage re-runs tests under a different
@@ -18,6 +19,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# The vendored shims are left out: proptest does not document (`vec` is both
+# a function and a macro).
+echo "==> cargo doc: no broken intra-doc links in the workspace's crates"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude criterion --exclude crossbeam --exclude parking_lot
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
