@@ -128,9 +128,14 @@ impl RmaTextStore {
     /// (uncached) query, so its cost is part of the Mapping Layer time the
     /// experiments measure.
     pub fn read_execution(&self, execid: i64) -> io::Result<RmaExecution> {
-        let path = self.dir.join(format!("rma-{execid}.txt"));
-        let text = std::fs::read_to_string(path)?;
-        parse_rma(execid, &text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
+        parse_rma(execid, &self.read_text(execid)?)
+            .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
+    }
+
+    /// One execution file's text, for a caller that runs [`scan_rma`]
+    /// over it.
+    pub fn read_text(&self, execid: i64) -> io::Result<String> {
+        std::fs::read_to_string(self.dir.join(format!("rma-{execid}.txt")))
     }
 }
 
@@ -138,60 +143,151 @@ impl RmaTextStore {
 pub fn parse_rma(execid: i64, text: &str) -> Result<RmaExecution, String> {
     let mut headers = Vec::new();
     let mut records = Vec::new();
-    let mut saw_column_line = false;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    for line in scan_rma(text) {
+        match line? {
+            RmaLine::Header(key, value) => headers.push((key.to_owned(), value.to_owned())),
+            RmaLine::Row(row) => records.push(RmaRecord {
+                op: row.op.to_owned(),
+                msgsize: row.msgsize,
+                bandwidth_mbps: row.bandwidth_mbps,
+                latency_us: row.latency_us,
+            }),
         }
-        if let Some(comment) = line.strip_prefix('#') {
-            let comment = comment.trim();
-            if let Some((key, value)) = comment.split_once(' ') {
-                headers.push((key.to_owned(), value.trim().to_owned()));
-            }
-            continue;
-        }
-        if !saw_column_line {
-            // The first non-comment line names the columns.
-            if line != "op msgsize bandwidth_mbps latency_us" {
-                return Err(format!(
-                    "line {}: unexpected column header {line:?}",
-                    lineno + 1
-                ));
-            }
-            saw_column_line = true;
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(op), Some(size), Some(bw), Some(lat)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!("line {}: short data row {line:?}", lineno + 1));
-        };
-        if parts.next().is_some() {
-            return Err(format!("line {}: extra fields in {line:?}", lineno + 1));
-        }
-        records.push(RmaRecord {
-            op: op.to_owned(),
-            msgsize: size
-                .parse()
-                .map_err(|_| format!("line {}: bad msgsize {size:?}", lineno + 1))?,
-            bandwidth_mbps: bw
-                .parse()
-                .map_err(|_| format!("line {}: bad bandwidth {bw:?}", lineno + 1))?,
-            latency_us: lat
-                .parse()
-                .map_err(|_| format!("line {}: bad latency {lat:?}", lineno + 1))?,
-        });
-    }
-    if !saw_column_line {
-        return Err("missing column header line".into());
     }
     Ok(RmaExecution {
         execid,
         headers,
         records,
     })
+}
+
+/// One data row, borrowed from the file text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RmaRow<'t> {
+    /// MPI operation name.
+    pub op: &'t str,
+    /// Message size in bytes.
+    pub msgsize: u64,
+    /// Bandwidth in MB/s.
+    pub bandwidth_mbps: f64,
+    /// Latency in microseconds.
+    pub latency_us: f64,
+}
+
+/// A line of an RMA file that carries something.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RmaLine<'t> {
+    /// `# key value`: a header (comments without a value carry nothing).
+    Header(&'t str, &'t str),
+    /// A data row.
+    Row(RmaRow<'t>),
+}
+
+/// Scan an RMA file body line by line, borrowing from it: the headers and
+/// rows [`parse_rma`] keeps, in file order, each validated as it is
+/// reached. The first malformed line, or a body without the column line,
+/// ends the scan with its error.
+pub fn scan_rma(text: &str) -> RmaScanner<'_> {
+    RmaScanner {
+        lines: text.lines().enumerate(),
+        saw_column_line: false,
+        done: false,
+    }
+}
+
+/// The iterator behind [`scan_rma`].
+pub struct RmaScanner<'t> {
+    lines: std::iter::Enumerate<std::str::Lines<'t>>,
+    saw_column_line: bool,
+    done: bool,
+}
+
+impl<'t> Iterator for RmaScanner<'t> {
+    type Item = Result<RmaLine<'t>, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        for (lineno, line) in self.lines.by_ref() {
+            match scan_line(&mut self.saw_column_line, lineno, line) {
+                Ok(None) => continue,
+                Ok(Some(item)) => return Some(Ok(item)),
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        self.done = true;
+        (!self.saw_column_line).then(|| Err("missing column header line".into()))
+    }
+}
+
+/// Validate one line (`lineno` counts from 0) and say what it carries.
+fn scan_line<'t>(
+    saw_column_line: &mut bool,
+    lineno: usize,
+    line: &'t str,
+) -> Result<Option<RmaLine<'t>>, String> {
+    // Within ASCII, `char::is_whitespace` is `u8::is_ascii_whitespace` plus
+    // the vertical tab: on a line with neither non-ASCII bytes nor vertical
+    // tabs, trimming and splitting byte by byte is exact, and faster.
+    let ascii = line.is_ascii() && !line.contains('\x0B');
+    let line = if ascii {
+        line.trim_ascii()
+    } else {
+        line.trim()
+    };
+    if line.is_empty() {
+        return Ok(None);
+    }
+    if let Some(comment) = line.strip_prefix('#') {
+        return Ok(comment
+            .trim()
+            .split_once(' ')
+            .map(|(key, value)| RmaLine::Header(key, value.trim())));
+    }
+    if !*saw_column_line {
+        // The first non-comment line names the columns.
+        if line != "op msgsize bandwidth_mbps latency_us" {
+            return Err(format!(
+                "line {}: unexpected column header {line:?}",
+                lineno + 1
+            ));
+        }
+        *saw_column_line = true;
+        return Ok(None);
+    }
+    let (fields, extra) = if ascii {
+        first_four(line.split_ascii_whitespace())
+    } else {
+        first_four(line.split_whitespace())
+    };
+    let [Some(op), Some(size), Some(bw), Some(lat)] = fields else {
+        return Err(format!("line {}: short data row {line:?}", lineno + 1));
+    };
+    if extra {
+        return Err(format!("line {}: extra fields in {line:?}", lineno + 1));
+    }
+    Ok(Some(RmaLine::Row(RmaRow {
+        op,
+        msgsize: size
+            .parse()
+            .map_err(|_| format!("line {}: bad msgsize {size:?}", lineno + 1))?,
+        bandwidth_mbps: bw
+            .parse()
+            .map_err(|_| format!("line {}: bad bandwidth {bw:?}", lineno + 1))?,
+        latency_us: lat
+            .parse()
+            .map_err(|_| format!("line {}: bad latency {lat:?}", lineno + 1))?,
+    })))
+}
+
+/// The first four items, and whether there is a fifth.
+fn first_four<'t>(mut parts: impl Iterator<Item = &'t str>) -> ([Option<&'t str>; 4], bool) {
+    let fields = [parts.next(), parts.next(), parts.next(), parts.next()];
+    (fields, parts.next().is_some())
 }
 
 /// Import a text store into a relational database — the thesis's proposed
@@ -333,6 +429,21 @@ mod tests {
             parse_rma(0, good_hdr).unwrap().records.is_empty(),
             "header only is valid"
         );
+    }
+
+    #[test]
+    fn every_unicode_space_separates_fields() {
+        // A vertical tab and a no-break space are White_Space, though not
+        // `u8::is_ascii_whitespace`; lines holding them still split on them.
+        let hdr = "op msgsize bandwidth_mbps latency_us\n";
+        for sep in ["\u{0b}", "\u{a0}", " \t", "\u{0c}"] {
+            let body = format!("{hdr}\u{0b}unidir{sep}8 1.5{sep}2.5\u{a0}\n");
+            let exec = parse_rma(0, &body).unwrap_or_else(|e| panic!("{sep:?}: {e}"));
+            assert_eq!(exec.records.len(), 1, "{sep:?}");
+            assert_eq!(exec.records[0].op, "unidir");
+            assert_eq!(exec.records[0].latency_us, 2.5);
+        }
+        assert!(parse_rma(0, &format!("{hdr}unidir\u{85}8 1.5 2.5 x")).is_err());
     }
 
     #[test]

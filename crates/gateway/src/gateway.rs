@@ -12,7 +12,7 @@
 //!   becomes the query's slot table.
 //! * **Scatter** — the slots go out as flights on the worker pool: one
 //!   framed call per host, or one per-call SOAP/XML `getPR` per slot, as
-//!   [`framed_route`] decides. A flight holds one site permit, and
+//!   `framed_route` decides. A flight holds one site permit, and
 //!   identical in-flight tuples share one call
 //!   ([`crate::coalesce::SingleFlight`]).
 //! * **Gather** — each slot has legs: its primary flight and, after

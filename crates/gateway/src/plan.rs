@@ -1,6 +1,6 @@
 //! The federation planner.
 //!
-//! Planning turns one [`FederatedQuery`](crate::FederatedQuery) into a
+//! Planning turns one [`crate::FederatedQuery`] into a
 //! concrete scatter plan: snapshot the Registry's service entries, bind (or
 //! reuse) an Application instance per site, expand the query's selector to
 //! per-Execution `getPR` targets, and — when the site advertises its Manager

@@ -154,10 +154,7 @@ fn mixed_fleet_batch_stream_and_buffered_sites_agree() {
     // interleaved route.
     let (calls, entries, frames, rows, faults) = c_new.batch_stream_counters();
     assert_eq!((calls, entries, faults), (1, 3, 0));
-    assert!(
-        frames >= 1 + 3 * 2,
-        "head + per-entry head/trailer: {frames}"
-    );
+    assert!(frames > 3 * 2, "head + per-entry head/trailer: {frames}");
     assert_eq!(rows, 6);
     assert_eq!(c_old.batch_stream_counters().0, 0);
 

@@ -239,7 +239,7 @@ impl HttpClient {
         }
     }
 
-    /// Cap buffered response bodies at `bytes` (default [`MAX_BODY`]).
+    /// Cap buffered response bodies at `bytes` (default 64 MiB, `MAX_BODY`).
     pub fn with_max_body_bytes(mut self, bytes: usize) -> HttpClient {
         self.max_body_bytes = bytes;
         self

@@ -1,7 +1,7 @@
 //! The database object and its JDBC-like connection API.
 
 use crate::error::{DbError, Result};
-use crate::executor::{Plan, Predicate, TableRows};
+use crate::executor::{Indexes, Plan, Predicate, TableRows};
 use crate::schema::{Column, TableSchema};
 use crate::sql::{parse_statement, SelectStmt, Statement};
 use crate::types::DbValue;
@@ -12,6 +12,16 @@ use std::sync::Arc;
 struct Table {
     schema: TableSchema,
     rows: Vec<Vec<DbValue>>,
+    /// Kept current by every statement that changes `rows`.
+    indexes: Indexes,
+}
+
+impl Table {
+    fn append(&mut self, rows: Vec<Vec<DbValue>>) {
+        let first = self.rows.len();
+        self.rows.extend(rows);
+        self.indexes.appended(&self.rows, first);
+    }
 }
 
 #[derive(Default)]
@@ -125,7 +135,7 @@ impl Database {
             staged.push(converted);
         }
         let n = staged.len();
-        table.rows.extend(staged);
+        table.append(staged);
         Ok(n)
     }
 }
@@ -158,8 +168,25 @@ impl Connection {
                     Table {
                         schema,
                         rows: Vec::new(),
+                        indexes: Indexes::default(),
                     },
                 );
+                Ok(0)
+            }
+            Statement::CreateIndex { table, column } => {
+                let mut tables = self.db.inner.tables.write();
+                let t = tables
+                    .get_mut(&table)
+                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
+                let col = t
+                    .schema
+                    .column_index(&column)
+                    .ok_or_else(|| DbError::UnknownColumn(format!("{table}.{column}")))?;
+                if !t.indexes.declare(col, &t.rows) {
+                    return Err(DbError::Execution(format!(
+                        "{table}.{column} is already indexed"
+                    )));
+                }
                 Ok(0)
             }
             Statement::Insert {
@@ -206,7 +233,7 @@ impl Connection {
                     staged.push(full);
                 }
                 let n = staged.len();
-                table.rows.extend(staged);
+                table.append(staged);
                 Ok(n)
             }
             Statement::DropTable { name } => {
@@ -236,6 +263,8 @@ impl Connection {
                         table.rows.retain(|_| it.next().unwrap_or(true));
                     }
                 }
+                // Positions shifted.
+                table.indexes.rebuild(&table.rows);
                 Ok(before - table.rows.len())
             }
             Statement::Select(_) => Err(DbError::Execution(
@@ -251,8 +280,8 @@ impl Connection {
             return Err(DbError::Execution("query() requires a SELECT".into()));
         };
         let tables = self.db.inner.tables.read();
-        let (plan, rows) = bind_select(&stmt, &tables)?;
-        let rows = plan.execute(&rows)?;
+        let (plan, rows, indexes) = bind_select(&stmt, &tables)?;
+        let rows = plan.execute(&rows, indexes)?;
         Ok(ResultSet {
             columns: plan.into_columns(),
             rows,
@@ -277,7 +306,7 @@ impl Connection {
             ));
         };
         let tables = self.db.inner.tables.read();
-        let (plan, rows) = bind_select(&stmt, &tables)?;
+        let (plan, rows, indexes) = bind_select(&stmt, &tables)?;
         let columns = plan.columns().to_vec();
         let inner = if plan.is_streamable() {
             CursorInner::Lazy(Box::new(LazyScan {
@@ -290,18 +319,19 @@ impl Connection {
             }))
         } else {
             CursorInner::Materialized {
-                rows: plan.execute(&rows)?.into_iter(),
+                rows: plan.execute(&rows, indexes)?.into_iter(),
             }
         };
         Ok(RowCursor { columns, inner })
     }
 }
 
-/// Look up the FROM tables of `stmt` and bind it to their schemas.
+/// Look up the FROM tables of `stmt` and bind it to their schemas. Returns
+/// the plan, the tables' rows and the first table's indexes.
 fn bind_select<'t>(
     stmt: &SelectStmt,
     tables: &'t HashMap<String, Table>,
-) -> Result<(Plan, Vec<&'t TableRows>)> {
+) -> Result<(Plan, Vec<&'t TableRows>, &'t Indexes)> {
     let mut schemas = Vec::with_capacity(stmt.from.len());
     let mut rows = Vec::with_capacity(stmt.from.len());
     for tref in &stmt.from {
@@ -311,7 +341,9 @@ fn bind_select<'t>(
         schemas.push(&table.schema);
         rows.push(table.rows.as_slice());
     }
-    Ok((Plan::bind(stmt, &schemas)?, rows))
+    // The loop found every FROM table, and the parser requires one.
+    let indexes = &tables[&stmt.from[0].table].indexes;
+    Ok((Plan::bind(stmt, &schemas)?, rows, indexes))
 }
 
 /// A pull-based SELECT result: the consumer drives production batch by
@@ -388,7 +420,7 @@ impl RowCursor {
                     *schema = table.schema.clone();
                 }
                 let want = remaining.map_or(max, |r| r.min(max));
-                let batch = plan.scan_batch(&table.rows, pos, want)?;
+                let batch = plan.scan_batch(&table.rows, &table.indexes, pos, want)?;
                 if let Some(r) = remaining {
                     *r -= batch.len();
                 }

@@ -8,6 +8,9 @@
 //!   read.
 //! * **filter** — WHERE conjuncts that name a single table run during that
 //!   table's own scan, so a later FROM entry is cut down before any pairing.
+//!   When the first FROM table has an index on a column that a conjunct
+//!   equates with a literal, its scan visits only that value's rows
+//!   ([`index`]) and still evaluates every conjunct on each of them.
 //! * **join** — `a.x = b.y` conjuncts between an earlier and a later FROM
 //!   entry key a hash table over the filtered later table; the earlier side
 //!   probes it in FROM order and matches come back in the later table's row
@@ -17,13 +20,17 @@
 //! * **fold** — joined rows stream straight into the projection or into
 //!   per-group aggregate accumulators; nothing in between is materialized.
 //!
-//! There are no indexes and no plan cache: every statement scans its tables.
+//! Indexes are declared, never chosen: there is no cost model and no plan
+//! cache, and every table but an indexed first one is scanned in full.
 
 #[cfg(test)]
 mod differential_tests;
 mod expr;
+mod index;
 #[cfg(test)]
 mod oracle;
+
+pub(crate) use index::Indexes;
 
 use crate::error::{DbError, Result};
 use crate::schema::TableSchema;
@@ -246,8 +253,13 @@ impl Plan {
             && !self.distinct
     }
 
-    /// Run the whole query; `tables[i]` holds the rows of `stmt.from[i]`.
-    pub(crate) fn execute(&self, tables: &[&TableRows]) -> Result<Vec<Vec<DbValue>>> {
+    /// Run the whole query; `tables[i]` holds the rows of `stmt.from[i]`,
+    /// `indexes` the indexes declared on `tables[0]`.
+    pub(crate) fn execute(
+        &self,
+        tables: &[&TableRows],
+        indexes: &Indexes,
+    ) -> Result<Vec<Vec<DbValue>>> {
         let ordered = !self.order.is_empty();
         let mut rows: Vec<Vec<DbValue>> = Vec::new();
         let mut keyed: Vec<(Vec<DbValue>, Vec<DbValue>)> = Vec::new();
@@ -260,7 +272,7 @@ impl Plan {
         };
         match &self.shape {
             Shape::Plain { items } => {
-                self.run(tables, 0, |row| {
+                self.run(tables, indexes, 0, |row| {
                     let out = project(items, row)?;
                     let keys = self.order_keys(&out, |e| e.value(row).map(Cow::into_owned))?;
                     emit(keys, out);
@@ -269,7 +281,7 @@ impl Plan {
             }
             Shape::Grouped { group_by, items } => {
                 let mut groups = Groups::new(group_by, items);
-                self.run(tables, 0, |row| groups.fold(row).map(|()| true))?;
+                self.run(tables, indexes, 0, |row| groups.fold(row).map(|()| true))?;
                 for group in &groups.groups {
                     let out = group.finish(items)?;
                     let keys = self.order_keys(&out, |e| match &group.first {
@@ -315,11 +327,12 @@ impl Plan {
     }
 
     /// Produce up to `max` output rows of a streamable plan, scanning `rows`
-    /// from `*pos` and leaving `*pos` after the last row looked at. LIMIT is
-    /// the caller's to count.
+    /// (whose declared indexes are `indexes`) from `*pos` and leaving `*pos`
+    /// after the last row looked at. LIMIT is the caller's to count.
     pub(crate) fn scan_batch(
         &self,
         rows: &TableRows,
+        indexes: &Indexes,
         pos: &mut usize,
         max: usize,
     ) -> Result<Vec<Vec<DbValue>>> {
@@ -329,7 +342,7 @@ impl Plan {
         debug_assert!(self.is_streamable());
         let mut out = Vec::new();
         if max > 0 {
-            *pos = self.run(&[rows], *pos, |row| {
+            *pos = self.run(&[rows], indexes, *pos, |row| {
                 out.push(project(items, row)?);
                 Ok(out.len() < max)
             })?;
@@ -352,12 +365,14 @@ impl Plan {
     }
 
     /// The pipeline: hash (or list) every later table after its own filter,
-    /// then scan the first table from row `start`, probing depth by depth,
-    /// and hand each surviving row combination to `sink`. The sink returns
-    /// whether it wants more. Returns the first-table position to resume at.
+    /// then scan the first table from row `start` — every row, or the
+    /// posting list of one of its indexes — probing depth by depth, and hand
+    /// each surviving row combination to `sink`. The sink returns whether it
+    /// wants more. Returns the first-table position to resume at.
     fn run<'a>(
         &'a self,
         tables: &[&'a TableRows],
+        indexes: &Indexes,
         start: usize,
         sink: impl FnMut(&Row<'a>) -> Result<bool>,
     ) -> Result<usize> {
@@ -373,13 +388,27 @@ impl Plan {
             builds.push(step.build(depth, tables[depth], &mut st)?);
         }
         let first = &self.steps[0];
-        for (i, r) in tables[0].iter().enumerate().skip(start) {
+        // Whether the sink wants more after the first table's row `i`.
+        let mut visit = |i: usize| -> Result<bool> {
             st.tick()?;
-            st.row[0] = r;
-            if all_true(&first.filter, &st.row)?
-                && !probe(&self.steps, tables, &builds, 1, &mut st)?
-            {
-                return Ok(i + 1);
+            st.row[0] = &tables[0][i];
+            Ok(!all_true(&first.filter, &st.row)?
+                || probe(&self.steps, tables, &builds, 1, &mut st)?)
+        };
+        match first.indexed_candidates(indexes) {
+            Some(postings) => {
+                for &i in &postings[postings.partition_point(|&i| i < start)..] {
+                    if !visit(i)? {
+                        return Ok(i + 1);
+                    }
+                }
+            }
+            None => {
+                for i in start..tables[0].len() {
+                    if !visit(i)? {
+                        return Ok(i + 1);
+                    }
+                }
             }
         }
         Ok(tables[0].len().max(start))
@@ -510,6 +539,28 @@ impl<F> RunState<'_, F> {
 }
 
 impl JoinStep {
+    /// For the first table: the rows that can pass its filter, when an index
+    /// says so — the posting list of the first `indexed column = literal`
+    /// conjunct that no fallible conjunct is written before. Every conjunct
+    /// still runs on each candidate, in written order, and a row off the
+    /// list stops at that conjunct in a plain scan without an error, so the
+    /// rows, their order and any error are the plain scan's. `None`: scan
+    /// every row.
+    fn indexed_candidates<'i>(&self, indexes: &'i Indexes) -> Option<&'i [usize]> {
+        for c in &self.filter {
+            if let Some(postings) = c
+                .column_eq_literal()
+                .and_then(|(col, value)| indexes.postings(col, value))
+            {
+                return Some(postings);
+            }
+            if c.truth_fallible() {
+                return None;
+            }
+        }
+        None
+    }
+
     fn build<'a, F>(
         &'a self,
         depth: usize,

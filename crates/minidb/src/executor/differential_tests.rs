@@ -9,6 +9,10 @@
 //! and LIMIT. The statement is rendered to SQL and parsed back, so both
 //! engines see what the parser produces. Results must be identical — same
 //! rows in the same order — and failures must be of the same variant.
+//! Indexed cases add a `t0.cK = literal` conjunct, declare indexes on
+//! random columns (before or after the rows are loaded) and compare again
+//! after each of two writes (INSERT, `bulk_insert`, DELETE), so the
+//! index-driven scan and the index upkeep answer to the same oracle.
 //!
 //! Left out on purpose, because the new engine fixes them (asserted in
 //! `tests/sql_integration.rs`): the text `'NULL'` and the `\u{1f}` joiner in
@@ -23,7 +27,7 @@ use super::oracle;
 use crate::sql::{
     parse_statement, AggFunc, BinOp, Expr, OrderKey, SelectItem, SelectStmt, Statement, TableRef,
 };
-use crate::{sql_quote, Database, DbError, DbType, DbValue, TableSchema};
+use crate::{sql_quote, Connection, Database, DbError, DbType, DbValue, TableSchema};
 use proptest::prelude::*;
 
 /// splitmix64.
@@ -578,15 +582,25 @@ fn run_case(seed: u64) -> Result<(), String> {
     let Statement::Select(stmt) = parse_statement(&sql).map_err(|e| format!("{sql}: {e}"))? else {
         return Err(format!("{sql}: not a SELECT"));
     };
+    let db = load(&tables);
+    check(&sql, &stmt, &tables, &db.connect())
+}
 
+/// Run `stmt` (rendered as `sql`) through the oracle over `tables` and
+/// through `conn`, whose database holds the same rows: `query` and
+/// `query_cursor` paging must both agree with the oracle.
+fn check(
+    sql: &str,
+    stmt: &SelectStmt,
+    tables: &[GenTable],
+    conn: &Connection,
+) -> Result<(), String> {
     let bound: Vec<(&TableSchema, &[Vec<DbValue>])> = tables
         .iter()
         .map(|t| (&t.schema, t.rows.as_slice()))
         .collect();
-    let old = oracle::execute_select(&stmt, &bound);
-    let db = load(&tables);
-    let conn = db.connect();
-    let new = conn.query(&sql);
+    let old = oracle::execute_select(stmt, &bound);
+    let new = conn.query(sql);
     match (&old, &new) {
         (Ok(old), Ok(new)) => {
             if old.columns != new.columns() || exact(&old.rows) != exact(new.rows()) {
@@ -615,7 +629,7 @@ fn run_case(seed: u64) -> Result<(), String> {
             .iter()
             .any(|i| matches!(i, SelectItem::Aggregate { .. }));
     for batch in [1usize, 7, 256] {
-        let drained = conn.query_cursor(&sql).and_then(|mut cursor| {
+        let drained = conn.query_cursor(sql).and_then(|mut cursor| {
             let mut rows = Vec::new();
             loop {
                 let next = cursor.next_batch(batch)?;
@@ -642,12 +656,218 @@ fn run_case(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+// ------------------------------------------------------------ indexed cases
+
+/// A generated case whose database declares equality indexes.
+struct IndexedCase {
+    tables: Vec<GenTable>,
+    /// Per table, the indexed columns, each with whether it was declared
+    /// before the rows were loaded (kept current by `bulk_insert`) or after
+    /// (built from the rows present).
+    indexes: Vec<Vec<(usize, bool)>>,
+    sql: String,
+    stmt: SelectStmt,
+}
+
+/// A generated statement with a `t0.cK = literal` conjunct (either way
+/// round, first or last), over tables with indexes on random columns of
+/// every type.
+fn gen_indexed_case(g: &mut Gen) -> Result<IndexedCase, String> {
+    let tables = gen_tables(g);
+    let qualify = tables.len() > 1 || g.chance(50);
+    let queries = QueryGen {
+        tables: &tables,
+        qualify,
+    };
+    let mut generated = queries.statement(g);
+    let col = g.below(tables[0].kinds.len());
+    let rows = &tables[0].rows;
+    let literal = if !rows.is_empty() && g.chance(50) {
+        renderable(rows[g.below(rows.len())][col].clone())
+    } else if g.chance(60) {
+        match tables[0].kinds[col] {
+            Kind::IntSmall => DbValue::Int(g.pick(SMALL_INTS)),
+            Kind::IntWide => renderable(DbValue::Int(g.pick(WIDE_INTS))),
+            Kind::Double => DbValue::Double(g.pick(DOUBLES)),
+            Kind::Text => DbValue::Text(g.pick(TEXTS).to_owned()),
+        }
+    } else {
+        queries.literal(g)
+    };
+    let (column, literal) = (
+        Box::new(queries.column(0, col)),
+        Box::new(Expr::Literal(literal)),
+    );
+    let eq = if g.chance(50) {
+        Expr::Binary {
+            op: BinOp::Eq,
+            left: column,
+            right: literal,
+        }
+    } else {
+        Expr::Binary {
+            op: BinOp::Eq,
+            left: literal,
+            right: column,
+        }
+    };
+    generated.predicate = Some(match generated.predicate.take() {
+        None => eq,
+        Some(p) if g.chance(50) => Expr::Binary {
+            op: BinOp::And,
+            left: Box::new(eq),
+            right: Box::new(p),
+        },
+        Some(p) => Expr::Binary {
+            op: BinOp::And,
+            left: Box::new(p),
+            right: Box::new(eq),
+        },
+    });
+    let mut indexes = vec![Vec::new(); tables.len()];
+    for (t, declared) in tables.iter().zip(&mut indexes) {
+        for col in 0..t.kinds.len() {
+            if g.chance(50) {
+                declared.push((col, g.chance(50)));
+            }
+        }
+    }
+    let sql = render_statement(&generated);
+    let Statement::Select(stmt) = parse_statement(&sql).map_err(|e| format!("{sql}: {e}"))? else {
+        return Err(format!("{sql}: not a SELECT"));
+    };
+    Ok(IndexedCase {
+        tables,
+        indexes,
+        sql,
+        stmt,
+    })
+}
+
+fn load_indexed(case: &IndexedCase) -> Database {
+    let db = Database::new();
+    let conn = db.connect();
+    for (t, indexes) in case.tables.iter().zip(&case.indexes) {
+        let columns: Vec<String> = t
+            .schema
+            .columns
+            .iter()
+            .map(|c| format!("{} {}", c.name, c.ty))
+            .collect();
+        conn.execute(&format!(
+            "CREATE TABLE {} ({})",
+            t.schema.name,
+            columns.join(", ")
+        ))
+        .unwrap();
+        let declare = |before: bool| {
+            for &(col, _) in indexes.iter().filter(|(_, b)| *b == before) {
+                conn.execute(&format!("CREATE INDEX ON {} (c{col})", t.schema.name))
+                    .unwrap();
+            }
+        };
+        declare(true);
+        db.bulk_insert(&t.schema.name, t.rows.clone()).unwrap();
+        declare(false);
+    }
+    db
+}
+
+/// A literal the SQL lexer reads back as `v`, or as a value `sql_eq` to it
+/// (i64::MIN does not lex; its neighbour is the same `f64`).
+fn renderable(v: DbValue) -> DbValue {
+    match v {
+        DbValue::Int(i64::MIN) => DbValue::Int(i64::MIN + 1),
+        v => v,
+    }
+}
+
+/// Change one table through SQL (or `bulk_insert`) and the same way in
+/// `tables`: append 1–4 rows, or delete the rows equal to a value (often
+/// one the table holds), or delete every row.
+fn write(g: &mut Gen, tables: &mut [GenTable], db: &Database) -> Result<(), String> {
+    let conn = db.connect();
+    let table = &mut tables[g.below(tables.len())];
+    let name = table.schema.name.clone();
+    let done = match g.below(5) {
+        0..=2 => {
+            let via_sql = g.chance(50);
+            let rows: Vec<Vec<DbValue>> = (0..1 + g.below(4))
+                .map(|_| {
+                    table
+                        .kinds
+                        .iter()
+                        .map(|k| match gen_value(g, *k) {
+                            v if via_sql => renderable(v),
+                            v => v,
+                        })
+                        .collect()
+                })
+                .collect();
+            let result = if via_sql {
+                let values: Vec<String> = rows
+                    .iter()
+                    .map(|r| {
+                        let cells: Vec<String> = r.iter().map(render_literal).collect();
+                        format!("({})", cells.join(", "))
+                    })
+                    .collect();
+                conn.execute(&format!("INSERT INTO {name} VALUES {}", values.join(", ")))
+            } else {
+                db.bulk_insert(&name, rows.clone())
+            };
+            table.rows.extend(rows);
+            result
+        }
+        3 => {
+            let col = g.below(table.kinds.len());
+            let value = renderable(if !table.rows.is_empty() && g.chance(70) {
+                table.rows[g.below(table.rows.len())][col].clone()
+            } else {
+                gen_value(g, table.kinds[col])
+            });
+            table.rows.retain(|r| r[col].sql_eq(&value) != Some(true));
+            conn.execute(&format!(
+                "DELETE FROM {name} WHERE c{col} = {}",
+                render_literal(&value)
+            ))
+        }
+        _ => {
+            table.rows.clear();
+            conn.execute(&format!("DELETE FROM {name}"))
+        }
+    };
+    done.map(drop).map_err(|e| format!("write to {name}: {e}"))
+}
+
+/// An indexed case agrees with the oracle before and after two writes.
+fn run_indexed_case(seed: u64) -> Result<(), String> {
+    let g = &mut Gen(seed);
+    let mut case = gen_indexed_case(g)?;
+    let db = load_indexed(&case);
+    let conn = db.connect();
+    check(&case.sql, &case.stmt, &case.tables, &conn)?;
+    for _ in 0..2 {
+        write(g, &mut case.tables, &db)?;
+        check(&case.sql, &case.stmt, &case.tables, &conn)
+            .map_err(|e| format!("after a write: {e}"))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1500))]
 
     #[test]
     fn new_engine_matches_interpreter(seed in any::<u64>()) {
         if let Err(report) = run_case(seed) {
+            prop_assert!(false, "seed {seed}: {report}");
+        }
+    }
+
+    #[test]
+    fn indexed_engine_matches_interpreter(seed in any::<u64>()) {
+        if let Err(report) = run_indexed_case(seed) {
             prop_assert!(false, "seed {seed}: {report}");
         }
     }
@@ -683,6 +903,37 @@ fn generator_covers_the_plan_space() {
     assert!(
         joins > 150 && grouped > 60,
         "joins {joins}, grouped {grouped}"
+    );
+}
+
+/// The indexed cases must take the index path — a scan of a posting list —
+/// often, with answers that are not all empty and statements that fail.
+#[test]
+fn indexed_cases_take_the_index_path() {
+    let (mut probed, mut probed_rows, mut probed_errors) = (0, 0, 0);
+    for seed in 0..400u64 {
+        let case = gen_indexed_case(&mut Gen(seed)).unwrap();
+        let schemas: Vec<&TableSchema> = case.tables.iter().map(|t| &t.schema).collect();
+        let Ok(plan) = super::Plan::bind(&case.stmt, &schemas) else {
+            continue;
+        };
+        let mut indexes = super::Indexes::default();
+        for &(col, _) in &case.indexes[0] {
+            assert!(indexes.declare(col, &case.tables[0].rows));
+        }
+        if plan.steps[0].indexed_candidates(&indexes).is_none() {
+            continue;
+        }
+        probed += 1;
+        match load_indexed(&case).connect().query(&case.sql) {
+            Ok(rs) => probed_rows += usize::from(!rs.is_empty()),
+            Err(_) => probed_errors += 1,
+        }
+    }
+    assert!(probed > 100, "index path taken: {probed}/400");
+    assert!(
+        probed_rows > 25 && probed_errors > 5,
+        "on the index path: {probed_rows} non-empty answers, {probed_errors} failures"
     );
 }
 

@@ -427,6 +427,23 @@ impl BExpr {
         }
     }
 
+    /// For a `column = literal` conjunct, either way round: the column's
+    /// position in its table and the literal.
+    pub(super) fn column_eq_literal(&self) -> Option<(usize, &DbValue)> {
+        match self {
+            BExpr::Compare {
+                op: BinOp::Eq,
+                left,
+                right,
+            } => match (&**left, &**right) {
+                (BExpr::Column { col, .. }, BExpr::Literal(v))
+                | (BExpr::Literal(v), BExpr::Column { col, .. }) => Some((*col, v)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// For an `l = r` conjunct whose sides both evaluate without error, one
     /// over table `depth` alone and the other over earlier tables only:
     /// whether the `depth` side is the left one. `None` for anything else.

@@ -5,20 +5,23 @@
 //! in-process relational engine with
 //!
 //! * a catalog of typed tables ([`DbType`]: `INT`, `DOUBLE`, `TEXT`),
-//! * a SQL subset — `CREATE TABLE`, `INSERT`, and `SELECT` with projection,
-//!   `DISTINCT`, `WHERE` (comparisons, `AND`/`OR`/`NOT`, `LIKE`), implicit
-//!   joins (`FROM a, b WHERE a.x = b.y`), aggregates (`COUNT`, `SUM`, `AVG`,
+//! * a SQL subset — `CREATE TABLE`, `CREATE INDEX`, `INSERT`, `DELETE`,
+//!   `DROP TABLE`, and `SELECT` with projection, `DISTINCT`, `WHERE`
+//!   (comparisons, `AND`/`OR`/`NOT`, `LIKE`), implicit joins
+//!   (`FROM a, b WHERE a.x = b.y`), aggregates (`COUNT`, `SUM`, `AVG`,
 //!   `MIN`, `MAX`), `GROUP BY`, `ORDER BY ... [ASC|DESC]`, and `LIMIT`,
 //! * a JDBC-like connection API ([`Database::connect`] →
 //!   [`Connection::query`] / [`Connection::execute`]) returning typed
 //!   [`ResultSet`]s.
 //!
-//! The engine is deliberately a scan-based executor with no indexes: the
-//! thesis's Mapping Layer costs are dominated by full-table work on trace
-//! data (SMG98's 250 MB store took ~66 s per query), and a scan executor
-//! reproduces that cost profile honestly. Within a statement it does not
-//! waste the scan: the SELECT is bound once (names to column slots, unknown
-//! names rejected before a row is read), each table is filtered on its own,
+//! The engine is a scan-based executor: the thesis's Mapping Layer costs
+//! are dominated by work on trace data (SMG98's 250 MB store took ~66 s per
+//! query), and scans reproduce that cost profile honestly. An index is used
+//! only where a schema declares one (`CREATE INDEX ON t (c)`), and only for
+//! the first FROM table's `c = literal`: the per-execution lookup an RDBMS
+//! answers from an index. Within a statement the engine does not waste the
+//! scan: the SELECT is bound once (names to column slots, unknown names
+//! rejected before a row is read), each table is filtered on its own,
 //! `a.x = b.y` joins probe a hash table, and aggregates fold rows as they
 //! leave the join.
 //!

@@ -12,6 +12,13 @@ pub enum Statement {
         /// `(column, type)` pairs.
         columns: Vec<(String, DbType)>,
     },
+    /// `CREATE INDEX ON table (column)`: an equality index on one column.
+    CreateIndex {
+        /// Table name.
+        table: String,
+        /// The indexed column.
+        column: String,
+    },
     /// `INSERT INTO name [(cols)] VALUES (v, ...), (v, ...), ...`
     Insert {
         /// Table name.

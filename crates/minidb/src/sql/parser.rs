@@ -79,7 +79,11 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Statement> {
         if self.eat_kw("create") {
-            self.create_table()
+            if self.eat_kw("index") {
+                self.create_index()
+            } else {
+                self.create_table()
+            }
         } else if self.eat_kw("insert") {
             self.insert()
         } else if self.eat_kw("select") {
@@ -138,6 +142,15 @@ impl Parser {
             }
         }
         Ok(Statement::CreateTable { name, columns })
+    }
+
+    fn create_index(&mut self) -> Result<Statement> {
+        self.expect_kw("on")?;
+        let table = self.ident()?;
+        self.expect(&Token::LParen)?;
+        let column = self.ident()?;
+        self.expect(&Token::RParen)?;
+        Ok(Statement::CreateIndex { table, column })
     }
 
     fn insert(&mut self) -> Result<Statement> {
@@ -549,6 +562,25 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn create_index() {
+        assert_eq!(
+            parse_statement("CREATE INDEX ON Events (ExecId)").unwrap(),
+            Statement::CreateIndex {
+                table: "events".into(),
+                column: "execid".into(),
+            }
+        );
+        for bad in [
+            "CREATE INDEX events (execid)",
+            "CREATE INDEX ON events execid",
+            "CREATE INDEX ON events (execid, procid)",
+            "CREATE INDEX ix ON events (execid)",
+        ] {
+            assert!(parse_statement(bad).is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn create_table() {

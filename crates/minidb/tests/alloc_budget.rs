@@ -169,3 +169,78 @@ fn filtered_scan_allocates_by_rows_returned() {
         "{allocs} allocations for {rows} rows out of 49 152 scanned"
     );
 }
+
+/// [`smg_like`] with `events(execid)` indexed, as the SMG98 store declares.
+fn smg_like_indexed(events: usize) -> Database {
+    let db = smg_like(events);
+    db.connect()
+        .execute("CREATE INDEX ON events (execid)")
+        .unwrap();
+    db
+}
+
+#[test]
+fn indexed_function_focus_join_allocates_by_functions_and_groups_not_events() {
+    // The statements of the unindexed test, walking `execid = 0`'s posting
+    // list: no more allocations than the scan, at any size.
+    let one_focus = "SELECT COUNT(*) AS calls, SUM(e.endtime - e.starttime) AS total \
+                     FROM events e, functions f \
+                     WHERE e.execid = 0 AND e.funcid = f.funcid \
+                     AND f.module = 'MPI' AND f.name = 'fn_3'";
+    let grouped = "SELECT f.module AS module, f.name AS name, COUNT(*) AS calls, \
+                   SUM(e.endtime - e.starttime) AS total \
+                   FROM events e, functions f \
+                   WHERE e.execid = 0 AND e.funcid = f.funcid \
+                   AND f.name IN ('fn_0', 'fn_3', 'fn_6', 'fn_9', 'fn_12') \
+                   GROUP BY f.module, f.name";
+    let small = smg_like_indexed(3_072);
+    let large = smg_like_indexed(49_152);
+    let scanned = smg_like(49_152);
+    for (sql, groups) in [(one_focus, 1), (grouped, 5)] {
+        let (small_rs, small_allocs) = measured(|| small.connect().query(sql).unwrap());
+        let (large_rs, large_allocs) = measured(|| large.connect().query(sql).unwrap());
+        let (scanned_rs, scanned_allocs) = measured(|| scanned.connect().query(sql).unwrap());
+        assert_eq!(small_rs.len(), groups, "{sql}");
+        assert_eq!(
+            format!("{:?}", large_rs.rows()),
+            format!("{:?}", scanned_rs.rows())
+        );
+        assert_eq!(large_allocs, small_allocs, "{sql}");
+        assert!(
+            large_allocs <= scanned_allocs,
+            "{large_allocs} > {scanned_allocs}: {sql}"
+        );
+        let budget = (100 + 4 * FUNCTIONS + 16 * groups) as u64;
+        assert!(
+            large_allocs <= budget,
+            "{large_allocs} allocations, budget {budget}: {sql}"
+        );
+    }
+}
+
+#[test]
+fn indexed_filtered_scan_allocates_by_rows_returned() {
+    let db = smg_like_indexed(49_152);
+    let conn = db.connect();
+    let (rows, allocs) = measured(|| {
+        let mut cursor = conn
+            .query_cursor(
+                "SELECT e.procid AS procid, e.starttime AS s, e.endtime AS t, e.bytes AS b \
+                 FROM events e WHERE e.execid = 0 AND e.procid = 3",
+            )
+            .unwrap();
+        let mut rows = 0u64;
+        loop {
+            let batch = cursor.next_batch(256).unwrap();
+            if batch.is_empty() {
+                return rows;
+            }
+            rows += batch.len() as u64;
+        }
+    });
+    assert_eq!(rows, 49_152 / 64);
+    assert!(
+        allocs <= rows + 20 * (rows / 256 + 1) + 60,
+        "{allocs} allocations for {rows} rows out of 6 144 indexed"
+    );
+}

@@ -1040,3 +1040,91 @@ fn column_index_resolves_labels_once() {
         Err(DbError::UnknownColumn(_))
     ));
 }
+
+#[test]
+fn create_index_declares_once_on_a_known_column() {
+    let db = fixture();
+    let c = db.connect();
+    assert_eq!(c.execute("CREATE INDEX ON runs (numprocs)").unwrap(), 0);
+    assert!(matches!(
+        c.execute("CREATE INDEX ON runs (numprocs)"),
+        Err(DbError::Execution(_))
+    ));
+    assert!(matches!(
+        c.execute("CREATE INDEX ON nope (numprocs)"),
+        Err(DbError::UnknownTable(_))
+    ));
+    assert!(matches!(
+        c.execute("CREATE INDEX ON runs (walltime)"),
+        Err(DbError::UnknownColumn(_))
+    ));
+    // DROP takes the index with the table: the new table has none.
+    c.execute("DROP TABLE runs").unwrap();
+    c.execute("CREATE TABLE runs (numprocs DOUBLE)").unwrap();
+    c.execute("CREATE INDEX ON runs (numprocs)").unwrap();
+}
+
+#[test]
+fn indexed_equality_follows_sql_eq_through_writes() {
+    let db = fixture();
+    let c = db.connect();
+    c.execute("CREATE INDEX ON runs (numprocs)").unwrap();
+    c.execute("CREATE INDEX ON runs (host)").unwrap();
+    let ids = |sql: &str| -> Vec<i64> {
+        let rs = c.query(sql).unwrap();
+        (0..rs.len())
+            .map(|i| rs.get_i64(i, "id").unwrap())
+            .collect()
+    };
+    // Int 4 = Double 4.0, either way round; text never equals a number.
+    assert_eq!(ids("SELECT id FROM runs WHERE numprocs = 4.0"), [101, 102]);
+    assert_eq!(ids("SELECT id FROM runs WHERE 4 = numprocs"), [101, 102]);
+    assert!(ids("SELECT id FROM runs WHERE numprocs = '4'").is_empty());
+    assert!(ids("SELECT id FROM runs WHERE numprocs = NULL").is_empty());
+    // Rows appended by INSERT and bulk_insert are found; a DELETE moves the
+    // positions of the rows behind the deleted one.
+    c.execute("INSERT INTO runs VALUES (104, 4, 1.0, 'gamma')")
+        .unwrap();
+    db.bulk_insert(
+        "runs",
+        vec![vec![
+            DbValue::Int(105),
+            DbValue::Int(4),
+            DbValue::Double(2.0),
+            DbValue::from("beta"),
+        ]],
+    )
+    .unwrap();
+    assert_eq!(
+        ids("SELECT id FROM runs WHERE numprocs = 4"),
+        [101, 102, 104, 105]
+    );
+    assert_eq!(c.execute("DELETE FROM runs WHERE id = 101").unwrap(), 1);
+    assert_eq!(
+        ids("SELECT id FROM runs WHERE numprocs = 4"),
+        [102, 104, 105]
+    );
+    assert_eq!(
+        ids("SELECT id FROM runs WHERE host = 'beta'"),
+        [102, 103, 105]
+    );
+    // A fallible conjunct written first is evaluated on every row, as in a
+    // scan: id 102 (numprocs 4) divides by zero, though its host is 'beta'.
+    assert!(matches!(
+        c.query("SELECT id FROM runs WHERE id / (numprocs - 4) = 1 AND host = 'alpha'"),
+        Err(DbError::TypeError(_))
+    ));
+    // Paging an indexed scan resumes after the last row handed out.
+    let mut cursor = c
+        .query_cursor("SELECT id FROM runs WHERE host = 'beta'")
+        .unwrap();
+    let mut paged = Vec::new();
+    loop {
+        let batch = cursor.next_batch(1).unwrap();
+        if batch.is_empty() {
+            break;
+        }
+        paged.extend(batch.into_iter().map(|r| r[0].as_int().unwrap()));
+    }
+    assert_eq!(paged, [102, 103, 105]);
+}

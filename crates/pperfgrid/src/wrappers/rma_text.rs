@@ -3,7 +3,9 @@
 
 use crate::wrapper::{ApplicationWrapper, ExecutionWrapper, PrQuery, WrapperError};
 use crate::TYPE_UNDEFINED;
+use pperf_datastore::rma::{scan_rma, RmaLine};
 use pperf_datastore::RmaTextStore;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 const METRICS: &[&str] = &["bandwidth_mbps", "latency_us"];
@@ -145,9 +147,12 @@ impl ExecutionWrapper for RmaTextExecution {
         )
     }
 
-    /// Each call re-reads and re-parses the ASCII file — the Mapping Layer
+    /// Each call re-reads and re-scans the ASCII file — the Mapping Layer
     /// cost the caching experiment (Table 5) found cheap relative to an
-    /// RDBMS, giving RMA its near-1.0 caching speedup.
+    /// RDBMS, giving RMA its near-1.0 caching speedup. One pass validates
+    /// every line, as [`pperf_datastore::rma::parse_rma`] does, and formats
+    /// only the answer's rows; the time window is decided after it, so
+    /// headers may follow the rows.
     fn get_pr(&self, query: &PrQuery) -> Result<Vec<String>, WrapperError> {
         if !METRICS
             .iter()
@@ -162,43 +167,67 @@ impl ExecutionWrapper for RmaTextExecution {
             return Ok(vec![]);
         }
         let (t0, t1) = query.time_window()?;
-        let exec = self.parse()?;
-        let start: f64 = exec
-            .header("starttime")
-            .unwrap_or("0")
-            .parse()
-            .unwrap_or(0.0);
-        let end: f64 = exec.header("endtime").unwrap_or("0").parse().unwrap_or(0.0);
-        if end < t0 || start > t1 {
-            return Ok(vec![]);
-        }
         // Focus filter: /Op/<name>; empty = all operations.
         let ops: Vec<&str> = query
             .foci
             .iter()
             .filter_map(|f| f.strip_prefix("/Op/"))
             .collect();
-        if !query.foci.is_empty() && ops.is_empty() {
-            return Ok(vec![]); // foci given but none of the RMA form
-        }
+        // Foci given but none of the RMA form: the file is still read and
+        // validated, and nothing is kept.
+        let none_wanted = !query.foci.is_empty() && ops.is_empty();
         let latency = query.metric.eq_ignore_ascii_case("latency_us");
-        let rows = exec
-            .records
-            .iter()
-            .filter(|r| ops.is_empty() || ops.contains(&r.op.as_str()))
-            .map(|r| {
-                let value = if latency {
-                    r.latency_us
-                } else {
-                    r.bandwidth_mbps
-                };
-                format!(
-                    "op={} msgsize={} {}={:.3}",
-                    r.op, r.msgsize, query.metric, value
-                )
-            })
-            .collect();
+        let text = self.store.read_text(self.execid)?;
+        let (mut start, mut end) = (None, None);
+        let mut rows = Vec::new();
+        for line in scan_rma(&text) {
+            match line.map_err(WrapperError)? {
+                // The first of each header counts, as `RmaExecution::header`.
+                RmaLine::Header("starttime", v) => {
+                    start.get_or_insert(v);
+                }
+                RmaLine::Header("endtime", v) => {
+                    end.get_or_insert(v);
+                }
+                RmaLine::Header(..) => {}
+                RmaLine::Row(r) if !none_wanted && (ops.is_empty() || ops.contains(&r.op)) => {
+                    let value = if latency {
+                        r.latency_us
+                    } else {
+                        r.bandwidth_mbps
+                    };
+                    // Room for any size and a value of up to 14 characters:
+                    // formatting does not regrow the row.
+                    let mut row = String::with_capacity(48 + r.op.len() + query.metric.len());
+                    let _ = write!(row, "op={} msgsize={} {}=", r.op, r.msgsize, query.metric);
+                    push_fixed3(&mut row, value);
+                    rows.push(row);
+                }
+                RmaLine::Row(_) => {}
+            }
+        }
+        let start: f64 = start.unwrap_or("0").parse().unwrap_or(0.0);
+        let end: f64 = end.unwrap_or("0").parse().unwrap_or(0.0);
+        if end < t0 || start > t1 {
+            return Ok(vec![]);
+        }
         Ok(rows)
+    }
+}
+
+/// Append `format!("{v:.3}")` to `out`. A non-negative value under 10^9
+/// whose thousandfold lies well off a rounding tie takes the integer path:
+/// below 10^12 the product's own rounding error is under 10^-3, so the
+/// integer it rounds to is the one the exact product rounds to, which is
+/// what `{:.3}` prints. Anything else goes through the general formatter.
+fn push_fixed3(out: &mut String, v: f64) {
+    let scaled = v * 1000.0;
+    let nearest = scaled.round();
+    if v.is_sign_positive() && scaled < 1e12 && (scaled - nearest).abs() < 0.25 {
+        let m = nearest as u64;
+        let _ = write!(out, "{}.{:03}", m / 1000, m % 1000);
+    } else {
+        let _ = write!(out, "{v:.3}");
     }
 }
 
@@ -288,6 +317,195 @@ mod tests {
             (2_000..12_000).contains(&bytes),
             "RMA payload {bytes} bytes should be ~5.7 kB-class"
         );
+    }
+
+    /// A store directory holding `files` as `(execid, text)`.
+    fn store_with(tag: &str, files: &[(i64, &str)]) -> (Guard, RmaTextWrapper) {
+        let dir = std::env::temp_dir().join(format!("rma-wrap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (execid, text) in files {
+            std::fs::write(dir.join(format!("rma-{execid}.txt")), text).unwrap();
+        }
+        (
+            Guard(dir.clone()),
+            RmaTextWrapper::new(RmaTextStore::open(dir)),
+        )
+    }
+
+    const HEADERS: &str = "# presta-rma\n# execid 0\n# starttime 0.0\n# endtime 12.5\n";
+    const ROWS: &str = "op msgsize bandwidth_mbps latency_us\n\
+                        unidir 8 11.920 55.100\n\
+                        put 8 30.000 60.000\n\
+                        unidir 64 20.500 61.250\n";
+
+    #[test]
+    fn a_bad_row_of_an_op_not_asked_for_still_faults() {
+        let good = format!("{HEADERS}{ROWS}");
+        let (g, w) = store_with("strict", &[(0, &good)]);
+        let e = w.execution("0").unwrap();
+        let unidir = pr("bandwidth_mbps", vec!["/Op/unidir".into()]);
+        assert_eq!(e.get_pr(&unidir).unwrap().len(), 2);
+        let bad = good.replace("put 8 30.000", "put 8 fast");
+        std::fs::write(g.0.join("rma-0.txt"), &bad).unwrap();
+        let expected = pperf_datastore::rma::parse_rma(0, &bad).unwrap_err();
+        assert_eq!(expected, "line 7: bad bandwidth \"fast\"");
+        for query in [unidir, pr("latency_us", vec!["/Process/1".into()])] {
+            assert_eq!(e.get_pr(&query).unwrap_err().0, expected, "{query:?}");
+        }
+    }
+
+    #[test]
+    fn headers_after_the_rows_answer_the_same() {
+        let first = format!("{HEADERS}{ROWS}");
+        let last = format!("{ROWS}{HEADERS}");
+        let (_g, w) = store_with("hdr-last", &[(0, &first), (1, &last)]);
+        let (e0, e1) = (w.execution("0").unwrap(), w.execution("1").unwrap());
+        let mut answered = 0;
+        for (start, end) in [
+            ("", ""),
+            ("0", "5"),
+            ("12.5", "40"),
+            ("13", "20"),
+            ("-5", "-1"),
+        ] {
+            for foci in [vec![], vec!["/Op/unidir".to_owned()]] {
+                let q = PrQuery {
+                    start: start.into(),
+                    end: end.into(),
+                    ..pr("latency_us", foci)
+                };
+                let rows = e0.get_pr(&q).unwrap();
+                assert_eq!(rows, e1.get_pr(&q).unwrap(), "{q:?}");
+                answered += usize::from(!rows.is_empty());
+            }
+        }
+        assert_eq!(answered, 6, "three windows meet [0, 12.5], two miss it");
+    }
+
+    /// `get_pr` as it was written over [`pperf_datastore::rma::parse_rma`]:
+    /// parse every record, then filter.
+    fn reference_get_pr(
+        w: &RmaTextWrapper,
+        execid: i64,
+        query: &PrQuery,
+    ) -> Result<Vec<String>, WrapperError> {
+        if !METRICS
+            .iter()
+            .any(|m| m.eq_ignore_ascii_case(&query.metric))
+        {
+            return Err(WrapperError(format!(
+                "unknown RMA metric {:?}",
+                query.metric
+            )));
+        }
+        if query.rtype != TYPE_UNDEFINED && !query.rtype.eq_ignore_ascii_case("presta") {
+            return Ok(vec![]);
+        }
+        let (t0, t1) = query.time_window()?;
+        let exec = w.store.read_execution(execid)?;
+        let header = |k: &str| exec.header(k).unwrap_or("0").parse().unwrap_or(0.0);
+        if header("endtime") < t0 || header("starttime") > t1 {
+            return Ok(vec![]);
+        }
+        let ops: Vec<&str> = query
+            .foci
+            .iter()
+            .filter_map(|f| f.strip_prefix("/Op/"))
+            .collect();
+        if !query.foci.is_empty() && ops.is_empty() {
+            return Ok(vec![]);
+        }
+        let latency = query.metric.eq_ignore_ascii_case("latency_us");
+        Ok(exec
+            .records
+            .iter()
+            .filter(|r| ops.is_empty() || ops.contains(&r.op.as_str()))
+            .map(|r| {
+                let value = if latency {
+                    r.latency_us
+                } else {
+                    r.bandwidth_mbps
+                };
+                format!(
+                    "op={} msgsize={} {}={:.3}",
+                    r.op, r.msgsize, query.metric, value
+                )
+            })
+            .collect())
+    }
+
+    #[test]
+    fn every_answer_matches_the_parse_then_filter_reference() {
+        let (_g, w) = wrapper("reference", &RmaSpec::tiny());
+        let foci_sets: [&[&str]; 6] = [
+            &[],
+            &["/Op/unidir"],
+            &["/Op/latency", "/Op/unidir"],
+            &["/Op/nope"],
+            &["/Process/1"],
+            &["/Op/latency", "/Process/1"],
+        ];
+        let mut compared = 0;
+        for execid in 0..3 {
+            let e = w.execution(&execid.to_string()).unwrap();
+            for metric in ["bandwidth_mbps", "latency_us", "LATENCY_US", "mystery"] {
+                for foci in foci_sets {
+                    for (start, end) in [("", ""), ("0", "1"), ("100", ""), ("", "-1"), ("x", "")] {
+                        for rtype in [TYPE_UNDEFINED, "presta", "vampir"] {
+                            let q = PrQuery {
+                                metric: metric.into(),
+                                foci: foci.iter().map(|f| (*f).to_owned()).collect(),
+                                start: start.into(),
+                                end: end.into(),
+                                rtype: rtype.into(),
+                            };
+                            let got = e.get_pr(&q).map_err(|e| e.0);
+                            let want = reference_get_pr(&w, execid, &q).map_err(|e| e.0);
+                            assert_eq!(got, want, "exec {execid}: {q:?}");
+                            compared += usize::from(got.is_ok_and(|rows| !rows.is_empty()));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 50, "non-empty answers compared: {compared}");
+    }
+
+    #[test]
+    fn fixed3_matches_the_formatter() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.0005,
+            0.0015,
+            1.0005,
+            2.5e-4,
+            999_999_999.999_5,
+            1e9,
+            1e12,
+            -1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            values.push(unit * 10f64.powi((state % 14) as i32 - 2));
+            // Exact thousandths and their half-way neighbours.
+            values.push((state % 10_000_000) as f64 / 1000.0);
+            values.push((state % 10_000_000) as f64 / 1000.0 + 0.0005);
+        }
+        for v in values {
+            let mut out = String::new();
+            push_fixed3(&mut out, v);
+            assert_eq!(out, format!("{v:.3}"), "{v:e}");
+        }
     }
 
     #[test]

@@ -606,6 +606,67 @@ mod tests {
         assert_eq!(rows, ["/Process/99|func_time|0.000000"]);
     }
 
+    /// The store's rows in a database with its schema and no index.
+    fn unindexed_copy(db: &Database) -> Database {
+        let copy = Database::new();
+        let conn = copy.connect();
+        for ddl in pperf_datastore::smg::SCHEMA {
+            conn.execute(ddl).unwrap();
+        }
+        for table in db.table_names() {
+            let rows = db
+                .connect()
+                .query(&format!("SELECT * FROM {table}"))
+                .unwrap();
+            copy.bulk_insert(&table, rows.rows().to_vec()).unwrap();
+        }
+        copy
+    }
+
+    #[test]
+    fn indexed_store_answers_as_an_unindexed_copy() {
+        let store = SmgStore::build(SmgSpec::tiny());
+        let indexed = SmgSqlWrapper::new(store.database().clone());
+        let scanned = SmgSqlWrapper::new(unindexed_copy(store.database()));
+        let mut compared = 0;
+        for id in indexed.all_exec_ids() {
+            let (a, b) = (
+                indexed.execution(&id).unwrap(),
+                scanned.execution(&id).unwrap(),
+            );
+            let mut foci = a.foci();
+            assert_eq!(foci, b.foci());
+            foci.extend(["/Code/MPI", "/Code/SMG", "/Process/99"].map(String::from));
+            for focus in &foci {
+                for metric in METRICS {
+                    for (start, end) in [("", ""), ("0.5", "2")] {
+                        let q = PrQuery {
+                            start: start.into(),
+                            end: end.into(),
+                            ..pr(metric, vec![focus.clone()])
+                        };
+                        let answer = a.get_pr(&q).map_err(|e| e.0);
+                        assert_eq!(answer, b.get_pr(&q).map_err(|e| e.0), "{id} {q:?}");
+                        let mut streamed = Vec::new();
+                        let total = a.get_pr_stream(&q, &mut |rows| {
+                            streamed.extend(rows);
+                            Ok(())
+                        });
+                        match &answer {
+                            Ok(rows) => {
+                                assert_eq!(total.unwrap(), rows.len() as u64);
+                                assert_eq!(&streamed, rows, "{id} {q:?}");
+                            }
+                            Err(_) => assert!(total.is_err(), "{id} {q:?}"),
+                        }
+                        compared += usize::from(answer.is_ok());
+                    }
+                }
+            }
+        }
+        assert!(compared > 100, "answers compared: {compared}");
+    }
+
     #[test]
     fn validation_errors() {
         let w = wrapper();

@@ -10,12 +10,16 @@
 //! Each ceiling is an exact count: what the call allocated when the test
 //! was written, lowered where a later change took allocations out. A change
 //! that raises one has added allocations to every getPR and should say why.
+//! Two mapping-layer calls of the benchmark's core scenario are held the
+//! same way: RMA `get_pr` on one op, and SMG98 `func_calls` on one function.
 
+use pperf_datastore::{RmaSpec, RmaTextStore, SmgSpec, SmgStore};
 use pperf_ogsi::ServicePort;
 use pperf_soap::{Call, Fault};
-use pperfgrid::wrappers::MemExecution;
+use pperfgrid::wrappers::{MemExecution, RmaTextWrapper, SmgSqlWrapper};
 use pperfgrid::{
-    ExecutionService, ExecutionStub, ExecutionWrapper, PrQuery, WrapperError, EXECUTION_NS,
+    ApplicationWrapper, ExecutionService, ExecutionStub, ExecutionWrapper, PrQuery, WrapperError,
+    EXECUTION_NS,
 };
 use ppg_context::CallContext;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -216,4 +220,62 @@ fn invoke_stream_get_pr_stays_within_its_ceilings() {
             "invoke_stream, {name}: {allocs} > {ceiling}"
         );
     }
+}
+
+// ------------------------------------------------------------ mapping layer
+
+/// The SMG98 trace of the benchmark's core scenario: 8 executions × 8
+/// processes × 125 events over 24 functions.
+fn smg_execution() -> Arc<dyn ExecutionWrapper> {
+    let store = SmgStore::build(SmgSpec {
+        num_execs: 8,
+        procs: 8,
+        events_per_proc: 125,
+        num_functions: 24,
+        ..SmgSpec::default()
+    });
+    SmgSqlWrapper::new(store.database().clone())
+        .execution("0")
+        .unwrap()
+}
+
+fn query(metric: &str, focus: &str) -> PrQuery {
+    PrQuery {
+        metric: metric.into(),
+        foci: vec![focus.into()],
+        start: String::new(),
+        end: String::new(),
+        rtype: pperfgrid::TYPE_UNDEFINED.into(),
+    }
+}
+
+/// Allocations of one warm `get_pr`, with the answer's row count.
+fn get_pr_allocs(exec: &Arc<dyn ExecutionWrapper>, query: &PrQuery) -> (usize, u64) {
+    exec.get_pr(query).unwrap();
+    let (rows, allocs) = measured(|| exec.get_pr(query));
+    (rows.unwrap().len(), allocs)
+}
+
+#[test]
+fn rma_text_get_pr_stays_within_its_ceiling() {
+    let dir = std::env::temp_dir().join(format!("rma-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RmaTextStore::generate(&dir, &RmaSpec::default()).unwrap();
+    let exec = RmaTextWrapper::new(store).execution("0").unwrap();
+    let (rows, allocs) = get_pr_allocs(&exec, &query("bandwidth_mbps", "/Op/unidir"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(rows, 80, "20 sizes × 4 trials");
+    // One per answer row, the answer's growth and the file read. Building
+    // all 400 records of the file as owned strings first cost 593.
+    assert!(allocs <= 91, "rma_text get_pr: {allocs} > 91");
+}
+
+#[test]
+fn smg_sql_get_pr_stays_within_its_ceiling() {
+    let exec = smg_execution();
+    let (rows, allocs) = get_pr_allocs(&exec, &query("func_calls", "/Code/MPI/MPI_Allgather"));
+    assert_eq!(rows, 1);
+    // The statement's text, parse and plan, the `functions` hash join and
+    // the one group; nothing per event, indexed or scanned.
+    assert!(allocs <= 145, "smg_sql get_pr: {allocs} > 145");
 }

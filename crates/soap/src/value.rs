@@ -8,7 +8,7 @@
 use pperf_xml::{escape_text_into, Element};
 use std::fmt::{self, Write as _};
 
-/// Item count at which [`Value::write_xml`] switches a `StrArray` to the
+/// Item count at which `Value::write_xml` switches a `StrArray` to the
 /// packed length-prefixed block (one text node) instead of one `<item>`
 /// element per row. Small arrays keep the classic Section-5 shape so
 /// foreign decoders and existing fixtures still read them.
@@ -300,7 +300,7 @@ impl Value {
         out.push('>');
     }
 
-    /// Decode from an element written by [`Value::write_xml`] (or a
+    /// Decode from an element written by `Value::write_xml` (or a
     /// compatible foreign encoding).
     pub fn from_element(el: &Element) -> Result<Value, ValueError> {
         if el.attr("xsi:nil") == Some("true") {

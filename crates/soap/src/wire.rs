@@ -101,19 +101,20 @@
 //!
 //! Front coding lets a mode-1 block of *B* bytes describe ~*B*²/24 bytes of
 //! rows (one long first row, then 6-byte rows sharing all of it), so a
-//! mode-1 block may decode to at most [`COLUMNAR_EXPANSION`] times its own
-//! encoded length, and never past [`MAX_COLUMNAR_DECODED_BYTES`]; the
-//! decoder returns [`WireError::Malformed`] *before* allocating the row
-//! that would cross the cap, and the encoder falls back to mode 0 (which
-//! cannot expand) for a block that would cross it, so every block this
-//! encoder emits decodes.
+//! mode-1 block may decode to at most 64 times its own encoded length
+//! (`COLUMNAR_EXPANSION`), and never past 256 MiB
+//! (`MAX_COLUMNAR_DECODED_BYTES`); the decoder returns
+//! [`WireError::Malformed`] *before* allocating the row that would cross the
+//! cap, and the encoder falls back to mode 0 (which cannot expand) for a
+//! block that would cross it, so every block this encoder emits decodes.
 //!
 //! ## Stream checksum
 //!
 //! The kind-7 trailer (and each entry trailer of a batch stream) seals a
 //! 64-bit running sum over the rows of its stream or entry section. The
-//! state starts at [`CHECKSUM_SEED`]; one *word* `w` is folded in as
-//! `h = (h ^ w) * CHECKSUM_MUL (mod 2^64); h ^= h >> 32`. Each row folds,
+//! state starts at `CHECKSUM_SEED` (`0x9e37_79b9_7f4a_7c15`); one *word*
+//! `w` is folded in as `h = (h ^ w) * CHECKSUM_MUL (mod 2^64); h ^= h >> 32`
+//! (`CHECKSUM_MUL` is `0xff51_afd7_ed55_8ccd`). Each row folds,
 //! in order: its byte length as one word, then its bytes as little-endian
 //! 64-bit words, the last one zero-padded. The length word goes first, so
 //! the word sequence determines the row list (`["ab","c"]` and

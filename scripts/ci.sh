@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, and the tier-1 verify (see ROADMAP.md).
 #
-#   scripts/ci.sh            # fmt --check, clippy -D warnings, rustdoc links,
+#   scripts/ci.sh            # fmt --check, clippy -D warnings (test code too),
+#                            # rustdoc -D warnings,
 #                            # build, tests, benchmark/check.sh (the benchmark
 #                            # is its own workspace: `cargo test` never
 #                            # compiles it),
@@ -17,13 +18,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The vendored shims are left out: proptest does not document (`vec` is both
 # a function and a macro).
-echo "==> cargo doc: no broken intra-doc links in the workspace's crates"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps \
+echo "==> cargo doc: no rustdoc warnings in the workspace's crates"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
     --exclude proptest --exclude rand --exclude criterion --exclude crossbeam --exclude parking_lot
 
 echo "==> tier-1: cargo build --release && cargo test -q"
