@@ -230,15 +230,7 @@ fn scan_line<'t>(
     lineno: usize,
     line: &'t str,
 ) -> Result<Option<RmaLine<'t>>, String> {
-    // Within ASCII, `char::is_whitespace` is `u8::is_ascii_whitespace` plus
-    // the vertical tab: on a line with neither non-ASCII bytes nor vertical
-    // tabs, trimming and splitting byte by byte is exact, and faster.
-    let ascii = line.is_ascii() && !line.contains('\x0B');
-    let line = if ascii {
-        line.trim_ascii()
-    } else {
-        line.trim()
-    };
+    let line = line.trim();
     if line.is_empty() {
         return Ok(None);
     }
@@ -259,15 +251,13 @@ fn scan_line<'t>(
         *saw_column_line = true;
         return Ok(None);
     }
-    let (fields, extra) = if ascii {
-        first_four(line.split_ascii_whitespace())
-    } else {
-        first_four(line.split_whitespace())
-    };
-    let [Some(op), Some(size), Some(bw), Some(lat)] = fields else {
+    let mut parts = line.split_whitespace();
+    let [Some(op), Some(size), Some(bw), Some(lat)] =
+        [parts.next(), parts.next(), parts.next(), parts.next()]
+    else {
         return Err(format!("line {}: short data row {line:?}", lineno + 1));
     };
-    if extra {
+    if parts.next().is_some() {
         return Err(format!("line {}: extra fields in {line:?}", lineno + 1));
     }
     Ok(Some(RmaLine::Row(RmaRow {
@@ -282,12 +272,6 @@ fn scan_line<'t>(
             .parse()
             .map_err(|_| format!("line {}: bad latency {lat:?}", lineno + 1))?,
     })))
-}
-
-/// The first four items, and whether there is a fifth.
-fn first_four<'t>(mut parts: impl Iterator<Item = &'t str>) -> ([Option<&'t str>; 4], bool) {
-    let fields = [parts.next(), parts.next(), parts.next(), parts.next()];
-    (fields, parts.next().is_some())
 }
 
 /// Import a text store into a relational database — the thesis's proposed

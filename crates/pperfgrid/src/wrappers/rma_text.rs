@@ -199,8 +199,11 @@ impl ExecutionWrapper for RmaTextExecution {
                     // Room for any size and a value of up to 14 characters:
                     // formatting does not regrow the row.
                     let mut row = String::with_capacity(48 + r.op.len() + query.metric.len());
-                    let _ = write!(row, "op={} msgsize={} {}=", r.op, r.msgsize, query.metric);
-                    push_fixed3(&mut row, value);
+                    let _ = write!(
+                        row,
+                        "op={} msgsize={} {}={value:.3}",
+                        r.op, r.msgsize, query.metric
+                    );
                     rows.push(row);
                 }
                 RmaLine::Row(_) => {}
@@ -212,22 +215,6 @@ impl ExecutionWrapper for RmaTextExecution {
             return Ok(vec![]);
         }
         Ok(rows)
-    }
-}
-
-/// Append `format!("{v:.3}")` to `out`. A non-negative value under 10^9
-/// whose thousandfold lies well off a rounding tie takes the integer path:
-/// below 10^12 the product's own rounding error is under 10^-3, so the
-/// integer it rounds to is the one the exact product rounds to, which is
-/// what `{:.3}` prints. Anything else goes through the general formatter.
-fn push_fixed3(out: &mut String, v: f64) {
-    let scaled = v * 1000.0;
-    let nearest = scaled.round();
-    if v.is_sign_positive() && scaled < 1e12 && (scaled - nearest).abs() < 0.25 {
-        let m = nearest as u64;
-        let _ = write!(out, "{}.{:03}", m / 1000, m % 1000);
-    } else {
-        let _ = write!(out, "{v:.3}");
     }
 }
 
@@ -470,42 +457,6 @@ mod tests {
             }
         }
         assert!(compared > 50, "non-empty answers compared: {compared}");
-    }
-
-    #[test]
-    fn fixed3_matches_the_formatter() {
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut values = vec![
-            0.0,
-            -0.0,
-            0.0005,
-            0.0015,
-            1.0005,
-            2.5e-4,
-            999_999_999.999_5,
-            1e9,
-            1e12,
-            -1.5,
-            f64::NAN,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-        ];
-        for _ in 0..20_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-            values.push(unit * 10f64.powi((state % 14) as i32 - 2));
-            // Exact thousandths and their half-way neighbours.
-            values.push((state % 10_000_000) as f64 / 1000.0);
-            values.push((state % 10_000_000) as f64 / 1000.0 + 0.0005);
-        }
-        for v in values {
-            let mut out = String::new();
-            push_fixed3(&mut out, v);
-            assert_eq!(out, format!("{v:.3}"), "{v:e}");
-        }
     }
 
     #[test]
